@@ -31,8 +31,7 @@ use mcfs::parallel::resolve_oracle;
 use mcfs::stats::SolveStats;
 use mcfs::{McfsInstance, Solution, SolveError, Solver};
 use mcfs_graph::{
-    dijkstra_all, dijkstra_bounded, multi_source_dijkstra, BackendKind, Dist, DistanceOracle,
-    NodeId, INF,
+    dijkstra_all, dijkstra_bounded, multi_source_dijkstra, Dist, DistanceOracle, NodeId, INF,
 };
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -44,9 +43,6 @@ pub struct BrnnBaseline {
     pub threads: usize,
     /// Explicitly shared distance oracle.
     pub oracle: Option<Arc<DistanceOracle>>,
-    /// Distance backend for oracle row fills; exact, so wall-time only.
-    /// Non-default values force the oracle substrate even at one thread.
-    pub backend: BackendKind,
 }
 
 impl BrnnBaseline {
@@ -69,13 +65,6 @@ impl BrnnBaseline {
         self
     }
 
-    /// Select the distance backend (wall-time only; solutions are
-    /// byte-identical across backends).
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self
-    }
-
     /// Solve and return the solution together with the substrate
     /// instrumentation (per-phase wall times, oracle cache hits/misses).
     pub fn run(&self, inst: &McfsInstance) -> Result<(Solution, SolveStats), SolveError> {
@@ -83,7 +72,7 @@ impl BrnnBaseline {
         let g = inst.graph();
         let k = inst.k();
 
-        let oracle = resolve_oracle(self.threads, self.oracle.as_ref(), self.backend);
+        let oracle = resolve_oracle(self.threads, self.oracle.as_ref());
         let mut stats = SolveStats::for_threads(oracle.as_ref().map_or(1, |o| o.threads()));
         // Per-run attribution: count only this call stack's queries, even if
         // the oracle is shared with other concurrently running solvers.

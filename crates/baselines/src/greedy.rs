@@ -25,7 +25,7 @@ use mcfs::assign::optimal_assignment_with;
 use mcfs::components::{capacity_suffices, cover_components};
 use mcfs::parallel::resolve_oracle;
 use mcfs::{McfsInstance, Solution, SolveError, Solver};
-use mcfs_graph::{dijkstra_bounded, BackendKind, Dist, DistanceOracle, NodeId, INF};
+use mcfs_graph::{dijkstra_bounded, Dist, DistanceOracle, NodeId, INF};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 /// The greedy-addition baseline.
@@ -36,9 +36,6 @@ pub struct GreedyAddition {
     pub threads: usize,
     /// Explicitly shared distance oracle.
     pub oracle: Option<Arc<DistanceOracle>>,
-    /// Distance backend for oracle row fills; exact, so wall-time only.
-    /// Non-default values force the oracle substrate even at one thread.
-    pub backend: BackendKind,
 }
 
 impl GreedyAddition {
@@ -60,13 +57,6 @@ impl GreedyAddition {
         self.oracle = Some(oracle);
         self
     }
-
-    /// Select the distance backend (wall-time only; solutions are
-    /// byte-identical across backends).
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self
-    }
 }
 
 impl Solver for GreedyAddition {
@@ -78,7 +68,7 @@ impl Solver for GreedyAddition {
         // With an oracle the per-round candidate-gain sweep reads cached
         // customer rows (one batched parallel prefetch) instead of running
         // a bounded Dijkstra per customer per round; results are identical.
-        let oracle = resolve_oracle(self.threads, self.oracle.as_ref(), self.backend);
+        let oracle = resolve_oracle(self.threads, self.oracle.as_ref());
 
         // node -> candidate indices (largest capacity first).
         let mut cand_at: FxHashMap<NodeId, Vec<u32>> = FxHashMap::default();

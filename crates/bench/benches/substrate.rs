@@ -13,7 +13,7 @@ use mcfs_flow::{solve_transportation, Matcher, TransportProblem, VecStream};
 use mcfs_gen::city::{generate_city, CitySpec, CityStyle};
 use mcfs_gen::customers::uniform_customers;
 use mcfs_gen::synthetic::{generate_synthetic, SyntheticConfig};
-use mcfs_graph::{dijkstra_all, AltIndex, DistanceOracle, Graph};
+use mcfs_graph::{dijkstra_all, fill_row, DistanceOracle, Graph};
 use mcfs_io::{read_instance, write_instance};
 
 fn city() -> Graph {
@@ -37,20 +37,15 @@ fn grp<'c>(
     g
 }
 
-/// One-to-all Dijkstra vs. ALT point-to-point on a city network.
+/// One-to-all rows on a city network: the binary-heap reference vs. the
+/// oracle's warm arena fill.
 fn shortest_paths(c: &mut Criterion) {
     let g = city();
-    let n = g.num_nodes() as u32;
-    let (s, t) = (0u32, n / 2);
-    let idx = AltIndex::build(&g, 8, s);
+    let s = 0u32;
     let mut grp = grp(c, "substrate_shortest_paths");
     grp.bench_function("dijkstra_one_to_all", |b| b.iter(|| dijkstra_all(&g, s)));
-    grp.bench_function("alt_point_to_point", |b| {
-        b.iter(|| idx.query(&g, s, t).unwrap())
-    });
-    grp.bench_function("alt_preprocess_8_landmarks", |b| {
-        b.iter(|| AltIndex::build(&g, 8, s))
-    });
+    let mut row = Vec::new();
+    grp.bench_function("arena_one_to_all", |b| b.iter(|| fill_row(&g, s, &mut row)));
     grp.finish();
 }
 

@@ -1,4 +1,4 @@
-//! `backend-report`: the machine-readable distance-backend comparison.
+//! `backend-report`: the machine-readable row-engine speed report.
 //!
 //! ```text
 //! cargo run --release -p mcfs-bench --bin backend-report \
@@ -6,16 +6,17 @@
 //! ```
 //!
 //! Generates dense-grid city networks at each size and times cold
-//! one-to-all row fills per [`BackendKind`]. Sampling is *paired*: each
-//! rep times every backend back to back from the same source before
-//! moving to the next source, so machine-load drift lands on all
-//! backends of a rep equally and cancels out of the per-rep ratio. The
-//! published `speedup_vs_heap` is the median of those per-rep ratios;
-//! `row_fill_ms` is the per-backend median. Arena and landmark warm-up
-//! run outside the timed window — what is measured is the steady-state
-//! per-customer cost solvers pay. Every backend is cross-checked against
-//! the heap reference on the first and last sources, so a
-//! wrong-but-fast backend can never produce a flattering report.
+//! one-to-all row fills two ways: the binary-heap reference
+//! ([`dijkstra_all`], cell `heap`) and the oracle's arena search
+//! ([`fill_row`], cell `bucket`). Sampling is *paired*: each rep times
+//! both engines back to back from the same source before moving to the
+//! next source, so machine-load drift lands on both equally and cancels
+//! out of the per-rep ratio. The published `speedup_vs_heap` is the median
+//! of those per-rep ratios; `row_fill_ms` is the per-engine median. Arena
+//! warm-up runs outside the timed window — what is measured is the
+//! steady-state per-customer cost solvers pay. The arena is cross-checked
+//! against the reference on the first and last sources, so a
+//! wrong-but-fast fill can never produce a flattering report.
 //!
 //! Output lands in `BENCH_PR7.json` at the repository root (or `--out`):
 //!
@@ -23,24 +24,34 @@
 //! {
 //!   "100000": {
 //!     "heap":   {"row_fill_ms": ..., "speedup_vs_heap": 1.0, ...},
-//!     "bucket": {"row_fill_ms": ..., "speedup_vs_heap": ...},
-//!     "alt":    {...}
+//!     "bucket": {"row_fill_ms": ..., "speedup_vs_heap": ...}
 //!   },
 //!   ...
 //! }
 //! ```
 //!
 //! The CI `backend-suites` job gates on `bucket.speedup_vs_heap >= 3.0`
-//! at the 100k size (the PR-7 acceptance bar).
+//! at the 100k size.
 
 use std::process::ExitCode;
 use std::time::Instant;
 
 use mcfs_gen::city::{generate_city, CitySpec, CityStyle};
-use mcfs_graph::{BackendKind, Graph};
+use mcfs_graph::{dijkstra_all, fill_row, Dist, Graph, NodeId};
+
+/// A one-to-all row fill from `source` into `out`.
+type Fill = fn(&Graph, NodeId, &mut Vec<Dist>);
+
+/// The two engines, reference first; the name is the JSON cell key.
+const ENGINES: [(&str, Fill); 2] = [
+    ("heap", |g, s, out| *out = dijkstra_all(g, s)),
+    ("bucket", |g, s, out| {
+        fill_row(g, s, out);
+    }),
+];
 
 struct Cell {
-    kind: BackendKind,
+    name: &'static str,
     row_fill_ms: f64,
     speedup_vs_heap: f64,
 }
@@ -62,45 +73,41 @@ fn median(mut xs: Vec<f64>) -> f64 {
     xs[xs.len() / 2]
 }
 
-/// Paired measurement of every backend on `g` over `reps` sources.
+/// Paired measurement of both engines on `g` over `reps` sources.
 fn measure(g: &Graph, reps: usize) -> Vec<Cell> {
     let n = g.num_nodes() as u32;
-    let backends: Vec<_> = BackendKind::ALL.iter().map(|k| k.instantiate()).collect();
     let mut row = Vec::new();
-    // One untimed fill each: ALT landmark build, arena sizing, buffer
-    // capacity.
-    for b in &backends {
-        b.fill_row(g, 0, &mut row);
+    // One untimed fill each: arena sizing, buffer capacity.
+    for (_, fill) in ENGINES {
+        fill(g, 0, &mut row);
     }
     let stride = (n / reps.max(1) as u32).max(1) | 1;
-    // Paired reps: all backends fill from the same source back to back,
+    // Paired reps: both engines fill from the same source back to back,
     // so within-run machine drift cancels out of the per-rep ratio.
-    let mut samples = vec![Vec::with_capacity(reps); backends.len()];
+    let mut samples = vec![Vec::with_capacity(reps); ENGINES.len()];
     for i in 0..reps {
         let source = (1 + i as u32 * stride) % n;
-        for (b, out) in backends.iter().zip(samples.iter_mut()) {
+        for ((_, fill), out) in ENGINES.iter().zip(samples.iter_mut()) {
             let t0 = Instant::now();
-            b.fill_row(g, source, &mut row);
+            fill(g, source, &mut row);
             out.push(t0.elapsed().as_secs_f64() * 1e3);
         }
     }
     // Exactness spot-check on the first and last timed sources.
     for i in [0, reps - 1] {
         let source = (1 + i as u32 * stride) % n;
-        let reference = mcfs_graph::dijkstra_all(g, source);
-        for (kind, b) in BackendKind::ALL.iter().zip(&backends) {
-            b.fill_row(g, source, &mut row);
-            assert_eq!(
-                row, reference,
-                "{kind} produced a wrong row from {source} on {n} nodes"
-            );
-        }
+        let reference = dijkstra_all(g, source);
+        fill_row(g, source, &mut row);
+        assert_eq!(
+            row, reference,
+            "the arena produced a wrong row from {source} on {n} nodes"
+        );
     }
-    BackendKind::ALL
+    ENGINES
         .iter()
         .enumerate()
-        .map(|(bi, &kind)| Cell {
-            kind,
+        .map(|(bi, &(name, _))| Cell {
+            name,
             row_fill_ms: median(samples[bi].clone()),
             speedup_vs_heap: median(
                 samples[0]
@@ -152,14 +159,12 @@ fn main() -> ExitCode {
         for (ci, cell) in cells.iter().enumerate() {
             eprintln!(
                 "  {:>6}: {:.3} ms/row ({:.2}x vs heap)",
-                cell.kind.token(),
-                cell.row_fill_ms,
-                cell.speedup_vs_heap
+                cell.name, cell.row_fill_ms, cell.speedup_vs_heap
             );
             out.push_str(&format!(
                 "    \"{}\": {{\"row_fill_ms\": {:.4}, \"speedup_vs_heap\": {:.3}, \
                  \"nodes\": {}, \"arcs\": {}}}{}\n",
-                cell.kind.token(),
+                cell.name,
                 cell.row_fill_ms,
                 cell.speedup_vs_heap,
                 g.num_nodes(),

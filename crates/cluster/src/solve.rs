@@ -535,11 +535,7 @@ impl ClusterSolver {
         let mut stats = SolveStats::default();
         stats.add_phase("partition", t_partition.elapsed());
 
-        let oracle = resolve_oracle(
-            self.solver.threads,
-            self.solver.oracle.as_ref(),
-            self.solver.backend,
-        );
+        let oracle = resolve_oracle(self.solver.threads, self.solver.oracle.as_ref());
         if part.shards.is_empty() {
             return self.solve_single(inst, part, stats, oracle.as_deref());
         }

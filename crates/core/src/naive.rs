@@ -17,7 +17,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use mcfs_flow::EdgeStream;
-use mcfs_graph::{BackendKind, DistanceOracle};
+use mcfs_graph::DistanceOracle;
 
 use rustc_hash::FxHashMap;
 
@@ -42,9 +42,6 @@ pub struct WmaNaive {
     pub threads: usize,
     /// Explicitly shared distance oracle.
     pub oracle: Option<Arc<DistanceOracle>>,
-    /// Distance backend for oracle row fills; exact, so wall-time only.
-    /// Non-default values force the oracle substrate even at one thread.
-    pub backend: BackendKind,
 }
 
 impl Default for WmaNaive {
@@ -54,7 +51,6 @@ impl Default for WmaNaive {
             max_iterations: None,
             threads: 0,
             oracle: None,
-            backend: BackendKind::Heap,
         }
     }
 }
@@ -105,13 +101,6 @@ impl WmaNaive {
         self.oracle = Some(oracle);
         self
     }
-
-    /// Select the distance backend (wall-time only; solutions are
-    /// byte-identical across backends).
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self
-    }
 }
 
 impl Solver for WmaNaive {
@@ -123,7 +112,7 @@ impl Solver for WmaNaive {
         let caps = inst.capacities();
         let mut rng = StdRng::seed_from_u64(self.seed);
 
-        let oracle = resolve_oracle(self.threads, self.oracle.as_ref(), self.backend);
+        let oracle = resolve_oracle(self.threads, self.oracle.as_ref());
         let fac_map = std::rc::Rc::new(inst.facilities_by_node());
         let mut caches: Vec<FacilityCache> = CustomerStream::for_customers(
             inst.graph(),

@@ -10,18 +10,15 @@
 //!   cache, so e.g. WMA, the refine pass and a baseline sweep each reuse the
 //!   rows the previous stage already paid for.
 //!
-//! Since PR 7 the solvers also carry `backend: BackendKind`, selecting the
-//! distance engine ([`mcfs_graph::DistanceBackend`]) the oracle computes
-//! rows with; a non-default backend forces the oracle substrate even at one
-//! thread, because backends live behind the oracle.
-//!
 //! [`resolve_oracle`] turns those fields into the substrate choice. The
-//! contract — verified by the determinism and backend-equivalence tests —
-//! is that the choice affects wall time only, never solutions.
+//! lazy path streams each customer's settled nodes on demand; the oracle
+//! path fills whole rows with the arena search ([`mcfs_graph::fill_row`]).
+//! The contract — verified by the determinism tests — is that the choice
+//! affects wall time only, never solutions.
 
 use std::sync::Arc;
 
-use mcfs_graph::{available_threads, BackendKind, DistanceOracle};
+use mcfs_graph::{available_threads, DistanceOracle};
 
 /// Resolve a `threads` knob: `0` → available parallelism, else the value.
 pub fn effective_threads(threads: usize) -> usize {
@@ -34,23 +31,19 @@ pub fn effective_threads(threads: usize) -> usize {
 
 /// Decide the distance substrate for one solver run.
 ///
-/// An explicitly provided oracle always wins (whatever its thread count or
-/// backend). Otherwise a fresh oracle is created when the resolved thread
-/// count exceeds 1 *or* a non-default `backend` was requested (backends
-/// live behind the oracle, so selecting one opts into the substrate);
-/// a resolved count of 1 with the default backend returns `None`,
-/// selecting the legacy per-customer lazy-Dijkstra path byte-for-byte.
+/// An explicitly provided oracle always wins (whatever its thread count).
+/// Otherwise a fresh oracle is created when the resolved thread count
+/// exceeds 1; a resolved count of 1 returns `None`, selecting the legacy
+/// per-customer lazy-Dijkstra path byte-for-byte.
 pub fn resolve_oracle(
     threads: usize,
     oracle: Option<&Arc<DistanceOracle>>,
-    backend: BackendKind,
 ) -> Option<Arc<DistanceOracle>> {
     match oracle {
         Some(o) => Some(Arc::clone(o)),
         None => {
             let t = effective_threads(threads);
-            (t > 1 || backend != BackendKind::Heap)
-                .then(|| Arc::new(DistanceOracle::new().with_threads(t).with_backend(backend)))
+            (t > 1).then(|| Arc::new(DistanceOracle::new().with_threads(t)))
         }
     }
 }
@@ -62,33 +55,19 @@ mod tests {
     #[test]
     fn explicit_oracle_wins() {
         let o = Arc::new(DistanceOracle::new().with_threads(3));
-        let resolved = resolve_oracle(1, Some(&o), BackendKind::Heap).unwrap();
-        assert!(Arc::ptr_eq(&o, &resolved));
-        // Explicit oracle wins over a backend request too: the caller
-        // already decided the substrate, backend and all.
-        let resolved = resolve_oracle(1, Some(&o), BackendKind::Bucket).unwrap();
+        let resolved = resolve_oracle(1, Some(&o)).unwrap();
         assert!(Arc::ptr_eq(&o, &resolved));
     }
 
     #[test]
     fn threads_one_selects_legacy_path() {
-        assert!(resolve_oracle(1, None, BackendKind::Heap).is_none());
+        assert!(resolve_oracle(1, None).is_none());
     }
 
     #[test]
     fn threads_many_builds_an_oracle() {
-        let o = resolve_oracle(4, None, BackendKind::Heap).unwrap();
+        let o = resolve_oracle(4, None).unwrap();
         assert_eq!(o.threads(), 4);
-        assert_eq!(o.backend_kind(), BackendKind::Heap);
-    }
-
-    #[test]
-    fn non_default_backend_forces_the_substrate() {
-        let o = resolve_oracle(1, None, BackendKind::Bucket).unwrap();
-        assert_eq!(o.threads(), 1);
-        assert_eq!(o.backend_kind(), BackendKind::Bucket);
-        let o = resolve_oracle(2, None, BackendKind::Alt).unwrap();
-        assert_eq!(o.backend_kind(), BackendKind::Alt);
     }
 
     #[test]

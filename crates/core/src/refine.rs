@@ -37,7 +37,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mcfs_graph::{BackendKind, DistanceOracle, LazyDijkstra};
+use mcfs_graph::{DistanceOracle, LazyDijkstra};
 use rustc_hash::FxHashSet;
 
 use crate::assign::optimal_assignment_with;
@@ -64,9 +64,6 @@ pub struct LocalSearch {
     pub threads: usize,
     /// Explicitly shared distance oracle.
     pub oracle: Option<Arc<DistanceOracle>>,
-    /// Distance backend for oracle row fills; exact, so wall-time only.
-    /// Non-default values force the oracle substrate even at one thread.
-    pub backend: BackendKind,
 }
 
 impl Default for LocalSearch {
@@ -77,7 +74,6 @@ impl Default for LocalSearch {
             time_budget: None,
             threads: 0,
             oracle: None,
-            backend: BackendKind::Heap,
         }
     }
 }
@@ -105,20 +101,13 @@ impl LocalSearch {
         self
     }
 
-    /// Select the distance backend (wall-time only; solutions are
-    /// byte-identical across backends).
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self
-    }
-
     /// Improve `solution` by first-improvement facility swaps; the result
     /// verifies against `inst` and its objective is ≤ the input's.
     pub fn refine(&self, inst: &McfsInstance, solution: &Solution) -> Result<Solution, SolveError> {
         let start = Instant::now();
         let feas = inst.check_feasibility().map_err(SolveError::Infeasible)?;
         let facs = inst.facilities();
-        let oracle = resolve_oracle(self.threads, self.oracle.as_ref(), self.backend);
+        let oracle = resolve_oracle(self.threads, self.oracle.as_ref());
         let mut best = solution.clone();
 
         // node -> candidate indices (highest capacity first).

@@ -299,11 +299,7 @@ impl<'g> ReSolver<'g> {
     /// time, so results equal a cold `Wma` solve at any thread count.
     pub fn new(inst: &McfsInstance<'g>, wma: Wma) -> Self {
         let oracle = wma.oracle.clone().unwrap_or_else(|| {
-            Arc::new(
-                DistanceOracle::new()
-                    .with_threads(effective_threads(wma.threads))
-                    .with_backend(wma.backend),
-            )
+            Arc::new(DistanceOracle::new().with_threads(effective_threads(wma.threads)))
         });
         let m = inst.num_customers() as u64;
         let l = inst.num_facilities() as u64;
@@ -478,8 +474,8 @@ impl<'g> ReSolver<'g> {
         self.k = k;
         self.next_id = next_id;
         // Edits never mutate the graph itself, but a committed script is the
-        // natural barrier at which backend preprocessing (e.g. ALT landmark
-        // indexes) is re-checked against the graph it will serve next.
+        // natural barrier at which the oracle's row cache is re-keyed to the
+        // graph it will serve next.
         self.oracle.revalidate(self.graph);
         Ok(())
     }

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use mcfs_graph::{BackendKind, DistanceOracle};
+use mcfs_graph::DistanceOracle;
 
 use crate::assign::optimal_assignment_with;
 use crate::components::{capacity_suffices, cover_components};
@@ -47,13 +47,6 @@ impl UniformFirst {
         self.inner.oracle = Some(oracle);
         self
     }
-
-    /// Select the distance backend for both phases (wall-time only;
-    /// solutions are byte-identical across backends).
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        self.inner.backend = kind;
-        self
-    }
 }
 
 impl Solver for UniformFirst {
@@ -64,11 +57,7 @@ impl Solver for UniformFirst {
 
         // Resolve the substrate once so the uniform siting phase and the
         // final re-matching share one row cache.
-        let oracle = resolve_oracle(
-            self.inner.threads,
-            self.inner.oracle.as_ref(),
-            self.inner.backend,
-        );
+        let oracle = resolve_oracle(self.inner.threads, self.inner.oracle.as_ref());
         let inner = Wma {
             oracle: oracle.clone(),
             ..self.inner.clone()

@@ -24,7 +24,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use mcfs_flow::{Matcher, PruningRule};
-use mcfs_graph::{BackendKind, DistanceOracle};
+use mcfs_graph::DistanceOracle;
 
 use crate::assign::{assignment_matcher, complete_assignment};
 use crate::components::{capacity_suffices, cover_components};
@@ -102,11 +102,6 @@ pub struct Wma {
     /// Explicitly shared [`DistanceOracle`]; overrides `threads` for the
     /// substrate choice and lets several solvers reuse one row cache.
     pub oracle: Option<Arc<DistanceOracle>>,
-    /// Distance backend for oracle row fills ([`BackendKind::Heap`] is the
-    /// reference). Backends are exact, so this changes wall time only —
-    /// never a solution. A non-default backend forces the oracle substrate
-    /// even at `threads == 1`; an explicit `oracle` overrides it.
-    pub backend: BackendKind,
 }
 
 /// A solved run: the solution plus (optionally) the iteration trace.
@@ -147,18 +142,11 @@ impl Wma {
         self
     }
 
-    /// Select the distance backend (wall-time only; solutions are
-    /// byte-identical across backends).
-    pub fn backend(mut self, kind: BackendKind) -> Self {
-        self.backend = kind;
-        self
-    }
-
     /// Run WMA, returning the solution and the instrumentation trace.
     pub fn run(&self, inst: &McfsInstance) -> Result<WmaRun, SolveError> {
         let _run_span = mcfs_obs::span("wma.run");
         let feas = inst.check_feasibility().map_err(SolveError::Infeasible)?;
-        let oracle = resolve_oracle(self.threads, self.oracle.as_ref(), self.backend);
+        let oracle = resolve_oracle(self.threads, self.oracle.as_ref());
         let mut solve_stats = SolveStats::for_threads(oracle.as_ref().map_or(1, |o| o.threads()));
         // Per-run attribution: only queries issued from this call stack are
         // counted, even when the oracle (and its row cache) is shared with

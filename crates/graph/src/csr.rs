@@ -45,8 +45,9 @@ pub struct Graph {
     coords: Option<Vec<Point>>,
     /// Hash of the CSR arrays, computed once at build time. Two graphs with
     /// equal hashes have identical arc structure (modulo hash collisions),
-    /// so caches keyed by it (search arenas, landmark indexes) can detect
-    /// that a *different* graph of the same size was swapped in.
+    /// so caches keyed by it (the per-thread search arenas, the oracle's row
+    /// cache) can detect that a *different* graph of the same size was
+    /// swapped in.
     structural_hash: u64,
     /// Caller-chosen identity salt (0 by default). Two *isomorphic* graphs
     /// hash identically on structure alone — which is exactly wrong for
@@ -147,7 +148,7 @@ impl Graph {
     /// Structural hash of the CSR arrays, computed once at build time.
     /// Equal structure ⇒ equal hash; different weights or arcs give a
     /// different hash with overwhelming probability. Used to key
-    /// per-structure caches (search arenas, ALT landmark indexes).
+    /// per-structure caches (search arenas, the oracle's row cache).
     #[inline]
     pub fn structural_hash(&self) -> u64 {
         self.structural_hash

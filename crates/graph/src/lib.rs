@@ -11,11 +11,10 @@
 //!   searches with a bounded per-source row cache and a batched parallel
 //!   entry point ([`oracle`], worker pool in [`par`]). Solvers share one
 //!   oracle so distance rows are computed once per customer.
-//! * [`backend`] — pluggable exact distance engines behind the oracle
-//!   ([`DistanceBackend`]): the binary-heap reference, a zero-alloc
-//!   radix-heap arena ([`BucketBackend`]), and landmark-accelerated ALT
-//!   ([`AltBackend`]), selectable via [`BackendKind`]. Backends change
-//!   wall time only — rows are byte-identical across all of them.
+//! * [`arena`] — the oracle's row engine, [`fill_row`]: a zero-alloc Dial
+//!   bucket ring (radix-heap fallback for huge weights) over a per-thread
+//!   reusable search arena, byte-identical to [`dijkstra_all`], which stays
+//!   the plain binary-heap reference.
 //! * [`LazyDijkstra`] — a *resumable* Dijkstra that yields settled nodes in
 //!   nondecreasing distance order. This is the per-customer nearest-neighbor
 //!   stream the paper's `FindPair` routine consumes (Algorithm 2, line 6).
@@ -34,9 +33,8 @@
 
 #![warn(missing_docs)]
 
-pub mod alt;
 pub mod apsp;
-pub mod backend;
+pub mod arena;
 pub mod components;
 pub mod csr;
 pub mod dijkstra;
@@ -47,10 +45,7 @@ pub mod oracle;
 pub mod par;
 pub mod paths;
 
-pub use alt::{AltIndex, AltQueryStats};
-pub use backend::{
-    AltBackend, BackendKind, BucketBackend, DistanceBackend, HeapBackend, DEFAULT_ALT_LANDMARKS,
-};
+pub use arena::fill_row;
 pub use components::{connected_components, ComponentInfo};
 pub use csr::{EdgeId, Graph, GraphBuilder, NodeId};
 pub use dijkstra::{

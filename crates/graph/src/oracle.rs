@@ -4,9 +4,10 @@
 //! customer from everything?" — and the WMA pipeline asks it repeatedly:
 //! each demand-raising iteration, the refine pass, and every baseline
 //! re-derive distances from the same handful of customer nodes. The
-//! [`DistanceOracle`] memoizes those one-to-all rows ([`crate::dijkstra_all`])
-//! behind a mutex-guarded bounded FIFO cache of `Arc<Vec<Dist>>`, so a row
-//! is computed once and then shared by reference across WMA iterations, the
+//! [`DistanceOracle`] memoizes those one-to-all rows (filled by the arena
+//! search [`crate::fill_row`], equal to [`crate::dijkstra_all`]) behind a
+//! mutex-guarded bounded FIFO cache of `Arc<Vec<Dist>>`, so a row is
+//! computed once and then shared by reference across WMA iterations, the
 //! refine pass, and the baselines.
 //!
 //! The batched entry point [`DistanceOracle::distances_for_sources`] fans
@@ -26,13 +27,12 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use rustc_hash::FxHashMap;
 
-use crate::backend::{BackendKind, DistanceBackend};
 use crate::par::{available_threads, par_map_indexed};
-use crate::{Dist, Graph, NodeId, INF};
+use crate::{fill_row, Dist, Graph, NodeId, INF};
 
 /// Default bound on cached rows. A row is `num_nodes * 8` bytes, so 4096
 /// rows of a 100k-node graph is ~3 GiB worst case; real workloads cache one
@@ -60,10 +60,6 @@ pub struct OracleStats {
     pub capacity: usize,
     /// Worker threads used by batched queries.
     pub threads: usize,
-    /// The distance backend rows are computed with. Backends are exact
-    /// (`tests/backend_equivalence.rs`), so this only ever changes wall
-    /// time — never a row, never a solution.
-    pub backend: BackendKind,
 }
 
 /// Registry-backed counters mirroring the oracle's internal atomics, cached
@@ -198,12 +194,6 @@ impl Fingerprint {
     }
 }
 
-/// Settled nodes of a completed one-to-all expansion: Dijkstra settles
-/// exactly the reachable nodes, which are the finite row entries.
-fn settled_in(row: &[Dist]) -> u64 {
-    row.iter().filter(|&&d| d != INF).count() as u64
-}
-
 struct RowCache {
     rows: FxHashMap<NodeId, Arc<Vec<Dist>>>,
     /// Insertion order for FIFO eviction. Rows evicted here stay alive for
@@ -228,12 +218,6 @@ pub struct DistanceOracle {
     cache: Mutex<RowCache>,
     capacity: usize,
     threads: usize,
-    /// The engine rows are computed with. Behind an `RwLock` so a *shared*
-    /// oracle can be re-pointed at another backend mid-flight
-    /// ([`set_backend`](Self::set_backend)); since every backend is exact,
-    /// rows already cached stay valid across switches — the cache is keyed
-    /// by the graph, not the engine.
-    backend: RwLock<Arc<dyn DistanceBackend>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -244,7 +228,6 @@ impl std::fmt::Debug for DistanceOracle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = self.stats();
         f.debug_struct("DistanceOracle")
-            .field("backend", &s.backend)
             .field("threads", &s.threads)
             .field("capacity", &s.capacity)
             .field("cached_rows", &s.cached_rows)
@@ -273,7 +256,6 @@ impl DistanceOracle {
             }),
             capacity: DEFAULT_CACHE_ROWS,
             threads: available_threads(),
-            backend: RwLock::new(BackendKind::Heap.instantiate()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -299,42 +281,12 @@ impl DistanceOracle {
         self
     }
 
-    /// Select the distance backend by kind. All backends are exact, so
-    /// this changes wall time only — rows (and therefore solutions) are
-    /// byte-identical across backends.
-    pub fn with_backend(self, kind: BackendKind) -> Self {
-        self.with_backend_impl(kind.instantiate())
-    }
-
-    /// Install a specific backend instance (e.g. an
-    /// [`AltBackend`](crate::AltBackend) with a custom landmark count, or
-    /// a shared instance whose preprocessing several oracles reuse).
-    pub fn with_backend_impl(self, backend: Arc<dyn DistanceBackend>) -> Self {
-        *self.backend.write().unwrap() = backend;
-        self
-    }
-
-    /// Switch the backend on a live (possibly shared) oracle. Cached rows
-    /// stay — they are exact regardless of which engine computed them;
-    /// only *future* fills use the new backend.
-    pub fn set_backend(&self, kind: BackendKind) {
-        *self.backend.write().unwrap() = kind.instantiate();
-    }
-
-    /// The kind of the currently installed backend.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backend.read().unwrap().kind()
-    }
-
-    /// Re-key the oracle to `g`: ask the current backend to drop any
-    /// preprocessing not derived from `g` (e.g. an ALT landmark index built
-    /// on a graph that has since been replaced), and — if `g` is not the
-    /// graph the cache was primed on — drop the cached rows and adopt `g`'s
-    /// fingerprint. This is the sanctioned "the graph changed" hook;
-    /// `ReSolver` calls it on every edit commit. Serving a graph the oracle
-    /// was *not* revalidated to still panics, as before.
+    /// Re-key the oracle to `g`: if `g` is not the graph the cache was
+    /// primed on, drop the cached rows and adopt `g`'s fingerprint. This is
+    /// the sanctioned "the graph changed" hook; `ReSolver` calls it on
+    /// every edit commit. Serving a graph the oracle was *not* revalidated
+    /// to still panics.
     pub fn revalidate(&self, g: &Graph) {
-        self.backend.read().unwrap().revalidate(g);
         let fp = Fingerprint::of(g);
         let mut cache = self.cache.lock().unwrap();
         if cache.fingerprint != Some(fp) {
@@ -349,18 +301,12 @@ impl DistanceOracle {
         self.threads
     }
 
-    /// Snapshot the installed backend for row computation outside the
-    /// cache lock.
-    fn backend(&self) -> Arc<dyn DistanceBackend> {
-        Arc::clone(&*self.backend.read().unwrap())
-    }
-
-    /// One backend row as a fresh `Arc` (the only allocation a bucket/ALT
-    /// fill performs: the row the cache retains).
-    fn compute_row(backend: &dyn DistanceBackend, g: &Graph, source: NodeId) -> Arc<Vec<Dist>> {
+    /// One arena row as a fresh `Arc` (the only allocation a warm fill
+    /// performs: the row the cache retains) and its settled-node count.
+    fn compute_row(g: &Graph, source: NodeId) -> (Arc<Vec<Dist>>, u64) {
         let mut row = Vec::new();
-        backend.fill_row(g, source, &mut row);
-        Arc::new(row)
+        let settled = fill_row(g, source, &mut row);
+        (Arc::new(row), settled)
     }
 
     /// Snapshot of the hit/miss/eviction counters and cache occupancy.
@@ -374,7 +320,6 @@ impl DistanceOracle {
             cached_rows: cache.rows.len(),
             capacity: self.capacity,
             threads: self.threads,
-            backend: self.backend_kind(),
         }
     }
 
@@ -460,8 +405,7 @@ impl DistanceOracle {
         // second insert is a no-op overwrite.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let _span = mcfs_obs::span("oracle.row");
-        let row = Self::compute_row(&*self.backend(), g, source);
-        let settled = settled_in(&row);
+        let (row, settled) = Self::compute_row(g, source);
         self.nodes_settled.fetch_add(settled, Ordering::Relaxed);
         let obs = obs_counters();
         obs.misses.inc();
@@ -508,12 +452,11 @@ impl DistanceOracle {
         // `par_map_indexed` returns slot-ordered results, so insertion
         // order below — hence FIFO eviction order — is scheduling-independent.
         let batch_span = mcfs_obs::span("oracle.batch");
-        let backend = self.backend();
         let computed = par_map_indexed(missing.len(), self.threads, |i| {
-            Self::compute_row(&*backend, g, missing[i])
+            Self::compute_row(g, missing[i])
         });
         drop(batch_span);
-        let settled = computed.iter().map(|row| settled_in(row)).sum::<u64>();
+        let settled = computed.iter().map(|(_, settled)| settled).sum::<u64>();
         self.nodes_settled.fetch_add(settled, Ordering::Relaxed);
         obs.nodes_settled.add(settled);
 
@@ -521,12 +464,12 @@ impl DistanceOracle {
         let mut evicted = 0;
         {
             let mut cache = self.cache.lock().unwrap();
-            for (s, row) in missing.iter().zip(&computed) {
+            for (s, (row, _)) in missing.iter().zip(&computed) {
                 evicted += self.insert_row(&mut cache, *s, Arc::clone(row));
             }
         }
         note_run(hits, misses, evicted, settled);
-        for (s, row) in missing.into_iter().zip(computed) {
+        for (s, (row, _)) in missing.into_iter().zip(computed) {
             found.insert(s, row);
         }
         sources
@@ -537,8 +480,8 @@ impl DistanceOracle {
 
     /// Distance from `source` to a single `target` (cached-row-backed).
     /// Unreachable pairs yield the [`INF`] sentinel; prefer
-    /// [`try_distance`](Self::try_distance) for point-to-point queries so
-    /// unreachability is a typed `None` instead of a magic value.
+    /// [`try_distance`](Self::try_distance) so unreachability is a typed
+    /// `None` instead of a magic value.
     pub fn distance(&self, g: &Graph, source: NodeId, target: NodeId) -> Dist {
         self.row(g, source)[target as usize]
     }
@@ -548,34 +491,6 @@ impl DistanceOracle {
     pub fn try_distance(&self, g: &Graph, source: NodeId, target: NodeId) -> Option<Dist> {
         let d = self.row(g, source)[target as usize];
         (d != INF).then_some(d)
-    }
-
-    /// Point-to-point distance that prefers *not* to pay for a full row:
-    /// a resident cached row answers immediately (a hit); otherwise a
-    /// backend with a specialized point-to-point path (ALT's
-    /// goal-directed search) answers without materializing or caching a
-    /// row; only as a last resort does this fall back to
-    /// [`try_distance`](Self::try_distance)'s full row fill.
-    ///
-    /// Exactness is unconditional — the answer equals indexing the full
-    /// row, whichever path served it.
-    pub fn point_to_point(&self, g: &Graph, source: NodeId, target: NodeId) -> Option<Dist> {
-        {
-            let mut cache = self.cache.lock().unwrap();
-            Self::check_graph(&mut cache, g);
-            if let Some(row) = cache.rows.get(&source) {
-                let d = row[target as usize];
-                drop(cache);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                obs_counters().hits.inc();
-                note_run(1, 0, 0, 0);
-                return (d != INF).then_some(d);
-            }
-        }
-        if let Some(answer) = self.backend().point_to_point(g, source, target) {
-            return answer;
-        }
-        self.try_distance(g, source, target)
     }
 
     /// Distances from `source` to each of `targets`, in the order given.
@@ -766,44 +681,6 @@ mod tests {
         o.row(&g2, 0); // no panic: oracle re-keyed
         o.revalidate(&g2); // same fingerprint: rows survive
         assert_eq!(o.stats().cached_rows, 1);
-    }
-
-    #[test]
-    fn backends_serve_identical_rows_and_switch_live() {
-        let g = sample();
-        for kind in BackendKind::ALL {
-            let o = DistanceOracle::new().with_threads(2).with_backend(kind);
-            assert_eq!(o.backend_kind(), kind);
-            assert_eq!(o.stats().backend, kind);
-            for s in g.nodes() {
-                assert_eq!(*o.row(&g, s), dijkstra_all(&g, s), "{kind:?} from {s}");
-            }
-        }
-        // Live switch on a shared oracle: cached rows survive (they are
-        // exact), future fills use the new engine.
-        let o = DistanceOracle::new().with_threads(1);
-        let before = o.row(&g, 0);
-        o.set_backend(BackendKind::Bucket);
-        assert_eq!(o.backend_kind(), BackendKind::Bucket);
-        let after = o.row(&g, 0);
-        assert!(Arc::ptr_eq(&before, &after), "cache survives the switch");
-        assert_eq!(*o.row(&g, 3), dijkstra_all(&g, 3));
-    }
-
-    #[test]
-    fn point_to_point_matches_rows_on_every_backend() {
-        let g = sample();
-        for kind in BackendKind::ALL {
-            let o = DistanceOracle::new().with_threads(1).with_backend(kind);
-            // Cold: ALT answers via landmarks, others via a row fill.
-            assert_eq!(o.point_to_point(&g, 0, 3), Some(5), "{kind:?}");
-            assert_eq!(o.point_to_point(&g, 0, 4), None, "{kind:?}");
-            // Warm: a cached row short-circuits whatever the backend is.
-            o.row(&g, 1);
-            let hits_before = o.stats().hits;
-            assert_eq!(o.point_to_point(&g, 1, 3), Some(2), "{kind:?}");
-            assert_eq!(o.stats().hits, hits_before + 1, "{kind:?} cache hit");
-        }
     }
 
     #[test]

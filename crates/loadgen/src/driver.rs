@@ -215,7 +215,6 @@ impl Connection<'_> {
                 &Request::Open {
                     session: session.clone(),
                     kind: OpenKind::Instance,
-                    backend: None,
                     payload: mcfs_server::protocol::text_to_lines(instance_text),
                 },
             )?;

@@ -404,9 +404,12 @@ pub fn clock_offset(local_before_ns: u64, peer_now_ns: u64, local_after_ns: u64)
 ///   *within* the peer set follow the remap; parent links pointing outside
 ///   it are anchors into `local` — typically the RPC span whose id was
 ///   propagated on the wire — and are kept verbatim);
-/// - peer timestamps are shifted by `-offset_ns` (see [`clock_offset`]) and
-///   then clamped into their local anchor's interval, so nesting holds even
-///   though the offset is only an estimate;
+/// - peer timestamps are shifted by `-offset_ns` (see [`clock_offset`]);
+///   then every span of the merged list is clamped into its parent's
+///   interval, parents first, so nesting holds even though the offset is
+///   only an estimate — and even when `local` already holds raw copies of
+///   peer spans (peers sharing this process's span ring), whose request
+///   span can close after the coordinator's RPC span has read the reply;
 /// - peer thread ids move into process lane `process` (see [`PROCESS_SHIFT`])
 ///   so exporters can draw one lane per process.
 ///
@@ -420,15 +423,12 @@ pub fn splice_remote(
     offset_ns: i64,
     process: u64,
 ) -> usize {
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
     let remap: HashMap<u64, u64> = remote.iter().map(|s| (s.id, alloc_span_id())).collect();
-    let anchors: HashMap<u64, (u64, u64)> = local
-        .iter()
-        .map(|s| (s.id, (s.start_ns, s.start_ns + s.dur_ns)))
-        .collect();
+    let anchors: HashSet<u64> = local.iter().map(|s| s.id).collect();
     // Rebase + remap first; clamp top-down afterwards so a child is clamped
     // against its parent's already-clamped interval.
-    let mut spliced: Vec<SpanRecord> = remote
+    let spliced: Vec<SpanRecord> = remote
         .iter()
         .map(|s| {
             let start_ns = (s.start_ns as i128 - offset_ns as i128).max(0) as u64;
@@ -437,7 +437,7 @@ pub fn splice_remote(
             out.id = remap[&s.id];
             out.parent = match remap.get(&s.parent) {
                 Some(new) => *new,
-                None if anchors.contains_key(&s.parent) => s.parent,
+                None if anchors.contains(&s.parent) => s.parent,
                 None => 0,
             };
             out.thread = (process << PROCESS_SHIFT) | (s.thread & ((1 << PROCESS_SHIFT) - 1));
@@ -445,13 +445,14 @@ pub fn splice_remote(
             out
         })
         .collect();
-    spliced.sort_by_key(|s| (s.start_ns, s.id));
-    let mut bounds: HashMap<u64, (u64, u64)> = anchors;
-    // Spans sorted by start time visit parents before their children within
-    // the peer set (a child cannot start before its parent on one process),
-    // so a single pass clamps the whole subtree.
+    let n = spliced.len();
+    local.extend(spliced);
+    local.sort_by_key(|s| (s.start_ns, s.id));
+    // Spans sorted by start time visit parents before their children on one
+    // clock; the second pass settles children a clamp moved ahead of.
+    let mut bounds: HashMap<u64, (u64, u64)> = HashMap::with_capacity(local.len());
     for _ in 0..2 {
-        for s in spliced.iter_mut() {
+        for s in local.iter_mut() {
             if let Some(&(ps, pe)) = bounds.get(&s.parent) {
                 let start = s.start_ns.clamp(ps, pe);
                 let end = (s.start_ns + s.dur_ns).clamp(start, pe);
@@ -461,8 +462,6 @@ pub fn splice_remote(
             bounds.insert(s.id, (s.start_ns, s.start_ns + s.dur_ns));
         }
     }
-    let n = spliced.len();
-    local.append(&mut spliced);
     local.sort_by_key(|s| (s.start_ns, s.id));
     n
 }
@@ -717,5 +716,32 @@ mod tests {
         assert_eq!(local.len(), 1);
         assert_eq!(local[0].parent, 0, "missing anchor demotes to root");
         verify_nesting(&local).unwrap();
+    }
+
+    #[test]
+    fn splice_remote_clamps_raw_in_process_peer_spans() {
+        // A peer sharing this process's span ring leaves its own raw
+        // request span in `local`: it closed after the reply was flushed,
+        // 100 ns after the coordinator's RPC span had read that reply.
+        let mk = |id, parent, start, dur| SpanRecord {
+            trace: 5,
+            id,
+            parent,
+            thread: 4,
+            start_ns: start,
+            dur_ns: dur,
+            name: Cow::Borrowed("span"),
+        };
+        let (root, rpc, peer) = (alloc_span_id(), alloc_span_id(), alloc_span_id());
+        let mut local = vec![
+            mk(root, 0, 0, 1_000),
+            mk(rpc, root, 100, 500),
+            mk(peer, rpc, 150, 550),
+        ];
+        assert!(verify_nesting(&local).is_err(), "the raw copy escapes");
+        splice_remote(&mut local, 5, &[], 0, 1);
+        verify_nesting(&local).expect("merged trace is well-nested");
+        let clamped = local.iter().find(|s| s.id == peer).unwrap();
+        assert_eq!((clamped.start_ns, clamped.dur_ns), (150, 450));
     }
 }

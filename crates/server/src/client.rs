@@ -6,7 +6,6 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 use mcfs::{Edit, McfsInstance, Solution};
-use mcfs_graph::BackendKind;
 use mcfs_io::{read_solution, write_instance};
 
 use crate::protocol::{
@@ -53,7 +52,7 @@ impl From<ProtoError> for ClientError {
     }
 }
 
-/// A connected client speaking `mcfs-wire v1.3`.
+/// A connected client speaking `mcfs-wire v1.5`.
 ///
 /// Once a `WATCH` is active the server interleaves single-line `event`
 /// frames with replies; every read path here goes through
@@ -255,22 +254,9 @@ impl Client {
         kind: OpenKind,
         text: &str,
     ) -> Result<Reply, ClientError> {
-        self.open_text_with_backend(session, kind, None, text)
-    }
-
-    /// [`open_text`](Self::open_text) with a per-session distance-backend
-    /// override (`OPEN ... backend=<b>`); `None` keeps the server default.
-    pub fn open_text_with_backend(
-        &mut self,
-        session: &str,
-        kind: OpenKind,
-        backend: Option<BackendKind>,
-        text: &str,
-    ) -> Result<Reply, ClientError> {
         self.expect_ok(&Request::Open {
             session: session.to_owned(),
             kind,
-            backend,
             payload: crate::protocol::text_to_lines(text),
         })
     }

@@ -216,7 +216,7 @@ pub(crate) fn federated_solve(
     let moves = refine_budgets(&runs, &mut budgets);
     stats.add_phase("refine", t_refine.elapsed());
 
-    let oracle = resolve_oracle(wma.threads, wma.oracle.as_ref(), wma.backend);
+    let oracle = resolve_oracle(wma.threads, wma.oracle.as_ref());
     stats.threads = oracle.as_ref().map_or(1, |o| o.threads());
     finish(
         inst,

@@ -1,4 +1,4 @@
-//! The `mcfs-wire v1.3` protocol: a line-oriented, versioned request/reply
+//! The `mcfs-wire v1.5` protocol: a line-oriented, versioned request/reply
 //! format in the style of the `mcfs-io` file formats (plain text, strict
 //! parsing, line-numbered errors).
 //!
@@ -13,7 +13,7 @@
 //! delivered).
 //!
 //! ```text
-//! request  := "OPEN" session ("instance" | "checkpoint") "lines=" n ["backend=" b] payload
+//! request  := "OPEN" session ("instance" | "checkpoint") "lines=" n payload
 //!           | "EDIT" session "lines=" n ["deadline_ms=" d] payload
 //!           | "SOLVE" session ["shards=" n] ["deadline_ms=" d]
 //!           | "ASSIGNMENT" session
@@ -30,6 +30,9 @@
 //!           | "MERGE" session ["deadline_ms=" d]
 //!           | "DUMP" session ["deadline_ms=" d]
 //!           | "SPANS" "of=" t
+//!           | "PROFILE" (session | "*") ["secs=" n]
+//!                       ["format=" ("folded" | "speedscope")]
+//!                       ["scope=" ("local" | "cluster")]
 //!
 //! reply    := "ok" verb {key "=" value} ["lines=" n payload]
 //!           | "busy" {key "=" value}
@@ -86,6 +89,19 @@
 //! travels in. `DUMP <session>` drains the session's flight-recorder ring
 //! as JSONL payload lines.
 //!
+//! # Profiling (wire v1.4)
+//!
+//! `PROFILE <session|*>` answers inline with the continuous profiler's
+//! folded span-path table: cumulative by default, or only the samples of
+//! a `secs=<n>` window; `scope=cluster` merges each peer's table under
+//! `peer=<addr>` lanes.
+//!
+//! # Wire v1.5
+//!
+//! `OPEN` lost its `backend` attribute: every oracle row is filled by the
+//! one arena search, so there is nothing to select, and the key is now an
+//! unknown attribute like any other.
+//!
 //! `OPEN` payloads are verbatim `mcfs-instance v1` / `mcfs-checkpoint v1`
 //! blocks (the `mcfs-io` formats, reused as-is); `EDIT` payloads are typed
 //! edit lines (`add-customer 7`, `set-capacity 2 5`, …) mapped 1:1 onto
@@ -102,10 +118,10 @@
 use std::io::{self, BufRead, Write};
 
 use mcfs::Edit;
-use mcfs_graph::{BackendKind, NodeId};
+use mcfs_graph::NodeId;
 
 /// Greeting line the server sends on connect; also the protocol version.
-pub const WIRE_VERSION: &str = "mcfs-wire v1.4";
+pub const WIRE_VERSION: &str = "mcfs-wire v1.5";
 
 /// The `WATCH`/`UNWATCH` target meaning "every session" (`WATCH *`).
 pub const WATCH_ALL: &str = "*";
@@ -252,15 +268,12 @@ impl OpenKind {
 /// A parsed client request.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
-    /// `OPEN <session> <kind> lines=<n> [backend=<b>]` + payload.
+    /// `OPEN <session> <kind> lines=<n>` + payload.
     Open {
         /// Target session name.
         session: String,
         /// Payload interpretation.
         kind: OpenKind,
-        /// Distance backend override for the session's solver
-        /// (`heap` | `bucket` | `alt`); `None` keeps the server default.
-        backend: Option<BackendKind>,
         /// The raw `mcfs-io` block, one entry per line.
         payload: Vec<String>,
     },
@@ -843,13 +856,9 @@ impl Request {
             Request::Open {
                 session,
                 kind,
-                backend,
                 payload,
             } => {
                 write!(w, "OPEN {session} {} lines={}", kind.token(), payload.len())?;
-                if let Some(b) = backend {
-                    write!(w, " backend={}", b.token())?;
-                }
                 end_line(w)?;
                 for line in payload {
                     check_payload_line(line)?;
@@ -1123,12 +1132,7 @@ pub(crate) fn read_traced_frame(
 
     let kvs = parse_frame_kvs(rest, max_payload)?;
     let allowed: &[FrameKey] = match verb {
-        Verb::Open => &[
-            FrameKey::Lines,
-            FrameKey::Trace,
-            FrameKey::Parent,
-            FrameKey::Backend,
-        ],
+        Verb::Open => &[FrameKey::Lines, FrameKey::Trace, FrameKey::Parent],
         Verb::Edit => &[
             FrameKey::Lines,
             FrameKey::Deadline,
@@ -1178,7 +1182,6 @@ pub(crate) fn read_traced_frame(
         Verb::Open => Request::Open {
             session,
             kind: kind.expect("set above for OPEN"),
-            backend: kvs.backend,
             payload,
         },
         Verb::Edit => {
@@ -1570,7 +1573,6 @@ enum FrameKey {
     Remote,
     Of,
     Buffer,
-    Backend,
     Shards,
     Secs,
 }
@@ -1589,7 +1591,6 @@ impl FrameKey {
             FrameKey::Remote => "remote",
             FrameKey::Of => "of",
             FrameKey::Buffer => "buffer",
-            FrameKey::Backend => "backend",
             FrameKey::Shards => "shards",
             FrameKey::Secs => "secs",
         }
@@ -1614,7 +1615,6 @@ struct FrameKvs {
     remote: Option<bool>,
     of: Option<u64>,
     buffer: Option<usize>,
-    backend: Option<BackendKind>,
     shards: Option<u32>,
     secs: Option<u64>,
 }
@@ -1633,7 +1633,6 @@ impl FrameKvs {
             (FrameKey::Remote, self.remote.is_some()),
             (FrameKey::Of, self.of.is_some()),
             (FrameKey::Buffer, self.buffer.is_some()),
-            (FrameKey::Backend, self.backend.is_some()),
             (FrameKey::Shards, self.shards.is_some()),
             (FrameKey::Secs, self.secs.is_some()),
         ];
@@ -1735,12 +1734,6 @@ fn parse_frame_kvs(tokens: &[&str], max_payload: usize) -> Result<FrameKvs, Prot
                     return Err(ProtoError::new(1, "buffer must be at least 1"));
                 }
                 kvs.buffer = Some(b);
-            }
-            "backend" => {
-                kvs.backend =
-                    Some(BackendKind::from_token(v).ok_or_else(|| {
-                        ProtoError::new(1, format!("unknown distance backend {v:?}"))
-                    })?)
             }
             "shards" => {
                 let s = v
@@ -1878,13 +1871,6 @@ mod tests {
         rt_request(Request::Open {
             session: "bikes-1".into(),
             kind: OpenKind::Instance,
-            backend: None,
-            payload: vec!["mcfs-instance v1".into(), "nodes 2".into(), "end".into()],
-        });
-        rt_request(Request::Open {
-            session: "bikes-2".into(),
-            kind: OpenKind::Instance,
-            backend: Some(BackendKind::Bucket),
             payload: vec!["mcfs-instance v1".into(), "nodes 2".into(), "end".into()],
         });
         rt_request(Request::Edit {

@@ -16,7 +16,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mcfs::SolveError;
-use mcfs_graph::BackendKind;
 use mcfs_io::{read_checkpoint, read_instance, write_solution};
 
 use crate::metrics::Outcome;
@@ -159,10 +158,9 @@ fn execute(sessions: &mut HashMap<String, Session>, request: &Request, core: &Se
         Request::Open {
             session,
             kind,
-            backend,
             payload,
         } => {
-            let reply = open_session(sessions, session, *kind, *backend, payload, core);
+            let reply = open_session(sessions, session, *kind, payload, core);
             if !reply.is_ok() {
                 // Admission reserved the name; a failed open must free it.
                 core.registry.lock().unwrap().remove(session);
@@ -521,18 +519,12 @@ fn open_session(
     sessions: &mut HashMap<String, Session>,
     name: &str,
     kind: OpenKind,
-    backend: Option<BackendKind>,
     payload: &[String],
     core: &ServerCore,
 ) -> Reply {
     let mut text = payload.join("\n");
     text.push('\n');
-    // A `backend=` kv on OPEN overrides the server-wide solver default for
-    // this session only; backends are exact, so this is a wall-time knob.
-    let mut solver = core.config.solver.clone();
-    if let Some(b) = backend {
-        solver = solver.backend(b);
-    }
+    let solver = &core.config.solver;
     let built = match kind {
         OpenKind::Instance => read_instance(text.as_bytes())
             .map_err(|e| e.to_string())
@@ -552,7 +544,6 @@ fn open_session(
                 ("facilities".into(), session.num_facilities().to_string()),
                 ("k".into(), session.k().to_string()),
                 ("warm".into(), u8::from(session.restored()).to_string()),
-                ("backend".into(), solver.backend.token().into()),
             ];
             sessions.insert(name.to_owned(), session);
             core.metrics.session_opened();

@@ -1,41 +1,31 @@
-//! Backend-equivalence harness: the PR-7 headline artifact.
+//! Row-equivalence harness for the oracle's row engine.
 //!
-//! Every distance backend ([`BackendKind::ALL`]) is *exact* — the radix-heap
-//! arena and the ALT engine are wall-time optimizations, never
-//! approximations. This suite pins that contract from three directions:
+//! Every row the [`DistanceOracle`] caches is filled by the arena search
+//! [`fill_row`] — a Dial bucket ring with a radix-heap fallback over a
+//! per-thread reusable arena. The arena is a wall-time optimization, never
+//! an approximation. This suite pins that contract against the plain
+//! binary-heap reference [`dijkstra_all`]:
 //!
 //! 1. **Row equality** — proptest differential over random weighted graphs
 //!    (disconnected pieces, weight-0 edges the builder bumps to 1, parallel
-//!    edges, single nodes) plus deterministic star/path/grid pathologies:
-//!    every backend's row equals [`dijkstra_all`] `u64`-for-`u64`,
-//!    `INF` included.
-//! 2. **Whole-solve byte identity** — all six solvers on the Figure-6
-//!    workload return `Solution`s that compare `Eq`-equal (facilities,
-//!    assignment, objective) across all three backends. Rows being equal
-//!    makes oracle streams identical, which makes solves identical; this
-//!    layer catches any backend leaking into tie-breaking.
-//! 3. **Cache keying** — interleaving live `set_backend` switches with row
-//!    fills never yields a wrong row: the oracle's cache is keyed by graph
-//!    identity, not by engine, precisely because rows are engine-invariant.
+//!    edges, single nodes), huge weights across the Dial/radix boundary,
+//!    plus deterministic star/path/grid pathologies: every row equals
+//!    [`dijkstra_all`] `u64`-for-`u64`, `INF` included, and so does a warm
+//!    refill into the dirty buffer.
+//! 2. **Cache keying** — every row an oracle serves, cached or freshly
+//!    filled, equals the reference.
+//! 3. **Staleness** — an oracle reused after the underlying graph changes
+//!    (same node count, one edge weight edited — the nastiest case for the
+//!    arena's and the row cache's keying, because row *lengths* still
+//!    match) serves distances from the edited graph.
 //!
-//! Plus the ALT staleness regression: reusing an ALT-backed oracle after the
-//! underlying graph changes (same node count, one edge weight edited — the
-//! nastiest case, because row *lengths* still match) must serve distances
-//! that match the reference, not landmarks from the stale graph.
-
-use std::sync::Arc;
+//! Whole-solve byte identity (lazy streams vs. arena rows) lives in
+//! `tests/determinism_threads.rs`.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use mcfs_repro::baselines::{BrnnBaseline, GreedyAddition};
-use mcfs_repro::core::refine::LocalSearch;
-use mcfs_repro::core::{Facility, McfsInstance, Solution, Solver, UniformFirst, Wma, WmaNaive};
-use mcfs_repro::gen::customers::uniform_customers;
-use mcfs_repro::gen::synthetic::{generate_synthetic, SyntheticConfig};
-use mcfs_repro::graph::{
-    dijkstra_all, BackendKind, DistanceOracle, Graph, GraphBuilder, NodeId, INF,
-};
+use mcfs_repro::graph::{dijkstra_all, fill_row, DistanceOracle, Graph, GraphBuilder, NodeId, INF};
 
 fn build_graph(n: usize, edges: &[(u32, u32, u64)]) -> Graph {
     let mut b = GraphBuilder::new(n);
@@ -48,28 +38,22 @@ fn build_graph(n: usize, edges: &[(u32, u32, u64)]) -> Graph {
     b.build()
 }
 
-/// Assert one backend serves the reference row for `source` on `g`.
-fn assert_row_matches(g: &Graph, source: NodeId, kind: BackendKind) {
-    let reference = dijkstra_all(g, source);
-    let backend = kind.instantiate();
-    let mut row = Vec::new();
-    backend.fill_row(g, source, &mut row);
-    assert_eq!(
-        row,
-        reference,
-        "{kind} row from {source} diverges on {}-node graph",
-        g.num_nodes()
-    );
-    // And again into a dirty, reused buffer — the zero-alloc warm path.
-    backend.fill_row(g, source, &mut row);
-    assert_eq!(row, reference, "{kind} warm refill from {source} diverges");
-}
-
-fn assert_all_backends_match(g: &Graph, sources: impl IntoIterator<Item = NodeId>) {
+/// Assert the arena serves the reference row for each source on `g`, cold
+/// and again as a warm refill into the dirty buffer.
+fn assert_rows_match(g: &Graph, sources: impl IntoIterator<Item = NodeId>) {
     for source in sources {
-        for kind in BackendKind::ALL {
-            assert_row_matches(g, source, kind);
-        }
+        let reference = dijkstra_all(g, source);
+        let mut row = Vec::new();
+        fill_row(g, source, &mut row);
+        assert_eq!(
+            row,
+            reference,
+            "row from {source} diverges on {}-node graph",
+            g.num_nodes()
+        );
+        // And again into a dirty, reused buffer — the zero-alloc warm path.
+        fill_row(g, source, &mut row);
+        assert_eq!(row, reference, "warm refill from {source} diverges");
     }
 }
 
@@ -78,8 +62,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random sparse graphs: likely disconnected, with parallel edges and
-    /// weight-0 inputs (bumped to 1 by the builder). Every backend equals
-    /// the reference row-for-row, unreachable (`INF`) entries included.
+    /// weight-0 inputs (bumped to 1 by the builder). The arena equals the
+    /// reference row-for-row, unreachable (`INF`) entries included.
     #[test]
     fn rows_match_reference_on_random_graphs(
         n in 1usize..40,
@@ -88,57 +72,45 @@ proptest! {
     ) {
         let g = build_graph(n, &edges);
         let source = source_pick % n as u32;
-        let reference = dijkstra_all(&g, source);
-        for kind in BackendKind::ALL {
-            let backend = kind.instantiate();
-            let mut row = Vec::new();
-            backend.fill_row(&g, source, &mut row);
-            prop_assert_eq!(&row, &reference, "{} diverges from reference", kind);
-        }
+        let mut row = Vec::new();
+        fill_row(&g, source, &mut row);
+        prop_assert_eq!(&row, &dijkstra_all(&g, source), "row diverges from reference");
     }
 
-    /// Huge-weight graphs stress the radix-heap bucket math: keys near
-    /// `u64::MAX / 2` exercise the high buckets and redistribution.
+    /// Huge-weight graphs push the arena off the Dial ring onto the radix
+    /// heap: keys near `u64::MAX / 2` exercise the high buckets and
+    /// redistribution.
     #[test]
     fn rows_match_reference_under_huge_weights(
         n in 2usize..16,
         edges in vec((0u32..16, 0u32..16, 1u64..=(u64::MAX >> 3)), 1..40),
     ) {
         let g = build_graph(n, &edges);
-        let reference = dijkstra_all(&g, 0);
-        for kind in BackendKind::ALL {
-            let backend = kind.instantiate();
-            let mut row = Vec::new();
-            backend.fill_row(&g, 0, &mut row);
-            prop_assert_eq!(&row, &reference, "{} diverges under huge weights", kind);
-        }
+        let mut row = Vec::new();
+        fill_row(&g, 0, &mut row);
+        prop_assert_eq!(&row, &dijkstra_all(&g, 0), "row diverges under huge weights");
     }
 
-    /// Interleave live backend switches with row fills on one shared
-    /// oracle: every row served — cached from a previous engine or freshly
-    /// computed by the current one — equals the reference. This is the
-    /// cache-keying property: rows are keyed by graph, not engine.
+    /// Every row one oracle serves — cached from an earlier request or
+    /// freshly filled — equals the reference. This is the cache-keying
+    /// property: a row is keyed by graph and source, nothing else.
     #[test]
     fn oracle_cache_is_backend_invariant(
         n in 2usize..24,
         edges in vec((0u32..24, 0u32..24, 1u64..=30), 1..48),
-        script in vec((0u8..3, 0u32..24), 1..24),
+        script in vec(0u32..24, 1..24),
     ) {
         let g = build_graph(n, &edges);
         let oracle = DistanceOracle::new();
-        for &(which, source_pick) in &script {
-            let kind = BackendKind::ALL[which as usize];
-            oracle.set_backend(kind);
-            prop_assert_eq!(oracle.backend_kind(), kind);
+        for &source_pick in &script {
             let source = source_pick % n as u32;
             let row = oracle.row(&g, source);
             let reference = dijkstra_all(&g, source);
             prop_assert_eq!(
                 row.as_slice(),
                 reference.as_slice(),
-                "row from {} wrong after switching to {}",
-                source,
-                kind
+                "row from {} wrong",
+                source
             );
         }
     }
@@ -147,9 +119,9 @@ proptest! {
 #[test]
 fn single_node_graph_rows() {
     let g = GraphBuilder::new(1).build();
-    assert_all_backends_match(&g, [0]);
-    let mut row = Vec::new();
-    BackendKind::Bucket.instantiate().fill_row(&g, 0, &mut row);
+    assert_rows_match(&g, [0]);
+    let mut row = vec![7; 3];
+    fill_row(&g, 0, &mut row);
     assert_eq!(row, vec![0]);
 }
 
@@ -162,7 +134,7 @@ fn star_graph_rows() {
         b.add_edge(0, leaf, leaf as u64 * 3);
     }
     let g = b.build();
-    assert_all_backends_match(&g, [0, 1, 40]);
+    assert_rows_match(&g, [0, 1, 40]);
 }
 
 #[test]
@@ -174,7 +146,7 @@ fn path_graph_rows() {
         b.add_edge(i as NodeId, i as NodeId + 1, 1 + (i as u64 % 7));
     }
     let g = b.build();
-    assert_all_backends_match(&g, [0, (n / 2) as NodeId, (n - 1) as NodeId]);
+    assert_rows_match(&g, [0, (n / 2) as NodeId, (n - 1) as NodeId]);
 }
 
 #[test]
@@ -195,7 +167,7 @@ fn grid_graph_rows() {
         }
     }
     let g = b.build();
-    assert_all_backends_match(&g, [0, at(side - 1, side - 1), at(side / 2, side / 2)]);
+    assert_rows_match(&g, [0, at(side - 1, side - 1), at(side / 2, side / 2)]);
 }
 
 #[test]
@@ -206,13 +178,11 @@ fn disconnected_graph_rows() {
     b.add_edge(1, 2, 7);
     b.add_edge(4, 5, 1);
     let g = b.build();
-    for kind in BackendKind::ALL {
-        let mut row = Vec::new();
-        kind.instantiate().fill_row(&g, 0, &mut row);
-        assert_eq!(row[3], INF, "{kind}: node 3 must be unreachable");
-        assert_eq!(row[9], INF, "{kind}: node 9 must be unreachable");
-    }
-    assert_all_backends_match(&g, [0, 3, 4, 9]);
+    let mut row = Vec::new();
+    fill_row(&g, 0, &mut row);
+    assert_eq!(row[3], INF, "node 3 must be unreachable");
+    assert_eq!(row[9], INF, "node 9 must be unreachable");
+    assert_rows_match(&g, [0, 3, 4, 9]);
 }
 
 #[test]
@@ -228,93 +198,30 @@ fn parallel_and_zero_weight_edges_rows() {
     let g = b.build();
     let reference = dijkstra_all(&g, 0);
     assert_eq!(reference, vec![0, 3, 4, 5]);
-    assert_all_backends_match(&g, [0, 1, 2, 3]);
+    assert_rows_match(&g, [0, 1, 2, 3]);
 }
 
-/// The Figure-6 workload at test size, shared by the whole-solve tests.
-fn fig6_instance(g: &Graph) -> McfsInstance<'_> {
-    let customers = uniform_customers(g, 40, 3);
-    McfsInstance::builder(g)
-        .customers(customers)
-        .facilities(g.nodes().map(|node| Facility { node, capacity: 5 }))
-        .k(10)
-        .build()
-        .unwrap()
-}
-
-/// All six solvers produce byte-identical `Solution`s across all three
-/// backends on the Figure-6 workload. `Solution` is `Eq`, so this compares
-/// the full selected set, the per-customer assignment, and the objective.
 #[test]
-fn whole_solves_are_byte_identical_across_backends() {
-    let g = generate_synthetic(&SyntheticConfig::uniform(400, 2.0, 11));
-    let inst = fig6_instance(&g);
-
-    let solve_with = |kind: BackendKind| -> Vec<(&'static str, Solution)> {
-        vec![
-            ("Wma", Wma::new().backend(kind).solve(&inst).unwrap()),
-            (
-                "WmaNaive",
-                WmaNaive::new().backend(kind).solve(&inst).unwrap(),
-            ),
-            (
-                "UniformFirst",
-                UniformFirst::new().backend(kind).solve(&inst).unwrap(),
-            ),
-            (
-                "LocalSearch",
-                LocalSearch::default()
-                    .backend(kind)
-                    .wrap(Wma::new().backend(kind))
-                    .solve(&inst)
-                    .unwrap(),
-            ),
-            (
-                "GreedyAddition",
-                GreedyAddition::new().backend(kind).solve(&inst).unwrap(),
-            ),
-            (
-                "BrnnBaseline",
-                BrnnBaseline::new().backend(kind).solve(&inst).unwrap(),
-            ),
-        ]
-    };
-
-    let reference = solve_with(BackendKind::Heap);
-    for (name, sol) in &reference {
-        inst.verify(sol)
-            .unwrap_or_else(|e| panic!("{name} reference solution invalid: {e:?}"));
-    }
-    for kind in [BackendKind::Bucket, BackendKind::Alt] {
-        let got = solve_with(kind);
-        for ((name, expected), (_, actual)) in reference.iter().zip(&got) {
-            assert_eq!(
-                expected, actual,
-                "{name} solution differs between heap and {kind} backends"
-            );
+fn dial_radix_boundary_rows() {
+    // The arena runs Dial's ring while the max edge weight stays below
+    // 8192 and the radix heap from there on: the same path graph on either
+    // side of that boundary must give reference rows.
+    for max_w in [8_191u64, 8_192] {
+        let mut b = GraphBuilder::new(6);
+        for i in 0u32..5 {
+            b.add_edge(i, i + 1, max_w - u64::from(i));
         }
+        b.add_edge(0, 5, max_w);
+        assert_rows_match(&b.build(), [0, 3, 5]);
     }
 }
 
-/// Byte identity also holds when the backend is forced through a *shared*
-/// oracle (the server path: one oracle per session, `backend=` on OPEN).
+/// Staleness regression: an oracle reused across a graph edit (same node
+/// count, one edge weight changed) must re-key its row cache — and the
+/// arena its primed state — instead of serving distances from the stale
+/// graph.
 #[test]
-fn shared_oracle_solves_are_byte_identical_across_backends() {
-    let g = generate_synthetic(&SyntheticConfig::uniform(300, 2.0, 17));
-    let inst = fig6_instance(&g);
-    let reference = Wma::new().solve(&inst).unwrap();
-    for kind in BackendKind::ALL {
-        let oracle = Arc::new(DistanceOracle::new().with_threads(2).with_backend(kind));
-        let sol = Wma::new().with_oracle(oracle).solve(&inst).unwrap();
-        assert_eq!(reference, sol, "shared-{kind}-oracle solve differs");
-    }
-}
-
-/// ALT staleness regression: an ALT-backed oracle reused across a graph
-/// edit (same node count, one edge weight changed) must re-key its landmark
-/// index instead of serving distances from the stale graph.
-#[test]
-fn alt_survives_edge_edit_between_graphs() {
+fn oracle_survives_edge_edit_between_graphs() {
     let build = |w: u64| {
         let mut b = GraphBuilder::new(30);
         for i in 0u32..29 {
@@ -327,11 +234,11 @@ fn alt_survives_edge_edit_between_graphs() {
     let after = build(100);
     assert_ne!(before.structural_hash(), after.structural_hash());
 
-    let oracle = DistanceOracle::new().with_backend(BackendKind::Alt);
-    // Warm the ALT index (and the row cache) on the pre-edit graph.
+    let oracle = DistanceOracle::new();
+    // Warm the row cache (and this thread's arena) on the pre-edit graph.
     let row_before = oracle.row(&before, 0);
     assert_eq!(row_before.as_slice(), dijkstra_all(&before, 0).as_slice());
-    assert_eq!(oracle.point_to_point(&before, 0, 29), Some(3));
+    assert_eq!(oracle.try_distance(&before, 0, 29), Some(3));
 
     // "Commit" the edit, as ReSolver::apply does.
     oracle.revalidate(&after);
@@ -341,5 +248,6 @@ fn alt_survives_edge_edit_between_graphs() {
     let row_after = oracle.row(&after, 0);
     assert_eq!(row_after.as_slice(), dijkstra_all(&after, 0).as_slice());
     // The edited shortcut (now 100) still beats the 29-hop path (116).
-    assert_eq!(oracle.point_to_point(&after, 0, 29), Some(100));
+    assert_eq!(oracle.try_distance(&after, 0, 29), Some(100));
+    assert_eq!(oracle.try_distance(&after, 5, 29), Some(96));
 }

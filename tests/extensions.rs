@@ -1,5 +1,5 @@
 //! Integration tests for the beyond-the-paper extensions: local-search
-//! refinement, the relaxation lower bound, ALT queries, and persistence —
+//! refinement, the relaxation lower bound, and persistence —
 //! exercised together on generated workloads.
 
 use std::io::BufReader;
@@ -10,7 +10,6 @@ use mcfs_repro::exact::{relaxation_lower_bound, BranchAndBound};
 use mcfs_repro::gen::city::{generate_city, CitySpec, CityStyle};
 use mcfs_repro::gen::customers::uniform_customers;
 use mcfs_repro::gen::synthetic::{generate_synthetic, SyntheticConfig};
-use mcfs_repro::graph::{dijkstra_all, AltIndex};
 use mcfs_repro::io::{read_instance, write_instance};
 use mcfs_repro::prelude::*;
 
@@ -74,31 +73,6 @@ fn refinement_is_monotone_and_idempotent() {
         twice.objective, once.objective,
         "second pass finds nothing new"
     );
-}
-
-/// ALT answers customer→facility distance questions identically to Dijkstra
-/// on a generated city.
-#[test]
-fn alt_agrees_with_dijkstra_on_city() {
-    let g = generate_city(&CitySpec {
-        name: "AltTown",
-        target_nodes: 700,
-        style: CityStyle::Grid,
-        avg_edge_len: 45.0,
-        seed: 4,
-    });
-    let idx = AltIndex::build(&g, 6, 0);
-    let customers = uniform_customers(&g, 8, 2);
-    let facilities = uniform_customers(&g, 5, 3);
-    for &s in &customers {
-        let oracle = dijkstra_all(&g, s);
-        for &f in &facilities {
-            match idx.query(&g, s, f) {
-                Some((d, _)) => assert_eq!(d, oracle[f as usize]),
-                None => assert_eq!(oracle[f as usize], mcfs_repro::graph::INF),
-            }
-        }
-    }
 }
 
 /// A full archive cycle: generate → save → load → solve → refine → verify.

@@ -490,50 +490,48 @@ fn buffered_frame_parsing_allocates_a_bounded_trickle() {
     );
 }
 
-/// Zero-allocation guard for the radix-heap arena backend: after one fill
-/// has primed the thread-local [`SearchArena`] for a graph (and the row
-/// buffer has its capacity), every further warm fill must allocate exactly
-/// zero bytes — the arena's lazy reset touches only memory it already owns.
+/// Zero-allocation guard for the oracle's row engine, the arena search
+/// [`fill_row`](mcfs_repro::graph::fill_row) (the `bucket` cell of
+/// `backend-report`): after one fill has primed the thread-local search
+/// arena for a graph (and the row buffer has its capacity), every further
+/// warm fill must allocate exactly zero bytes — the arena's lazy reset
+/// touches only memory it already owns.
 ///
-/// The heap reference backend is measured alongside as a sanity check that
-/// the counting allocator actually sees backend traffic: a fresh
-/// `BinaryHeap` plus visited storage per call cannot be free.
+/// The binary-heap reference `dijkstra_all` is measured alongside as a
+/// sanity check that the counting allocator actually sees row traffic: a
+/// fresh `BinaryHeap` plus distance row per call cannot be free.
 #[test]
 fn bucket_backend_warm_row_fill_allocates_zero_bytes() {
     use mcfs_repro::gen::synthetic::{generate_synthetic, SyntheticConfig};
-    use mcfs_repro::graph::BackendKind;
+    use mcfs_repro::graph::{dijkstra_all, fill_row};
 
     let g = generate_synthetic(&SyntheticConfig::uniform(2_000, 2.0, 41));
-    let bucket = BackendKind::Bucket.instantiate();
     let mut row = Vec::new();
 
     // Prime: first fill sizes the thread-local arena for this graph, takes
     // the one-time obs-counter and TLS initialization hits, and gives the
     // row buffer its capacity.
-    bucket.fill_row(&g, 0, &mut row);
-    bucket.fill_row(&g, 1, &mut row);
+    fill_row(&g, 0, &mut row);
+    fill_row(&g, 1, &mut row);
 
     // Warm fills from several sources, including re-fills of a source
     // already computed: all must be allocation-free.
     let warm = bytes_allocated_by(|| {
         for source in [2u32, 3, 999, 0, 2] {
-            bucket.fill_row(&g, source, &mut row);
+            fill_row(&g, source, &mut row);
             black_box(&row);
         }
     });
     assert_eq!(
         warm, 0,
-        "warm bucket-arena row fills allocated {warm} bytes (budget: exactly 0)"
+        "warm arena row fills allocated {warm} bytes (budget: exactly 0)"
     );
 
     // Control: the heap reference allocates per call, proving the counter
     // is live on this thread and the zero above is meaningful.
-    let heap = BackendKind::Heap.instantiate();
-    let mut heap_row = Vec::with_capacity(g.num_nodes());
-    heap.fill_row(&g, 0, &mut heap_row);
+    black_box(dijkstra_all(&g, 0));
     let reference = bytes_allocated_by(|| {
-        heap.fill_row(&g, 1, &mut heap_row);
-        black_box(&heap_row);
+        black_box(dijkstra_all(&g, 1));
     });
     assert!(
         reference > 0,

@@ -4,7 +4,6 @@
 //! panic, never misframe.
 
 use mcfs_repro::core::Edit;
-use mcfs_repro::graph::BackendKind;
 use mcfs_repro::obs::RegistrySnapshot;
 use mcfs_repro::server::{
     ErrorCode, MetricsFormat, MetricsScope, OpenKind, ProfileFormat, Reply, Request, Verb,
@@ -59,14 +58,6 @@ fn build_request(
                 OpenKind::Instance
             } else {
                 OpenKind::Checkpoint
-            },
-            // Derive backend coverage from the same entropy the fuzzer
-            // already feeds us: None plus all three kinds round-trip.
-            backend: match deadline_ms.unwrap_or(0) % 4 {
-                0 => None,
-                1 => Some(BackendKind::Heap),
-                2 => Some(BackendKind::Bucket),
-                _ => Some(BackendKind::Alt),
             },
             payload,
         },
@@ -443,6 +434,25 @@ fn malformed_frames_report_structured_errors() {
         assert_eq!(err.line, line, "error line for {frame:?}: {err}");
         assert_eq!(err.fatal, fatal, "fatality for {frame:?}: {err}");
     }
+    // OPEN's `backend` attribute was removed in wire v1.5 and is now an
+    // unknown attribute like any other: a non-fatal error that names it,
+    // after which the next frame on the same stream still parses.
+    let removed = "backend";
+    let frames = format!("OPEN s instance lines=0 {removed}=bucket\nSTATS s\n");
+    let mut reader = frames.as_bytes();
+    let err = Request::read_from(&mut reader, 64).unwrap_err();
+    assert_eq!((err.line, err.fatal), (1, false), "{err}");
+    assert!(
+        err.message
+            .contains(&format!("unknown attribute {removed:?}")),
+        "{err}"
+    );
+    assert_eq!(
+        Request::read_from(&mut reader, 64).unwrap(),
+        Some(Request::Stats {
+            session: "s".into()
+        })
+    );
 }
 
 /// Federated-metrics payloads: structurally malformed peer snapshots are
