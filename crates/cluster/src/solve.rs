@@ -27,13 +27,15 @@
 //! optimum — and a fortiori against a cold single-instance WMA solve.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
+use mcfs::streams::facility_rows_apply;
 use mcfs::{
-    optimal_assignment_with, resolve_oracle, Edit, McfsInstance, ReSolver, Solution, SolveError,
-    SolveStats, Wma,
+    optimal_assignment_with, resolve_oracle, Edit, McfsInstance, ReSolver, RowSet, Solution,
+    SolveError, SolveStats, Wma,
 };
-use mcfs_graph::DistanceOracle;
+use mcfs_graph::{DistanceOracle, OracleRunGuard};
 
 use crate::partition::{partition, Partition, PartitionStrategy};
 
@@ -344,7 +346,9 @@ fn shard_phase(
 /// Merge shard solutions, re-match every customer globally, certify the
 /// gap bound, and assemble the [`ClusterOutcome`]. `stats` carries the
 /// phases the caller already timed (partition, shard solving, refinement);
-/// the reconcile and bound phases are appended here.
+/// the reconcile and bound phases are appended here, with their row-cache
+/// activity. Reconcile and bound share one [`RowSet`] over `oracle`, so
+/// when facility rows apply the bound re-reads the merged selection's rows.
 #[allow(clippy::too_many_arguments)]
 pub fn finish(
     inst: &McfsInstance,
@@ -386,8 +390,10 @@ pub fn finish(
         "cluster.reconcile",
         mcfs_obs::PhaseState::Start,
     );
-    let guard = oracle.map(DistanceOracle::begin_run);
-    let (assignment, objective) = optimal_assignment_with(inst, &merged, oracle)?;
+    let guard = OracleRunGuard::begin();
+    let rows = RowSet::new(oracle);
+    let (assignment, objective) =
+        optimal_assignment_with(inst, &merged, rows.for_selection(inst, &merged))?;
 
     // Count boundary customers whose facility changed vs. their shard
     // solve.
@@ -441,13 +447,10 @@ pub fn finish(
     let t_bound = Instant::now();
     let bound_span = mcfs_obs::span("cluster.bound");
     let all: Vec<u32> = (0..inst.num_facilities() as u32).collect();
-    let (_, lower_bound) = optimal_assignment_with(inst, &all, oracle)?;
+    let (_, lower_bound) = optimal_assignment_with(inst, &all, rows.for_selection(inst, &all))?;
     drop(bound_span);
     stats.add_phase("bound", t_bound.elapsed());
-    if let (Some(o), Some(g)) = (oracle, guard) {
-        let _ = o;
-        stats.record_oracle_run(&g.stats());
-    }
+    stats.record_oracle_run(&guard.stats());
 
     stats.shards = part.num_shards();
     stats.gap_bound_ppm = gap_ppm(objective, lower_bound);
@@ -537,7 +540,7 @@ impl ClusterSolver {
 
         let oracle = resolve_oracle(self.solver.threads, self.solver.oracle.as_ref());
         if part.shards.is_empty() {
-            return self.solve_single(inst, part, stats, oracle.as_deref());
+            return self.solve_single(inst, part, stats, oracle);
         }
 
         // Budget split, then concurrent shard solves on scoped threads.
@@ -624,15 +627,29 @@ impl ClusterSolver {
 
     /// The unsharded fallback: one cold solve plus the gap certificate, so
     /// the outcome shape (and the certified bound) stays uniform.
+    ///
+    /// The solve and the bound read one row set. Without a configured
+    /// oracle, facility rows over every candidate get a run-scoped one:
+    /// every set the solve matches is a subset of the candidates, so it
+    /// reads facility rows too and that oracle never holds a customer row.
     fn solve_single(
         &self,
         inst: &McfsInstance,
         part: Partition,
         mut stats: SolveStats,
-        oracle: Option<&DistanceOracle>,
+        oracle: Option<Arc<DistanceOracle>>,
     ) -> Result<ClusterOutcome, SolveError> {
+        let oracle = oracle.or_else(|| {
+            let nodes = inst.facilities_by_node().len();
+            facility_rows_apply(inst.graph(), inst.num_customers(), nodes)
+                .then(|| Arc::new(DistanceOracle::new().with_threads(1)))
+        });
         let t_solve = Instant::now();
-        let run = self.solver.run(inst)?;
+        let solver = Wma {
+            oracle: oracle.clone(),
+            ..self.solver.clone()
+        };
+        let run = solver.run(inst)?;
         stats.add_phase("shard_solve", t_solve.elapsed());
         stats.threads = run.solve_stats.threads;
         stats.cache_hits += run.solve_stats.cache_hits;
@@ -641,8 +658,10 @@ impl ClusterSolver {
         stats.augmentations += run.solve_stats.augmentations;
 
         let t_bound = Instant::now();
+        let guard = OracleRunGuard::begin();
         let all: Vec<u32> = (0..inst.num_facilities() as u32).collect();
-        let (_, lower_bound) = optimal_assignment_with(inst, &all, oracle)?;
+        let (_, lower_bound) = optimal_assignment_with(inst, &all, oracle.as_deref())?;
+        stats.record_oracle_run(&guard.stats());
         stats.add_phase("bound", t_bound.elapsed());
         stats.shards = 1;
         stats.gap_bound_ppm = gap_ppm(run.solution.objective, lower_bound);

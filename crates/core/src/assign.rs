@@ -43,10 +43,14 @@ pub fn optimal_assignment(
     optimal_assignment_with(inst, selection, None)
 }
 
-/// [`optimal_assignment`] over an explicit distance substrate: `Some`
-/// oracle serves the customer rows from its shared cache (a large win for
-/// callers that re-assign repeatedly, like the refine pass); `None` runs
-/// the legacy per-customer lazy searches. Both produce identical results.
+/// [`optimal_assignment`] over an explicit distance substrate. When
+/// facility rows apply ([`crate::streams::facility_rows_apply`]) they are
+/// read from `oracle`'s cache, or from a throwaway oracle under `None`;
+/// otherwise `Some` oracle serves customer rows and `None` runs lazy
+/// per-customer searches. All produce identical results. Callers that
+/// assign repeatedly (the refine pass, cluster reconcile and bound) pass
+/// their run's [`crate::RowSet`] answer, so facility rows are filled once
+/// per run rather than once per call.
 pub fn optimal_assignment_with(
     inst: &McfsInstance,
     selection: &[u32],
@@ -70,8 +74,13 @@ pub(crate) fn assignment_matcher<'g>(
         .map(|&j| inst.facilities()[j as usize].capacity)
         .collect();
     let map = selection_map(inst, selection);
-    let streams =
-        CustomerStream::for_customers(inst.graph(), inst.customers(), Rc::clone(&map), oracle);
+    let streams = CustomerStream::for_customers(
+        inst.graph(),
+        inst.customers(),
+        inst.num_customers(),
+        Rc::clone(&map),
+        oracle,
+    );
     (Matcher::new(streams, caps), map)
 }
 

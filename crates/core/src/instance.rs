@@ -407,9 +407,10 @@ impl Solution {
 
 impl McfsInstance<'_> {
     /// Verify a solution end-to-end: selection size, index sanity, capacity
-    /// constraints, reachability, and the reported objective (recomputed
-    /// from scratch with one Dijkstra per selected facility; assumes the
-    /// symmetric distances of the paper's undirected road networks).
+    /// constraints, reachability, and the reported objective, recomputed
+    /// from scratch as customer → facility distances (the direction every
+    /// solver measures): one Dijkstra per selected facility on a symmetric
+    /// graph, one per distinct customer node on a directed one.
     pub fn verify(&self, sol: &Solution) -> Result<(), VerifyError> {
         if sol.facilities.len() > self.k {
             return Err(VerifyError::TooManyFacilities {
@@ -449,21 +450,42 @@ impl McfsInstance<'_> {
                 });
             }
         }
-        // Recompute the objective with one Dijkstra per selected facility.
+        // Recompute the objective from scratch. Solvers measure customer →
+        // facility; on a symmetric graph that is also facility → customer,
+        // so one row per selected facility serves every customer. A
+        // directed graph needs one row per distinct customer node.
         let mut actual = 0u64;
-        for (fi, &j) in sol.facilities.iter().enumerate() {
-            let dist = dijkstra_all(self.graph, self.facilities[j as usize].node);
-            for (i, &a) in sol.assignment.iter().enumerate() {
-                if a as usize == fi {
-                    let d = dist[self.customers[i] as usize];
-                    if d == INF {
-                        return Err(VerifyError::Unreachable {
-                            customer: i,
-                            facility: j,
-                        });
+        let mut charge = |i: usize, d: u64| {
+            if d == INF {
+                return Err(VerifyError::Unreachable {
+                    customer: i,
+                    facility: sol.facilities[sol.assignment[i] as usize],
+                });
+            }
+            actual += d;
+            Ok(())
+        };
+        if self.graph.is_symmetric() {
+            for (fi, &j) in sol.facilities.iter().enumerate() {
+                let dist = dijkstra_all(self.graph, self.facilities[j as usize].node);
+                for (i, &a) in sol.assignment.iter().enumerate() {
+                    if a as usize == fi {
+                        charge(i, dist[self.customers[i] as usize])?;
                     }
-                    actual += d;
                 }
+            }
+        } else {
+            let mut by_node: Vec<usize> = (0..self.customers.len()).collect();
+            by_node.sort_by_key(|&i| self.customers[i]);
+            // No node has id NodeId::MAX, so the first customer fills a row.
+            let mut row = (NodeId::MAX, Vec::new());
+            for i in by_node {
+                let c = self.customers[i];
+                if row.0 != c {
+                    row = (c, dijkstra_all(self.graph, c));
+                }
+                let fac = self.facilities[sol.facilities[sol.assignment[i] as usize] as usize];
+                charge(i, row.1[fac.node as usize])?;
             }
         }
         if actual != sol.objective {

@@ -37,8 +37,8 @@ pub struct WmaNaive {
     pub seed: u64,
     /// Hard cap on main-loop iterations (`None` = the natural `m · ℓ`).
     pub max_iterations: Option<usize>,
-    /// Distance-substrate worker threads (`0` = auto, `1` = legacy lazy
-    /// path); see [`crate::parallel`].
+    /// Row-fill worker threads (`0` = auto, `1` = no oracle); which rows
+    /// are filled follows from the instance, see [`crate::parallel`].
     pub threads: usize,
     /// Explicitly shared distance oracle.
     pub oracle: Option<Arc<DistanceOracle>>,
@@ -88,8 +88,11 @@ impl WmaNaive {
         }
     }
 
-    /// Set the distance-substrate worker count (`0` = auto, `1` = legacy
-    /// sequential path).
+    /// Set the row-fill worker count (`0` = auto, `1` = sequential, no
+    /// customer rows). At `1` the selection streams read facility rows
+    /// from a throwaway oracle when they apply
+    /// ([`crate::streams::facility_rows_apply`]) and run lazy searches
+    /// otherwise.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
         self
@@ -117,6 +120,7 @@ impl Solver for WmaNaive {
         let mut caches: Vec<FacilityCache> = CustomerStream::for_customers(
             inst.graph(),
             inst.customers(),
+            m,
             fac_map,
             oracle.as_deref(),
         )

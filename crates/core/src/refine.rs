@@ -43,7 +43,7 @@ use rustc_hash::FxHashSet;
 use crate::assign::optimal_assignment_with;
 use crate::components::capacity_suffices;
 use crate::instance::{McfsInstance, Solution};
-use crate::parallel::resolve_oracle;
+use crate::parallel::{resolve_oracle, RowSet};
 use crate::{SolveError, Solver};
 
 /// Configuration for the swap-based refiner.
@@ -57,10 +57,11 @@ pub struct LocalSearch {
     /// Optional wall-clock budget; refinement stops (keeping the best
     /// solution so far) when exceeded.
     pub time_budget: Option<Duration>,
-    /// Distance-substrate worker threads (`0` = auto, `1` = legacy path).
-    /// The refiner re-assigns every trial swap with an exact matching, so
-    /// the oracle's cached customer rows pay off more here than anywhere
-    /// else.
+    /// Row-fill worker threads (`0` = auto, `1` = no oracle). The refiner
+    /// re-assigns every trial swap with an exact matching, so the run's
+    /// shared rows pay off more here than anywhere else: trials read one
+    /// set of facility rows (a run-scoped oracle at `1`), so a swap fills
+    /// at most the incoming site's row.
     pub threads: usize,
     /// Explicitly shared distance oracle.
     pub oracle: Option<Arc<DistanceOracle>>,
@@ -87,8 +88,7 @@ impl LocalSearch {
         }
     }
 
-    /// Set the distance-substrate worker count (`0` = auto, `1` = legacy
-    /// sequential path).
+    /// Set the row-fill worker count (`0` = auto, `1` = sequential).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
         self
@@ -108,6 +108,7 @@ impl LocalSearch {
         let feas = inst.check_feasibility().map_err(SolveError::Infeasible)?;
         let facs = inst.facilities();
         let oracle = resolve_oracle(self.threads, self.oracle.as_ref());
+        let rows = RowSet::new(oracle.as_deref());
         let mut best = solution.clone();
 
         // node -> candidate indices (highest capacity first).
@@ -153,7 +154,7 @@ impl LocalSearch {
                             continue;
                         }
                         if let Ok((assignment, objective)) =
-                            optimal_assignment_with(inst, &trial, oracle.as_deref())
+                            optimal_assignment_with(inst, &trial, rows.for_selection(inst, &trial))
                         {
                             if objective < best.objective {
                                 selected.remove(&out);

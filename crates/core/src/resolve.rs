@@ -7,7 +7,9 @@
 //! shared [`DistanceOracle`] and accepts [`Edit`] scripts; re-solving then
 //! reuses two kinds of work:
 //!
-//! 1. **Distance rows.** The oracle's row cache persists across solves, so
+//! 1. **Distance rows.** The oracle's row cache persists across solves.
+//!    When facility rows apply (see [`crate::streams`]) customer edits
+//!    never fill a row and each new candidate node fills one; otherwise
 //!    only customers at *new* nodes pay a Dijkstra expansion
 //!    ([`SolveStats::oracle_nodes_settled`] shows the saving).
 //! 2. **The final matching.** The closing optimal assignment is
@@ -68,7 +70,7 @@ use rustc_hash::FxHashMap;
 
 use crate::assign::{assignment_matcher, complete_assignment};
 use crate::instance::{Facility, McfsInstance, Solution};
-use crate::parallel::effective_threads;
+use crate::parallel::{effective_threads, RowSet};
 use crate::stats::SolveStats;
 
 /// Process-wide warm/cold re-solve decision counters (Prometheus
@@ -497,9 +499,12 @@ impl<'g> ReSolver<'g> {
         // Selection: identical deterministic code to a cold Wma::run.
         let selection_span = mcfs_obs::span("resolve.selection");
         publish_phase("resolve.selection", mcfs_obs::PhaseState::Start);
-        let (selection, _trace) =
-            self.wma
-                .select_facilities(&inst, Some(&self.oracle), &feas, &mut solve_stats)?;
+        let (selection, _trace) = self.wma.select_facilities(
+            &inst,
+            &RowSet::new(Some(&self.oracle)),
+            &feas,
+            &mut solve_stats,
+        )?;
         publish_phase("resolve.selection", mcfs_obs::PhaseState::End);
         drop(selection_span);
         let sel_ids: Vec<u64> = selection
@@ -629,7 +634,10 @@ impl<'g> ReSolver<'g> {
             return None;
         }
 
-        // Arrivals, in customer order: one incremental find_pair each.
+        // Arrivals, in customer order: one incremental find_pair each. The
+        // stream strategy is decided on the whole instance's customer count,
+        // so an arrival reads the selection's facility rows (already cached)
+        // whenever the cold assignment would have.
         let augs_before = st.matcher.augmentations();
         for (i, &id) in self.cust_ids.iter().enumerate() {
             if st.slots.contains_key(&id) {
@@ -638,6 +646,7 @@ impl<'g> ReSolver<'g> {
             let stream = CustomerStream::for_customers(
                 self.graph,
                 &self.customers[i..=i],
+                self.customers.len(),
                 Rc::clone(&st.fac_map),
                 Some(&self.oracle),
             )

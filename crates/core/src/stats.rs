@@ -67,11 +67,14 @@ pub struct PhaseTime {
 /// run. Always collected (it is a handful of `Instant` reads), unlike the
 /// per-iteration [`RunStats`] trace which is opt-in.
 ///
-/// `threads == 1` means the run used the legacy lazy-Dijkstra path, in
-/// which case the cache counters stay zero.
+/// `threads` is row-fill parallelism only. A `threads == 1` run can still
+/// fill rows: facility rows go to a run-scoped oracle whenever they apply
+/// (see [`crate::streams::facility_rows_apply`]), and they are counted
+/// here. The cache counters stay zero only when every stream was lazy.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Worker threads the distance substrate used for this run.
+    /// Row-fill worker threads of the run's configured oracle (1 without
+    /// one).
     pub threads: usize,
     /// Ordered phase timings; phase names are solver-specific.
     pub phases: Vec<PhaseTime>,
@@ -81,8 +84,8 @@ pub struct SolveStats {
     /// this run.
     pub cache_misses: u64,
     /// Nodes the oracle settled computing missed rows during this run. Zero
-    /// on the legacy lazy path (no oracle) and near-zero for warm re-solves
-    /// that find their rows already cached.
+    /// when every stream was lazy, and zero for warm re-solves that find
+    /// their rows already cached.
     pub oracle_nodes_settled: u64,
     /// Matcher augmentations performed across the run's matching phases
     /// (selection loop plus final assignment). A warm-started re-solve pays

@@ -7,9 +7,20 @@
 //! in `G_b`", with the per-customer searches persisting across `FindPair`
 //! calls. [`NetworkStream`] is that persistent search, shaped as the
 //! [`EdgeStream`] the incremental matcher consumes.
+//!
+//! The paper built its per-customer searches for `F_p = V`, where every
+//! stream stops within a few hops. When the facility set being matched has
+//! few distinct nodes (`ℓ ≤ m`), one full row *per facility node* is far
+//! cheaper than `m` customer searches: on a symmetric graph
+//! `d(f, c) = d(c, f)`, so each customer reads its column of the facility
+//! rows and sorts it ([`OracleStream::from_facility_rows`]). The strategy
+//! follows from the instance's shape alone ([`facility_rows_apply`]); every
+//! strategy emits the same sequence for the same customer, so it changes
+//! wall time, never a solution.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use mcfs_flow::EdgeStream;
 use mcfs_graph::{Dist, DistanceOracle, Graph, LazyDijkstra, NodeId, INF};
@@ -18,6 +29,20 @@ use rustc_hash::FxHashMap;
 /// Shared lookup from network node to the candidate-facility indices located
 /// there (several facilities may share a node).
 pub type FacilityMap = Rc<FxHashMap<NodeId, Vec<u32>>>;
+
+/// Whether streams of an instance with `num_customers` customers, matched
+/// against a facility set on `facility_nodes` distinct nodes, read facility
+/// rows: the graph is symmetric (so a row filled from a facility node holds
+/// every customer's distance *to* it) and the set has no more distinct
+/// nodes than the instance has customers (so the strategy never fills more
+/// rows than one per customer would).
+///
+/// `num_customers` is the instance's customer count, never the length of a
+/// slice being streamed: a re-solver minting one arrival's stream decides
+/// exactly as the whole instance did.
+pub fn facility_rows_apply(graph: &Graph, num_customers: usize, facility_nodes: usize) -> bool {
+    facility_nodes <= num_customers && graph.is_symmetric()
+}
 
 /// A per-customer stream of `(facility index, network distance)` pairs in
 /// nondecreasing distance order, produced by a resumable Dijkstra over the
@@ -86,6 +111,13 @@ impl EdgeStream for NetworkStream<'_> {
 /// `NetworkStream` would produce, which is what makes the oracle-backed
 /// solver paths byte-identical to the legacy lazy paths.
 ///
+/// The same pairs can come from the customer's own row
+/// ([`from_row`](Self::from_row)) or, on a symmetric graph, from the rows of
+/// the facility nodes ([`from_facility_rows`](Self::from_facility_rows)):
+/// `d(f, c) = d(c, f)`, so the customer's column of those rows holds exactly
+/// the distances its own row would. On a directed graph the two differ,
+/// which is why [`facility_rows_apply`] requires symmetry.
+///
 /// Unlike `NetworkStream` this materializes the whole candidate list up
 /// front (the row is already paid for), trading `O(ℓ)` memory per customer
 /// for zero per-edge search work.
@@ -100,13 +132,38 @@ impl OracleStream {
     /// Unreachable facilities (`INF` row entries) are omitted, matching the
     /// lazy stream's behavior of never settling them.
     pub fn from_row(row: &[Dist], facilities_at: &FxHashMap<NodeId, Vec<u32>>) -> Self {
-        let mut nodes: Vec<(Dist, NodeId)> = facilities_at
-            .keys()
-            .filter_map(|&v| {
-                let d = row[v as usize];
-                (d != INF).then_some((d, v))
-            })
-            .collect();
+        Self::from_nodes(
+            facilities_at.keys().map(|&v| (row[v as usize], v)),
+            facilities_at,
+        )
+    }
+
+    /// Stream for the customer at `customer`, read from facility rows:
+    /// `rows[i]` is the one-to-all row filled from `nodes[i]`, and `nodes`
+    /// are the keys of `facilities_at`. Equal to [`from_row`](Self::from_row)
+    /// with the customer's own row whenever the graph is symmetric.
+    pub fn from_facility_rows(
+        customer: NodeId,
+        nodes: &[NodeId],
+        rows: &[Arc<Vec<Dist>>],
+        facilities_at: &FxHashMap<NodeId, Vec<u32>>,
+    ) -> Self {
+        Self::from_nodes(
+            nodes
+                .iter()
+                .zip(rows)
+                .map(|(&v, row)| (row[customer as usize], v)),
+            facilities_at,
+        )
+    }
+
+    /// Sort the reachable `(distance, node)` pairs and expand each node's
+    /// facilities in map order.
+    fn from_nodes(
+        nodes: impl Iterator<Item = (Dist, NodeId)>,
+        facilities_at: &FxHashMap<NodeId, Vec<u32>>,
+    ) -> Self {
+        let mut nodes: Vec<(Dist, NodeId)> = nodes.filter(|&(d, _)| d != INF).collect();
         nodes.sort_unstable();
         let mut edges = Vec::new();
         for (d, v) in nodes {
@@ -126,28 +183,59 @@ impl EdgeStream for OracleStream {
     }
 }
 
-/// The stream type the solvers actually instantiate: lazy per-customer
-/// search (the legacy single-threaded substrate) or oracle-row-backed
-/// (cached, batch-parallel). Both variants emit the same sequence for the
-/// same customer — see [`OracleStream`] — so solver output never depends on
-/// which substrate is active.
+/// The stream type the solvers actually instantiate: a lazy per-customer
+/// search, or a replay of precomputed rows (facility rows or customer
+/// rows). Every variant emits the same sequence for the same customer —
+/// see [`OracleStream`] — so solver output never depends on which strategy
+/// is active.
 pub enum CustomerStream<'g> {
-    /// Resumable per-customer Dijkstra (exact legacy behavior).
+    /// Resumable per-customer Dijkstra (the paper's Sec. IV-D search).
     Lazy(NetworkStream<'g>),
     /// Precomputed distance-row replay.
     Precomputed(OracleStream),
 }
 
 impl<'g> CustomerStream<'g> {
-    /// Build one stream per customer. With an oracle the customer rows are
-    /// fetched as one batched (possibly parallel) query; without, each
-    /// customer gets a lazy search.
+    /// Build one stream for each of `customers`, some or all of the
+    /// `num_customers` customers of one instance. The strategy follows from
+    /// the instance's shape:
+    ///
+    /// 1. [`facility_rows_apply`]: one row per distinct facility node,
+    ///    served by `oracle` (and cached there) or, without one, by a
+    ///    throwaway oracle — fine for one-shot callers; runs that match
+    ///    repeatedly pass their row set.
+    /// 2. Otherwise, with an oracle: one row per customer, fetched as one
+    ///    batched (possibly parallel) query.
+    /// 3. Otherwise: one lazy search per customer.
     pub fn for_customers(
         graph: &'g Graph,
         customers: &[NodeId],
+        num_customers: usize,
         facilities_at: FacilityMap,
         oracle: Option<&DistanceOracle>,
     ) -> Vec<Self> {
+        if facility_rows_apply(graph, num_customers, facilities_at.len()) {
+            let mut nodes: Vec<NodeId> = facilities_at.keys().copied().collect();
+            // Sorted, so the fill (and eviction) order is a function of the set.
+            nodes.sort_unstable();
+            let rows = match oracle {
+                Some(o) => o.distances_for_sources(graph, &nodes),
+                None => DistanceOracle::new()
+                    .with_threads(1)
+                    .distances_for_sources(graph, &nodes),
+            };
+            return customers
+                .iter()
+                .map(|&c| {
+                    CustomerStream::Precomputed(OracleStream::from_facility_rows(
+                        c,
+                        &nodes,
+                        &rows,
+                        &facilities_at,
+                    ))
+                })
+                .collect();
+        }
         match oracle {
             None => NetworkStream::for_customers(graph, customers, facilities_at)
                 .into_iter()
@@ -271,17 +359,94 @@ mod tests {
         let g = line(6);
         let fm = map(&[(1, &[0]), (4, &[1]), (5, &[2])]);
         let customers = [2, 0, 5];
-        let oracle = mcfs_graph::DistanceOracle::new().with_threads(2);
-        let lazy: Vec<_> = CustomerStream::for_customers(&g, &customers, Rc::clone(&fm), None)
-            .into_iter()
-            .map(drain)
-            .collect();
-        let pre: Vec<_> =
-            CustomerStream::for_customers(&g, &customers, Rc::clone(&fm), Some(&oracle))
+        let drain_all =
+            |streams: Vec<CustomerStream>| -> Vec<_> { streams.into_iter().map(drain).collect() };
+        let lazy = drain_all(
+            NetworkStream::for_customers(&g, &customers, Rc::clone(&fm))
                 .into_iter()
-                .map(drain)
-                .collect();
-        assert_eq!(lazy, pre);
+                .map(CustomerStream::Lazy)
+                .collect(),
+        );
+        // ℓ = 3 ≤ m = 3 on a symmetric graph: one row per facility node,
+        // with or without a caller's oracle.
+        let oracle = DistanceOracle::new().with_threads(2);
+        let rows = |o| {
+            drain_all(CustomerStream::for_customers(
+                &g,
+                &customers,
+                3,
+                Rc::clone(&fm),
+                o,
+            ))
+        };
+        assert_eq!(lazy, rows(Some(&oracle)));
+        assert_eq!(lazy, rows(None));
         assert_eq!(oracle.stats().misses, 3);
+        assert_eq!(oracle.row(&g, 4)[0], 28, "rows are keyed by facility node");
+        // ℓ > m: customer rows with an oracle, lazy searches without.
+        let oracle = DistanceOracle::new().with_threads(2);
+        let first = |o| {
+            drain_all(CustomerStream::for_customers(
+                &g,
+                &customers[..1],
+                1,
+                Rc::clone(&fm),
+                o,
+            ))
+        };
+        assert_eq!(lazy[..1], first(Some(&oracle))[..]);
+        assert_eq!(lazy[..1], first(None)[..]);
+        assert_eq!(oracle.stats().misses, 1, "one customer row");
+        // A slice of one customer still decides on the instance's m = 3.
+        let oracle = DistanceOracle::new();
+        let one =
+            CustomerStream::for_customers(&g, &customers[..1], 3, Rc::clone(&fm), Some(&oracle));
+        assert_eq!(lazy[..1], drain_all(one)[..]);
+        assert_eq!(
+            oracle.stats().misses,
+            3,
+            "facility rows, not a customer row"
+        );
+    }
+
+    #[test]
+    fn directed_graphs_keep_customer_searches() {
+        // 0 → 1 one way: d(0, 1) = 5 but d(1, 0) = ∞, so a row filled from
+        // the facility at 1 would not reach the customer at 0.
+        let mut b = GraphBuilder::new(2);
+        b.add_arc(0, 1, 5);
+        let g = b.build();
+        assert!(!facility_rows_apply(&g, 1, 1));
+        let fm = map(&[(1, &[0])]);
+        let oracle = DistanceOracle::new();
+        let streams = CustomerStream::for_customers(&g, &[0], 1, Rc::clone(&fm), Some(&oracle));
+        let got: Vec<_> = streams.into_iter().map(drain).collect();
+        assert_eq!(got, vec![vec![(0, 5)]]);
+        assert_eq!(oracle.row(&g, 0)[1], 5, "the customer's own row was filled");
+    }
+
+    #[test]
+    fn facility_rows_replay_lazy_order_with_ties() {
+        // The diamond of `oracle_stream_replays_lazy_order_with_ties`, read
+        // from the facility nodes' rows instead of the customer's.
+        let mut b = GraphBuilder::new(5);
+        b.add_edge(0, 1, 3);
+        b.add_edge(0, 2, 3);
+        b.add_edge(1, 3, 3);
+        b.add_edge(2, 3, 3);
+        let g = b.build();
+        let fm = map(&[(1, &[5, 2]), (2, &[1]), (3, &[0, 4])]);
+        let nodes = [1, 2, 3];
+        let rows: Vec<_> = nodes
+            .iter()
+            .map(|&v| Arc::new(mcfs_graph::dijkstra_all(&g, v)))
+            .collect();
+        for customer in 0..5 {
+            let lazy = drain(NetworkStream::new(&g, customer, Rc::clone(&fm)));
+            let replay = drain(OracleStream::from_facility_rows(
+                customer, &nodes, &rows, &fm,
+            ));
+            assert_eq!(lazy, replay, "customer {customer}");
+        }
     }
 }

@@ -33,8 +33,8 @@ impl UniformFirst {
         Self::default()
     }
 
-    /// Set the distance-substrate worker count for both the uniform siting
-    /// phase and the final re-matching (`0` = auto, `1` = legacy path).
+    /// Set the row-fill worker count for both the uniform siting phase and
+    /// the final re-matching (`0` = auto, `1` = sequential).
     pub fn threads(mut self, n: usize) -> Self {
         self.inner.threads = n;
         self

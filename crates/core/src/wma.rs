@@ -24,14 +24,14 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use mcfs_flow::{Matcher, PruningRule};
-use mcfs_graph::DistanceOracle;
+use mcfs_graph::{DistanceOracle, OracleRunGuard};
 
 use crate::assign::{assignment_matcher, complete_assignment};
 use crate::components::{capacity_suffices, cover_components};
 use crate::cover::check_cover;
 use crate::greedy_add::select_greedy;
 use crate::instance::{FeasibilityReport, McfsInstance, Solution};
-use crate::parallel::resolve_oracle;
+use crate::parallel::{resolve_oracle, RowSet};
 use crate::stats::{IterationStats, RunStats, SolveStats};
 use crate::streams::CustomerStream;
 use crate::{SolveError, Solver};
@@ -94,9 +94,12 @@ pub struct Wma {
     pub tie_break: TieBreak,
     /// Lazy-matching pruning rule (Section V ablation).
     pub pruning: PruningRule,
-    /// Distance-substrate worker threads: `0` = auto (available
-    /// parallelism), `1` = the exact legacy lazy-Dijkstra path, `n > 1` =
-    /// oracle-backed with `n` workers. Thread count never changes the
+    /// Row-fill worker threads: `0` = auto (available parallelism), `n > 1`
+    /// = an oracle with `n` workers, `1` = none. Which rows are filled
+    /// follows from the instance, not from this count: facility rows
+    /// whenever they apply ([`crate::streams::facility_rows_apply`], held in
+    /// a run-scoped oracle at `1`), else customer rows with an oracle and
+    /// lazy per-customer searches without. Thread count never changes the
     /// solution, only wall time.
     pub threads: usize,
     /// Explicitly shared [`DistanceOracle`]; overrides `threads` for the
@@ -128,8 +131,8 @@ impl Wma {
         self
     }
 
-    /// Set the distance-substrate worker count (`0` = auto, `1` = legacy
-    /// sequential path).
+    /// Set the row-fill worker count (`0` = auto, `1` = sequential, no
+    /// customer rows); see [`threads`](Self#structfield.threads).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
         self
@@ -151,22 +154,23 @@ impl Wma {
         // Per-run attribution: only queries issued from this call stack are
         // counted, even when the oracle (and its row cache) is shared with
         // other concurrently running solvers.
-        let oracle_run = oracle.as_ref().map(|o| o.begin_run());
+        let oracle_run = OracleRunGuard::begin();
+        // One row set for the run: facility rows filled for the selection
+        // are hits for the final assignment.
+        let rows = RowSet::new(oracle.as_deref());
 
-        let (selection, stats) =
-            self.select_facilities(inst, oracle.as_deref(), &feas, &mut solve_stats)?;
+        let (selection, stats) = self.select_facilities(inst, &rows, &feas, &mut solve_stats)?;
 
         // --- Final optimal assignment onto F (lines 14–15). ---
         let t_assign = Instant::now();
         let assign_span = mcfs_obs::span("wma.assignment");
-        let (mut matcher, _) = assignment_matcher(inst, &selection, oracle.as_deref());
+        let (mut matcher, _) =
+            assignment_matcher(inst, &selection, rows.for_selection(inst, &selection));
         let (assignment, objective) = complete_assignment(&mut matcher, inst.num_customers())?;
         drop(assign_span);
         solve_stats.augmentations += matcher.augmentations();
         solve_stats.add_phase("assignment", t_assign.elapsed());
-        if let Some(run) = &oracle_run {
-            solve_stats.record_oracle_run(&run.stats());
-        }
+        solve_stats.record_oracle_run(&oracle_run.stats());
         Ok(WmaRun {
             solution: Solution {
                 facilities: selection,
@@ -191,7 +195,7 @@ impl Wma {
     pub(crate) fn select_facilities(
         &self,
         inst: &McfsInstance,
-        oracle: Option<&DistanceOracle>,
+        rows: &RowSet,
         feas: &FeasibilityReport,
         solve_stats: &mut SolveStats,
     ) -> Result<(Vec<u32>, RunStats), SolveError> {
@@ -199,15 +203,16 @@ impl Wma {
         let l = inst.num_facilities();
         let k = inst.k();
 
-        // Stream construction is the prefetch phase: with an oracle it pays
-        // for (or reuses) every customer's distance row in one batched
-        // parallel query; without, it is nearly free and the search cost is
-        // paid lazily inside the matching phase instead.
+        // Stream construction is the prefetch phase: it pays for (or
+        // reuses) one row per distinct candidate node, or one per customer,
+        // in one batched query; with lazy streams it is nearly free and the
+        // search cost is paid inside the matching phase instead.
         let t_prefetch = Instant::now();
         let prefetch_span = mcfs_obs::span("wma.prefetch");
         let fac_map = Rc::new(inst.facilities_by_node());
+        let oracle = rows.for_nodes(inst, fac_map.len());
         let streams =
-            CustomerStream::for_customers(inst.graph(), inst.customers(), fac_map, oracle);
+            CustomerStream::for_customers(inst.graph(), inst.customers(), m, fac_map, oracle);
         let mut matcher = Matcher::with_pruning(streams, inst.capacities(), self.pruning);
         drop(prefetch_span);
         solve_stats.add_phase("prefetch", t_prefetch.elapsed());
@@ -595,6 +600,9 @@ mod tests {
     #[test]
     fn thread_counts_agree_and_substrate_stats_recorded() {
         let g = path(9, 3);
+        // ℓ = 4 ≤ m = 4 on a symmetric graph: every thread count fills one
+        // row per distinct candidate node, threads(1) into a run-scoped
+        // oracle, and the final assignment re-reads the selected sites'.
         let inst = McfsInstance::builder(&g)
             .customers([0, 4, 8, 2])
             .facility(1, 2)
@@ -604,26 +612,47 @@ mod tests {
             .k(2)
             .build()
             .unwrap();
-        let legacy = Wma::new().threads(1).run(&inst).unwrap();
-        assert_eq!(legacy.solve_stats.threads, 1);
-        assert_eq!(
-            legacy.solve_stats.cache_misses, 0,
-            "lazy path has no oracle"
-        );
-        for n in [2, 4] {
-            let par = Wma::new().threads(n).run(&inst).unwrap();
-            assert_eq!(legacy.solution, par.solution, "threads {n}");
-            assert_eq!(par.solve_stats.threads, n);
+        let single = Wma::new().threads(1).run(&inst).unwrap();
+        assert_eq!(single.solve_stats.threads, 1);
+        for n in [1, 2, 4] {
+            let run = Wma::new().threads(n).run(&inst).unwrap();
+            assert_eq!(single.solution, run.solution, "threads {n}");
+            assert_eq!(run.solve_stats.threads, n);
             assert_eq!(
-                par.solve_stats.cache_misses, 4,
-                "one row per distinct customer node"
+                run.solve_stats.cache_misses, 4,
+                "one row per distinct candidate node"
             );
-            // Final assignment reuses the prefetched rows.
-            assert!(par.solve_stats.cache_hits >= 4);
+            assert_eq!(run.solve_stats.oracle_nodes_settled, 4 * 9);
+            assert_eq!(
+                run.solve_stats.cache_hits, 2,
+                "the final assignment reuses the selected sites' rows"
+            );
             for phase in ["prefetch", "matching", "cover", "provisions", "assignment"] {
-                assert!(par.solve_stats.phase(phase).is_some(), "missing {phase}");
+                assert!(run.solve_stats.phase(phase).is_some(), "missing {phase}");
             }
         }
+
+        // ℓ = 4 > m = 2, and three selected sites > m as well: threads(1)
+        // streams lazily throughout and fills no row.
+        let inst = McfsInstance::builder(&g)
+            .customers([0, 8])
+            .facility(1, 1)
+            .facility(3, 1)
+            .facility(5, 1)
+            .facility(7, 1)
+            .k(3)
+            .build()
+            .unwrap();
+        let lazy = Wma::new().threads(1).run(&inst).unwrap();
+        assert_eq!(lazy.solution.facilities.len(), 3);
+        assert_eq!(
+            lazy.solve_stats.cache_misses, 0,
+            "the lazy path fills no row"
+        );
+        assert_eq!(lazy.solve_stats.oracle_nodes_settled, 0);
+        let par = Wma::new().threads(2).run(&inst).unwrap();
+        assert_eq!(lazy.solution, par.solution);
+        assert_eq!(par.solve_stats.cache_misses, 2, "one row per customer");
     }
 
     #[test]

@@ -1,45 +1,75 @@
 //! Dense customer→facility distance matrices.
 //!
 //! The exact solvers evaluate many facility subsets against the same
-//! distances, so unlike WMA they precompute the full `m × ℓ` matrix — one
-//! Dijkstra per customer, exactly the `d_ij` of the paper's IP formulation
-//! ("they may be computed on the fly over the input network"; here the
-//! fly-weight is paid once up front).
+//! distances, so unlike WMA they precompute the full `m × ℓ` matrix —
+//! exactly the `d_ij` of the paper's IP formulation ("they may be computed
+//! on the fly over the input network"; here the fly-weight is paid once up
+//! front). One row per distinct node of the smaller side: on a symmetric
+//! graph `d(f, c) = d(c, f)`, so rows filled from the candidate nodes hold
+//! the same costs as rows filled from the customers. A directed graph
+//! keeps customer rows, since customer → facility is the direction every
+//! solver measures.
+
+use std::collections::BTreeMap;
 
 use mcfs::McfsInstance;
 use mcfs_flow::INF_COST;
-use mcfs_graph::{dijkstra_all, INF};
+use mcfs_graph::{fill_row, NodeId, INF};
 
 /// Row-major `m × ℓ` matrix of network distances; unreachable pairs get
 /// [`INF_COST`].
 pub fn cost_matrix(inst: &McfsInstance) -> Vec<u64> {
-    let m = inst.num_customers();
-    let l = inst.num_facilities();
-    let mut costs = vec![INF_COST; m * l];
-    for (i, &s) in inst.customers().iter().enumerate() {
-        let dist = dijkstra_all(inst.graph(), s);
-        for (j, f) in inst.facilities().iter().enumerate() {
-            let d = dist[f.node as usize];
-            if d != INF {
-                costs[i * l + j] = d;
+    let g = inst.graph();
+    let customers = inst.customers();
+    let sites: Vec<NodeId> = inst.facilities().iter().map(|f| f.node).collect();
+    let l = sites.len();
+    let mut costs = vec![INF_COST; customers.len() * l];
+    let mut set = |i: usize, j: usize, d: u64| {
+        if d != INF {
+            costs[i * l + j] = d;
+        }
+    };
+    let (by_customer, by_site) = (by_node(customers), by_node(&sites));
+    let mut row = Vec::new();
+    if g.is_symmetric() && by_site.len() < by_customer.len() {
+        for (&f, js) in &by_site {
+            fill_row(g, f, &mut row);
+            for &j in js {
+                for (i, &c) in customers.iter().enumerate() {
+                    set(i, j, row[c as usize]);
+                }
+            }
+        }
+    } else {
+        for (&c, is) in &by_customer {
+            fill_row(g, c, &mut row);
+            for &i in is {
+                for (j, &f) in sites.iter().enumerate() {
+                    set(i, j, row[f as usize]);
+                }
             }
         }
     }
     costs
 }
 
+/// Positions of each distinct node in `nodes`.
+fn by_node(nodes: &[NodeId]) -> BTreeMap<NodeId, Vec<usize>> {
+    let mut map: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+    for (i, &v) in nodes.iter().enumerate() {
+        map.entry(v).or_default().push(i);
+    }
+    map
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcfs_graph::GraphBuilder;
+    use mcfs_graph::{dijkstra_all, GraphBuilder};
 
-    #[test]
-    fn matrix_matches_dijkstra_on_random_graph() {
-        use mcfs_gen::synthetic::{generate_synthetic, SyntheticConfig};
-        let g = generate_synthetic(&SyntheticConfig::uniform(200, 2.0, 5));
-        let customers: Vec<u32> = (0..10).map(|i| i * 17 % 200).collect();
-        let fac_nodes: Vec<u32> = (0..8).map(|j| (j * 23 + 3) % 200).collect();
-        let inst = McfsInstance::builder(&g)
+    /// `cost_matrix` equals per-customer reference Dijkstras.
+    fn assert_matches_reference(g: &mcfs_graph::Graph, customers: &[u32], fac_nodes: &[u32]) {
+        let inst = McfsInstance::builder(g)
             .customers(customers.iter().copied())
             .facilities(fac_nodes.iter().map(|&v| mcfs::Facility {
                 node: v,
@@ -50,16 +80,54 @@ mod tests {
             .unwrap();
         let c = cost_matrix(&inst);
         for (i, &s) in customers.iter().enumerate() {
-            let d = dijkstra_all(&g, s);
+            let d = dijkstra_all(g, s);
             for (j, &f) in fac_nodes.iter().enumerate() {
                 let want = if d[f as usize] == INF {
                     INF_COST
                 } else {
                     d[f as usize]
                 };
-                assert_eq!(c[i * fac_nodes.len() + j], want);
+                assert_eq!(c[i * fac_nodes.len() + j], want, "customer {i}, site {j}");
             }
         }
+    }
+
+    #[test]
+    fn matrix_matches_dijkstra_on_random_graph() {
+        use mcfs_gen::synthetic::{generate_synthetic, SyntheticConfig};
+        let g = generate_synthetic(&SyntheticConfig::uniform(200, 2.0, 5));
+        let customers: Vec<u32> = (0..10).map(|i| i * 17 % 200).collect();
+        let fac_nodes: Vec<u32> = (0..8).map(|j| (j * 23 + 3) % 200).collect();
+        // ℓ < m: rows from the candidate sites.
+        assert_matches_reference(&g, &customers, &fac_nodes);
+        // ℓ > m: rows from the customers.
+        assert_matches_reference(&g, &customers[..4], &fac_nodes);
+        // ℓ < m with repeated nodes on both sides.
+        let mut crowded = customers.clone();
+        crowded.extend_from_slice(&customers[..5]);
+        assert_matches_reference(&g, &crowded, &[fac_nodes[0], fac_nodes[1], fac_nodes[0]]);
+        // ℓ < m on a directed twin: a cheap one-way arc makes d(c, f) and
+        // d(f, c) differ, so only customer rows are right.
+        let mut b = GraphBuilder::new(g.num_nodes());
+        for u in g.nodes() {
+            for (v, w) in g.neighbors(u) {
+                b.add_arc(u, v, w);
+            }
+        }
+        b.add_arc(customers[0], fac_nodes[0], 1);
+        let directed = b.build();
+        assert!(!directed.is_symmetric());
+        assert_matches_reference(&directed, &customers, &fac_nodes);
+        let inst = McfsInstance::builder(&directed)
+            .customers(customers.iter().copied())
+            .facilities(fac_nodes.iter().map(|&v| mcfs::Facility {
+                node: v,
+                capacity: 2,
+            }))
+            .k(2)
+            .build()
+            .unwrap();
+        assert_eq!(cost_matrix(&inst)[0], 1, "the one-way arc is used outbound");
     }
 
     #[test]

@@ -6,10 +6,14 @@
 //! Hilbert baseline likewise buckets customers per component. This module
 //! provides the component labelling both rely on.
 //!
-//! Components are computed on the *undirected closure*: the paper's road
-//! networks are undirected, and for directed inputs weak connectivity is the
-//! right notion for "could any facility here ever serve this customer" —
-//! a conservative prerequisite check.
+//! Components are computed on the *undirected closure* (weak connectivity):
+//! the paper's road networks are undirected, and for directed inputs weak
+//! connectivity is the right notion for "could any facility here ever serve
+//! this customer" — a conservative prerequisite check. Every arc joins its
+//! endpoints whichever way it points, so the labels of a directed graph do
+//! not depend on node order. A symmetric graph ([`Graph::is_symmetric`])
+//! already holds every arc's reversal, so its search follows out-arcs
+//! alone; a directed one also walks a reverse adjacency.
 
 use crate::{Graph, NodeId};
 
@@ -42,10 +46,16 @@ impl ComponentInfo {
     }
 }
 
-/// Label connected components via iterative BFS (no recursion, so arbitrarily
-/// deep path graphs are fine).
+/// Label the components of the undirected closure via iterative BFS (no
+/// recursion, so arbitrarily deep path graphs are fine): two nodes share a
+/// label when some chain of arcs, each followed in either direction, joins
+/// them. Labels are dense and numbered in order of each component's
+/// smallest node, so they never depend on which way one-way arcs point.
 pub fn connected_components(g: &Graph) -> ComponentInfo {
     let n = g.num_nodes();
+    // On a symmetric graph every arc's reversal is itself an out-arc; a
+    // directed graph also walks its arcs backwards.
+    let reverse = (!g.is_symmetric()).then(|| in_neighbors(g));
     let mut component = vec![u32::MAX; n];
     let mut sizes = Vec::new();
     let mut queue = Vec::new();
@@ -65,6 +75,16 @@ pub fn connected_components(g: &Graph) -> ComponentInfo {
                     queue.push(u);
                 }
             }
+            if let Some((offsets, sources)) = &reverse {
+                let tails =
+                    &sources[offsets[v as usize] as usize..offsets[v as usize + 1] as usize];
+                for &u in tails {
+                    if component[u as usize] == u32::MAX {
+                        component[u as usize] = next;
+                        queue.push(u);
+                    }
+                }
+            }
         }
         sizes.push(size);
         next += 1;
@@ -74,6 +94,29 @@ pub fn connected_components(g: &Graph) -> ComponentInfo {
         count: next as usize,
         sizes,
     }
+}
+
+/// Reverse adjacency in CSR form: `sources[offsets[v]..offsets[v + 1]]`
+/// are the tails of `v`'s in-arcs.
+fn in_neighbors(g: &Graph) -> (Vec<u32>, Vec<NodeId>) {
+    let mut offsets = vec![0u32; g.num_nodes() + 1];
+    for u in g.nodes() {
+        for (v, _) in g.neighbors(u) {
+            offsets[v as usize + 1] += 1;
+        }
+    }
+    for i in 0..g.num_nodes() {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut cursor = offsets.clone();
+    let mut sources = vec![0 as NodeId; g.num_arcs()];
+    for u in g.nodes() {
+        for (v, _) in g.neighbors(u) {
+            sources[cursor[v as usize] as usize] = u;
+            cursor[v as usize] += 1;
+        }
+    }
+    (offsets, sources)
 }
 
 #[cfg(test)]
@@ -120,6 +163,36 @@ mod tests {
         let cc = connected_components(&g);
         assert_eq!(cc.count, 1);
         assert_eq!(cc.sizes, vec![1]);
+    }
+
+    #[test]
+    fn one_way_arcs_join_components_in_either_direction() {
+        // Node 3 reaches 0 only along a one-way arc into the path 0-1-2:
+        // one weak component, whichever endpoint is numbered first.
+        let mut b = GraphBuilder::new(5);
+        b.add_edge(0, 1, 100);
+        b.add_edge(1, 2, 50);
+        b.add_arc(3, 0, 25);
+        let cc = connected_components(&b.build());
+        assert_eq!(cc.component, vec![0, 0, 0, 0, 1]);
+        assert_eq!(cc.sizes, vec![4, 1]);
+        let mut b = GraphBuilder::new(4);
+        b.add_arc(3, 1, 5);
+        b.add_arc(2, 0, 5);
+        b.add_arc(3, 2, 5);
+        let cc = connected_components(&b.build());
+        assert_eq!(cc.count, 1);
+    }
+
+    #[test]
+    fn labels_follow_smallest_node_order() {
+        let mut b = GraphBuilder::new(6);
+        b.add_edge(4, 5, 1);
+        b.add_edge(1, 3, 1);
+        b.add_edge(3, 0, 1);
+        let cc = connected_components(&b.build());
+        assert_eq!(cc.component, vec![0, 0, 1, 0, 2, 2]);
+        assert_eq!(cc.sizes, vec![3, 1, 2]);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! canonical representation for that access pattern: adjacency of a node is a
 //! contiguous slice, no per-node allocation, cache-friendly scans.
 
+use std::sync::OnceLock;
+
 use crate::{Dist, Point};
 
 /// Node identifier. `u32` suffices for the paper's million-node networks and
@@ -22,6 +24,8 @@ pub type EdgeId = u32;
 /// directions for an undirected road segment, while
 /// [`GraphBuilder::add_arc`] inserts a one-way arc. Self-loops are rejected
 /// at build time, parallel arcs are kept (harmless for shortest paths).
+/// [`Graph::is_symmetric`] tells whether the arcs read the same reversed,
+/// i.e. whether `d(u, v) = d(v, u)` for every pair.
 ///
 /// ```
 /// use mcfs_graph::GraphBuilder;
@@ -56,6 +60,8 @@ pub struct Graph {
     /// caches keyed by the graph identity (the `DistanceOracle` row cache)
     /// can never serve one sub-graph's rows to another.
     id_salt: u64,
+    /// [`Graph::is_symmetric`], computed on first use.
+    symmetric: OnceLock<bool>,
 }
 
 impl Graph {
@@ -161,6 +167,46 @@ impl Graph {
     #[inline]
     pub fn id_salt(&self) -> u64 {
         self.id_salt
+    }
+
+    /// Whether the arc multiset equals its own reversal: every arc
+    /// `u → v` of weight `w` is matched by an arc `v → u` of weight `w`,
+    /// parallel arcs counted. Graphs built from [`GraphBuilder::add_edge`]
+    /// alone are symmetric; one unmatched [`GraphBuilder::add_arc`] makes a
+    /// graph directed. On a symmetric graph `d(u, v) = d(v, u)` for every
+    /// pair, so a row filled from `v` also holds every distance *to* `v`.
+    ///
+    /// Exact, computed once per graph on first call (one sort of each
+    /// node's adjacency, `O(arcs · log degree)`), then cached.
+    pub fn is_symmetric(&self) -> bool {
+        *self.symmetric.get_or_init(|| {
+            // Each node's out-arcs sorted by (target, weight), so an arc's
+            // multiplicity is a run length and its reversal a binary search.
+            let mut adj: Vec<(NodeId, Dist)> = self
+                .targets
+                .iter()
+                .copied()
+                .zip(self.weights.iter().copied())
+                .collect();
+            let slice = |v: NodeId| {
+                self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize
+            };
+            for v in self.nodes() {
+                adj[slice(v)].sort_unstable();
+            }
+            let count = |arcs: &[(NodeId, Dist)], arc: (NodeId, Dist)| {
+                let lo = arcs.partition_point(|&a| a < arc);
+                arcs[lo..].iter().take_while(|&&a| a == arc).count()
+            };
+            self.nodes().all(|u| {
+                let out = &adj[slice(u)];
+                out.iter().enumerate().all(|(i, &(v, w))| {
+                    // Compare each distinct (target, weight) run once.
+                    (i > 0 && out[i - 1] == (v, w))
+                        || count(out, (v, w)) == count(&adj[slice(v)], (u, w))
+                })
+            })
+        })
     }
 }
 
@@ -280,6 +326,7 @@ impl GraphBuilder {
             coords: self.coords,
             structural_hash,
             id_salt: self.id_salt,
+            symmetric: OnceLock::new(),
         }
     }
 }
@@ -418,6 +465,37 @@ mod tests {
             .collect();
         let via_iter: Vec<_> = g.neighbors(0).collect();
         assert_eq!(via_slices, via_iter);
+    }
+
+    #[test]
+    fn symmetry_is_an_exact_arc_multiset_check() {
+        assert!(diamond().is_symmetric());
+        assert!(GraphBuilder::new(0).build().is_symmetric());
+        assert!(GraphBuilder::new(3).build().is_symmetric());
+        // One one-way arc breaks it.
+        let mut b = GraphBuilder::new(3);
+        b.add_edge(0, 1, 4);
+        b.add_arc(1, 2, 4);
+        assert!(!b.build().is_symmetric());
+        // Two opposite arcs of equal weight are an edge.
+        let mut b = GraphBuilder::new(2);
+        b.add_arc(0, 1, 4);
+        b.add_arc(1, 0, 4);
+        assert!(b.build().is_symmetric());
+        // Opposite arcs of different weights are not.
+        let mut b = GraphBuilder::new(2);
+        b.add_arc(0, 1, 4);
+        b.add_arc(1, 0, 5);
+        assert!(!b.build().is_symmetric());
+        // Parallel arcs count: two arcs one way, one back.
+        let mut b = GraphBuilder::new(2);
+        b.add_edge(0, 1, 4);
+        b.add_arc(0, 1, 4);
+        assert!(!b.build().is_symmetric());
+        let mut b = GraphBuilder::new(2);
+        b.add_edge(0, 1, 4);
+        b.add_edge(0, 1, 4);
+        assert!(b.build().is_symmetric());
     }
 
     #[test]

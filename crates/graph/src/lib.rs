@@ -10,7 +10,9 @@
 //! * [`DistanceOracle`] — a thread-safe memoizing facade over those
 //!   searches with a bounded per-source row cache and a batched parallel
 //!   entry point ([`oracle`], worker pool in [`par`]). Solvers share one
-//!   oracle so distance rows are computed once per customer.
+//!   oracle so each distance row is computed once per source node — per
+//!   candidate site when the graph is symmetric and sites are the smaller
+//!   side ([`Graph::is_symmetric`]), per customer otherwise.
 //! * [`arena`] — the oracle's row engine, [`fill_row`]: a zero-alloc Dial
 //!   bucket ring (radix-heap fallback for huge weights) over a per-thread
 //!   reusable search arena, byte-identical to [`dijkstra_all`], which stays

@@ -1,9 +1,11 @@
 //! Shared, thread-safe distance oracle with a bounded row cache.
 //!
 //! Every MCFS solver ultimately asks the same question — "how far is this
-//! customer from everything?" — and the WMA pipeline asks it repeatedly:
-//! each demand-raising iteration, the refine pass, and every baseline
-//! re-derive distances from the same handful of customer nodes. The
+//! customer from every candidate site?" — and the WMA pipeline asks it
+//! repeatedly: each demand-raising iteration, the refine pass, and every
+//! baseline re-derive distances from the same handful of source nodes
+//! (the candidate sites when they are the smaller side of a symmetric
+//! graph, the customers otherwise). The
 //! [`DistanceOracle`] memoizes those one-to-all rows (filled by the arena
 //! search [`crate::fill_row`], equal to [`crate::dijkstra_all`]) behind a
 //! mutex-guarded bounded FIFO cache of `Arc<Vec<Dist>>`, so a row is
@@ -35,8 +37,10 @@ use crate::par::{available_threads, par_map_indexed};
 use crate::{fill_row, Dist, Graph, NodeId, INF};
 
 /// Default bound on cached rows. A row is `num_nodes * 8` bytes, so 4096
-/// rows of a 100k-node graph is ~3 GiB worst case; real workloads cache one
-/// row per customer (tens to thousands).
+/// rows of a 100k-node graph is ~3 GiB worst case. Real workloads cache one
+/// row per distinct facility node when that is the smaller side, one row
+/// per customer otherwise — at most one per customer either way (tens to
+/// thousands).
 pub const DEFAULT_CACHE_ROWS: usize = 4096;
 
 /// Counters describing oracle behavior since construction (or the last
@@ -140,6 +144,16 @@ pub struct OracleRunGuard {
 }
 
 impl OracleRunGuard {
+    /// Open an attribution scope on the calling thread. Frames are
+    /// per-thread, not per-oracle: the guard tallies the activity of every
+    /// oracle used on this thread while it lives, so a run whose rows come
+    /// from several oracles (a shared one, a run-scoped one) opens one.
+    pub fn begin() -> Self {
+        let cells = Rc::new(RunCells::default());
+        RUN_STACK.with(|stack| stack.borrow_mut().push(Rc::clone(&cells)));
+        OracleRunGuard { cells }
+    }
+
     /// The oracle activity attributed to this run so far. Only the counter
     /// fields (`hits`, `misses`, `evictions`, `nodes_settled`) are
     /// meaningful; occupancy fields are zero.
@@ -328,9 +342,7 @@ impl DistanceOracle {
     /// This is the race-free replacement for diffing [`stats`](Self::stats)
     /// snapshots when several solvers share one oracle.
     pub fn begin_run(&self) -> OracleRunGuard {
-        let cells = Rc::new(RunCells::default());
-        RUN_STACK.with(|stack| stack.borrow_mut().push(Rc::clone(&cells)));
-        OracleRunGuard { cells }
+        OracleRunGuard::begin()
     }
 
     /// Zero the hit/miss/eviction counters (cached rows are kept).

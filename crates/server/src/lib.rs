@@ -28,7 +28,8 @@
 //!
 //! Any request may carry `trace=<id>` on its verb line; the server then
 //! records the request's lifecycle (`server.parse` → `server.queue` →
-//! `server.execute` → solver/matcher/oracle spans → `server.reply`) into
+//! `server.execute` → solver/matcher/oracle spans → `server.handoff` →
+//! `server.reply`) into
 //! the process-wide `mcfs-obs` span ring and echoes `trace=<id>` on the
 //! reply. The `TRACE` verb retrieves a session's most recent traced
 //! request as positional span lines, convertible to Chrome trace JSON via

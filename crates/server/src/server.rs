@@ -122,9 +122,16 @@ impl ServerCore {
     /// here. Traced requests (`trace` set) carry their trace id and root
     /// span id into the worker (for the `server.queue` / `server.execute`
     /// spans) and echo `trace=<id>` on every structured reply so clients
-    /// can correlate.
-    pub(crate) fn submit_traced(&self, request: Request, trace: Option<TraceCtx>) -> Reply {
-        let mut reply = self.submit_inner(request, trace);
+    /// can correlate. The second value is the worker's hand-off stamp
+    /// (`mcfs_obs::now_ns()` as `server.execute` closed), `None` for
+    /// untraced requests and for replies no worker produced.
+    pub(crate) fn submit_traced(
+        &self,
+        request: Request,
+        trace: Option<TraceCtx>,
+    ) -> (Reply, Option<u64>) {
+        let mut handoff_ns = None;
+        let mut reply = self.submit_inner(request, trace, &mut handoff_ns);
         if let Some(ctx) = trace {
             match &mut reply {
                 Reply::Ok { kvs, .. } | Reply::Busy { kvs } | Reply::Timeout { kvs } => {
@@ -134,7 +141,7 @@ impl ServerCore {
                 Reply::Err { .. } => {}
             }
         }
-        reply
+        (reply, handoff_ns)
     }
 
     /// Fan `METRICS format=snapshot` out to every configured peer and merge
@@ -144,7 +151,12 @@ impl ServerCore {
         crate::metrics::cluster_snapshot(&self.metrics, &self.config.peers)
     }
 
-    fn submit_inner(&self, request: Request, trace: Option<TraceCtx>) -> Reply {
+    fn submit_inner(
+        &self,
+        request: Request,
+        trace: Option<TraceCtx>,
+        handoff_ns: &mut Option<u64>,
+    ) -> Reply {
         let verb = request.verb();
         if let Request::Metrics { format, scope } = &request {
             // Snapshot first, then count ourselves: the reported counters
@@ -407,7 +419,10 @@ impl ServerCore {
             return self.reject(verb, ErrorCode::ShuttingDown, "server is shutting down");
         }
         match reply_rx.recv() {
-            Ok(reply) => reply,
+            Ok((reply, stamp)) => {
+                *handoff_ns = trace.map(|_| stamp);
+                reply
+            }
             // Only a worker panic can drop the sender without replying.
             Err(_) => Reply::Err {
                 code: ErrorCode::Io,
@@ -625,9 +640,11 @@ fn handle_watch_verbs<W: Write + Send + 'static>(
 ///
 /// When a frame carries `trace=<id>`, the connection thread records the
 /// request's lifecycle spans: `server.parse` (verb line read → frame
-/// decoded), `server.reply` (reply serialization + flush), and the
-/// enclosing root `server.request`. The queue/execute interval in between
-/// is recorded by the worker under the same root (see `worker.rs`).
+/// decoded), `server.handoff` (the worker closing `server.execute` → this
+/// thread starting the reply), `server.reply` (reply serialization), and
+/// the enclosing root `server.request`, all recorded before the reply is
+/// flushed. The queue/execute interval in between is recorded by the
+/// worker under the same root (see `worker.rs`).
 pub(crate) fn handle_connection<W: Write + Send + 'static>(
     mut reader: impl BufRead,
     writer: W,
@@ -669,42 +686,51 @@ pub(crate) fn handle_connection<W: Write + Send + 'static>(
                     );
                     TraceCtx { trace, root }
                 });
-                let reply = match traced.request {
+                let (reply, handoff_ns) = match traced.request {
                     request @ (Request::Watch { .. } | Request::Unwatch { .. }) => {
                         let mut reply = handle_watch_verbs(&core, &writer, &mut watches, request);
                         if let (Some(ctx), Reply::Ok { kvs, .. }) = (ctx, &mut reply) {
                             kvs.push(("trace".into(), ctx.trace.to_string()));
                         }
-                        reply
+                        (reply, None)
                     }
                     request => core.submit_traced(request, ctx),
                 };
                 let reply_start_ns = ctx.map(|_| mcfs_obs::now_ns());
+                if let (Some(ctx), Some(from), Some(to)) = (ctx, handoff_ns, reply_start_ns) {
+                    mcfs_obs::record_manual(ctx.trace, "server.handoff", ctx.root, None, from, to);
+                }
                 let wrote = {
                     let mut w = writer.lock().unwrap();
-                    reply.write_to(&mut *w).and_then(|()| w.flush())
+                    let written = reply.write_to(&mut *w);
+                    // Record the reply and root spans before the flush hands
+                    // the reply over: a client holding the reply (or a
+                    // coordinator reading an in-process peer's spans from
+                    // the shared ring) then always finds the trace's root.
+                    if let (Some(ctx), Some(start_ns)) = (ctx, reply_start_ns) {
+                        let end_ns = mcfs_obs::now_ns();
+                        mcfs_obs::record_manual(
+                            ctx.trace,
+                            "server.reply",
+                            ctx.root,
+                            None,
+                            start_ns,
+                            end_ns,
+                        );
+                        // The root is recorded last, once its extent is
+                        // known; children already reference it via the
+                        // allocated id.
+                        mcfs_obs::record_manual(
+                            ctx.trace,
+                            "server.request",
+                            propagated_parent,
+                            Some(ctx.root),
+                            parse_start_ns,
+                            end_ns,
+                        );
+                    }
+                    written.and_then(|()| w.flush())
                 };
-                if let (Some(ctx), Some(start_ns)) = (ctx, reply_start_ns) {
-                    let end_ns = mcfs_obs::now_ns();
-                    mcfs_obs::record_manual(
-                        ctx.trace,
-                        "server.reply",
-                        ctx.root,
-                        None,
-                        start_ns,
-                        end_ns,
-                    );
-                    // The root is recorded last, once its extent is known;
-                    // children already reference it via the allocated id.
-                    mcfs_obs::record_manual(
-                        ctx.trace,
-                        "server.request",
-                        propagated_parent,
-                        Some(ctx.root),
-                        parse_start_ns,
-                        end_ns,
-                    );
-                }
                 if wrote.is_err() {
                     break;
                 }

@@ -36,7 +36,10 @@ pub(crate) struct TraceCtx {
 /// One admitted request, in flight from a connection thread to a worker.
 pub(crate) struct Job {
     pub request: Request,
-    pub reply_tx: Sender<Reply>,
+    /// The reply, with `mcfs_obs::now_ns()` taken when the worker finished
+    /// it (0 when untraced): the start of the connection thread's
+    /// `server.handoff` span.
+    pub reply_tx: Sender<(Reply, u64)>,
     /// The owning session's outstanding-request counter; decremented when
     /// the job leaves the system (completed, timed out, or shed).
     pub depth: Arc<AtomicUsize>,
@@ -119,6 +122,9 @@ fn process(sessions: &mut HashMap<String, Session>, job: Job, core: &ServerCore)
             reply
         }
     };
+    // `server.execute` has closed: the rest of the way to the connection
+    // thread's `server.reply` is the hand-off, named on that thread.
+    let handoff_ns = job.trace.map_or(0, |_| mcfs_obs::now_ns());
 
     let outcome = match &reply {
         Reply::Ok { .. } => Outcome::Ok,
@@ -143,7 +149,7 @@ fn process(sessions: &mut HashMap<String, Session>, job: Job, core: &ServerCore)
         mcfs_obs::flight::forget(job.scope);
     }
     // A vanished client (dropped connection) is not an error for the server.
-    let _ = job.reply_tx.send(reply);
+    let _ = job.reply_tx.send((reply, handoff_ns));
 }
 
 fn err(code: ErrorCode, message: impl Into<String>) -> Reply {

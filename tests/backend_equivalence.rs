@@ -18,13 +18,22 @@
 //!    (same node count, one edge weight edited — the nastiest case for the
 //!    arena's and the row cache's keying, because row *lengths* still
 //!    match) serves distances from the edited graph.
+//! 4. **Facility-row streams** — on symmetric graphs, a customer's stream
+//!    read from the facility nodes' rows equals its lazy `NetworkStream`
+//!    entry for entry: distance ties, co-located candidates and
+//!    unreachable parts included.
 //!
-//! Whole-solve byte identity (lazy streams vs. arena rows) lives in
-//! `tests/determinism_threads.rs`.
+//! Whole-solve byte identity (facility rows vs. lazy streams vs. customer
+//! rows) lives in `tests/determinism_threads.rs`.
+
+use std::rc::Rc;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use mcfs_repro::core::streams::{CustomerStream, NetworkStream, OracleStream};
+use mcfs_repro::core::{Facility, McfsInstance};
+use mcfs_repro::flow::EdgeStream;
 use mcfs_repro::graph::{dijkstra_all, fill_row, DistanceOracle, Graph, GraphBuilder, NodeId, INF};
 
 fn build_graph(n: usize, edges: &[(u32, u32, u64)]) -> Graph {
@@ -113,6 +122,63 @@ proptest! {
                 source
             );
         }
+    }
+}
+
+/// Every entry of a stream, in order.
+fn drain(mut s: impl EdgeStream) -> Vec<(u32, u64)> {
+    std::iter::from_fn(|| s.next_edge()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random symmetric graphs with weights 1..=3 (many distance ties),
+    /// one to three candidates per site node (co-located candidates) and
+    /// likely disconnected parts: each customer's stream from the facility
+    /// rows equals its `NetworkStream`, and the solvers' stream builder
+    /// takes that path whenever the sites are no more than the customers.
+    #[test]
+    fn facility_row_streams_replay_network_streams(
+        n in 1usize..30,
+        edges in vec((0u32..30, 0u32..30, 1u64..=3), 0..60),
+        sites in vec((0u32..30, 1usize..=3), 1..8),
+        customers in vec(0u32..30, 1..12),
+    ) {
+        let g = build_graph(n, &edges);
+        prop_assert!(g.is_symmetric());
+        let customers: Vec<NodeId> = customers.iter().map(|&c| c % n as u32).collect();
+        let facilities = sites.iter().flat_map(|&(v, count)| {
+            std::iter::repeat_n(Facility { node: v % n as u32, capacity: 1 }, count)
+        });
+        let inst = McfsInstance::builder(&g)
+            .customers(customers.iter().copied())
+            .facilities(facilities)
+            .k(1)
+            .build()
+            .unwrap();
+        let fm = Rc::new(inst.facilities_by_node());
+        let mut nodes: Vec<NodeId> = fm.keys().copied().collect();
+        nodes.sort_unstable();
+        let rows: Vec<_> = nodes.iter().map(|&v| std::sync::Arc::new(dijkstra_all(&g, v))).collect();
+        let lazy: Vec<_> = customers
+            .iter()
+            .map(|&c| drain(NetworkStream::new(&g, c, Rc::clone(&fm))))
+            .collect();
+        for (i, &c) in customers.iter().enumerate() {
+            let replay = drain(OracleStream::from_facility_rows(c, &nodes, &rows, &fm));
+            prop_assert_eq!(&replay, &lazy[i], "customer {} at node {}", i, c);
+        }
+        // The builder, told the instance has at least as many customers as
+        // site nodes, fills exactly one row per site node.
+        let oracle = DistanceOracle::new();
+        let m = customers.len().max(nodes.len());
+        let built: Vec<_> = CustomerStream::for_customers(&g, &customers, m, Rc::clone(&fm), Some(&oracle))
+            .into_iter()
+            .map(drain)
+            .collect();
+        prop_assert_eq!(&built, &lazy);
+        prop_assert_eq!(oracle.stats().misses, nodes.len() as u64);
     }
 }
 

@@ -1,10 +1,20 @@
-//! The thread knob is a pure performance knob: for every solver in the
-//! workspace, `threads(1)` (the legacy lazy-Dijkstra streams), `threads(2)`
-//! and `threads(8)` (the batched oracle path, whose rows the arena search
-//! fills) must produce *byte-identical* solutions — same facilities, same
-//! assignment, same objective, down to the serialized form. This is the
-//! whole-solve half of the distance-engine contract; the row half lives in
-//! `tests/backend_equivalence.rs`.
+//! Neither the thread knob nor the distance strategy changes a solution:
+//! for every solver in the workspace, `threads(1)`, `threads(2)` and
+//! `threads(8)` must produce *byte-identical* solutions — same facilities,
+//! same assignment, same objective, down to the serialized form. This is
+//! the whole-solve half of the distance-engine contract; the row and
+//! stream half lives in `tests/backend_equivalence.rs`.
+//!
+//! Which rows a run reads follows from the instance. The inputs cover each
+//! strategy: facility rows (symmetric graph, no more distinct candidate
+//! nodes than customers — the `few-sites` input), and lazy streams or
+//! customer rows (every other input, and the final assignment's facility
+//! rows there). Every input is also solved on its *one-way twin*: the same
+//! graph plus one one-way arc, heavier than all edges together, between
+//! two adjacent nodes. No shortest path can use that arc, so every
+//! distance is unchanged, but the twin is not symmetric and therefore takes
+//! the customer-rooted paths throughout. Its solutions must be the same
+//! bytes, with no test-only hook choosing the strategy.
 
 use std::sync::Arc;
 
@@ -13,7 +23,7 @@ use mcfs_repro::core::refine::LocalSearch;
 use mcfs_repro::core::{Facility, McfsInstance, Solution, Solver, UniformFirst, Wma, WmaNaive};
 use mcfs_repro::gen::customers::uniform_customers;
 use mcfs_repro::gen::synthetic::{generate_synthetic, SyntheticConfig};
-use mcfs_repro::graph::{DistanceOracle, Graph};
+use mcfs_repro::graph::{connected_components, DistanceOracle, Graph, GraphBuilder, NodeId};
 use mcfs_repro::io::write_solution;
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -47,13 +57,73 @@ fn fig6_instance(g: &Graph) -> McfsInstance<'_> {
         .unwrap()
 }
 
-/// Run `check` on every input of the six-solver check: the mid-size
-/// workload and the 400-node Figure-6 instance.
-fn for_each_workload(check: impl Fn(&str, &McfsInstance)) {
+/// The ℓ ≤ m input: 40 customers against 8 candidates on 7 distinct nodes
+/// (two share a node) inside the network's largest component, so every
+/// thread count reads facility rows.
+fn few_sites_instance(g: &Graph) -> McfsInstance<'_> {
+    let cc = connected_components(g);
+    let largest = (0..cc.count).max_by_key(|&c| cc.sizes[c]).unwrap() as u32;
+    let nodes: Vec<NodeId> = g.nodes().filter(|&v| cc.of(v) == largest).collect();
+    assert!(
+        nodes.len() >= 60,
+        "largest component has {} nodes",
+        nodes.len()
+    );
+    let customers = (0..40).map(|i| nodes[(i * 7 + 3) % nodes.len()]);
+    let mut sites: Vec<NodeId> = (0..7).map(|j| nodes[(j * 11 + 1) % nodes.len()]).collect();
+    sites.push(sites[2]);
+    McfsInstance::builder(g)
+        .customers(customers)
+        .facilities(
+            sites
+                .into_iter()
+                .map(|node| Facility { node, capacity: 10 }),
+        )
+        .k(5)
+        .build()
+        .unwrap()
+}
+
+/// Check `solve` on every input of the six-solver check: the mid-size
+/// workload, the 400-node Figure-6 instance and the few-sites instance.
+fn for_each_workload(solver: &str, solve: impl Fn(&McfsInstance, usize) -> Solution) {
     let g = generate_synthetic(&SyntheticConfig::uniform(150, 2.0, 7));
-    check("mid-size", &mid_size_instance(&g));
+    assert_thread_invariant(
+        &format!("{solver}/mid-size"),
+        &mid_size_instance(&g),
+        &solve,
+    );
+    assert_thread_invariant(
+        &format!("{solver}/few-sites"),
+        &few_sites_instance(&g),
+        &solve,
+    );
     let g = generate_synthetic(&SyntheticConfig::uniform(400, 2.0, 11));
-    check("fig6", &fig6_instance(&g));
+    assert_thread_invariant(&format!("{solver}/fig6"), &fig6_instance(&g), &solve);
+}
+
+/// `g` plus one one-way arc between two adjacent nodes, heavier than all
+/// of `g`'s arcs together. A shortest path never uses it, so distances are
+/// unchanged; the twin is simply not symmetric.
+fn one_way_twin(g: &Graph) -> Graph {
+    let mut b = match g.coords() {
+        Some(coords) => GraphBuilder::with_coords(coords.to_vec()),
+        None => GraphBuilder::new(g.num_nodes()),
+    };
+    for u in g.nodes() {
+        for (v, w) in g.neighbors(u) {
+            b.add_arc(u, v, w);
+        }
+    }
+    let heavy = g.csr().2.iter().sum::<u64>() + 1;
+    let (u, (v, _)) = g
+        .nodes()
+        .find_map(|u| g.neighbors(u).next().map(|arc| (u, arc)))
+        .expect("the graph has an edge");
+    b.add_arc(u, v, heavy);
+    let twin = b.build();
+    assert!(g.is_symmetric() && !twin.is_symmetric());
+    twin
 }
 
 /// Serialize a solution so equality means *byte* equality, not just
@@ -64,77 +134,81 @@ fn bytes(sol: &Solution) -> Vec<u8> {
     buf
 }
 
-fn assert_thread_invariant(name: &str, inst: &McfsInstance, solve: impl Fn(usize) -> Solution) {
-    let reference = solve(THREADS[0]);
+/// Solve `inst` at every thread count, and its one-way twin at every
+/// thread count: all must serialize to the `threads(1)` solution's bytes.
+fn assert_thread_invariant(
+    name: &str,
+    inst: &McfsInstance,
+    solve: impl Fn(&McfsInstance, usize) -> Solution,
+) {
+    let twin_graph = one_way_twin(inst.graph());
+    let twin = McfsInstance::builder(&twin_graph)
+        .customers(inst.customers().iter().copied())
+        .facilities(inst.facilities().iter().copied())
+        .k(inst.k())
+        .build()
+        .unwrap();
+    let reference = solve(inst, THREADS[0]);
     inst.verify(&reference)
         .unwrap_or_else(|e| panic!("{name}: threads(1) solution invalid: {e:?}"));
     let reference_bytes = bytes(&reference);
-    for &t in &THREADS[1..] {
-        let sol = solve(t);
-        assert_eq!(reference, sol, "{name}: threads({t}) changed the solution");
-        assert_eq!(
-            reference_bytes,
-            bytes(&sol),
-            "{name}: threads({t}) changed the serialized solution"
-        );
+    for (graph, instance) in [("", inst), (" on the one-way twin", &twin)] {
+        for &t in &THREADS {
+            let sol = solve(instance, t);
+            assert_eq!(
+                reference, sol,
+                "{name}: threads({t}){graph} changed the solution"
+            );
+            assert_eq!(
+                reference_bytes,
+                bytes(&sol),
+                "{name}: threads({t}){graph} changed the serialized solution"
+            );
+        }
     }
 }
 
 #[test]
 fn wma_is_thread_invariant() {
-    for_each_workload(|input, inst| {
-        assert_thread_invariant(&format!("Wma/{input}"), inst, |t| {
-            Wma::new().threads(t).solve(inst).unwrap()
-        });
-    });
+    for_each_workload("Wma", |inst, t| Wma::new().threads(t).solve(inst).unwrap());
 }
 
 #[test]
 fn wma_naive_is_thread_invariant() {
-    for_each_workload(|input, inst| {
-        assert_thread_invariant(&format!("WmaNaive/{input}"), inst, |t| {
-            WmaNaive::new().threads(t).solve(inst).unwrap()
-        });
+    for_each_workload("WmaNaive", |inst, t| {
+        WmaNaive::new().threads(t).solve(inst).unwrap()
     });
 }
 
 #[test]
 fn uniform_first_is_thread_invariant() {
-    for_each_workload(|input, inst| {
-        assert_thread_invariant(&format!("UniformFirst/{input}"), inst, |t| {
-            UniformFirst::new().threads(t).solve(inst).unwrap()
-        });
+    for_each_workload("UniformFirst", |inst, t| {
+        UniformFirst::new().threads(t).solve(inst).unwrap()
     });
 }
 
 #[test]
 fn brnn_is_thread_invariant() {
-    for_each_workload(|input, inst| {
-        assert_thread_invariant(&format!("Brnn/{input}"), inst, |t| {
-            BrnnBaseline::new().threads(t).solve(inst).unwrap()
-        });
+    for_each_workload("Brnn", |inst, t| {
+        BrnnBaseline::new().threads(t).solve(inst).unwrap()
     });
 }
 
 #[test]
 fn greedy_addition_is_thread_invariant() {
-    for_each_workload(|input, inst| {
-        assert_thread_invariant(&format!("Greedy/{input}"), inst, |t| {
-            GreedyAddition::new().threads(t).solve(inst).unwrap()
-        });
+    for_each_workload("Greedy", |inst, t| {
+        GreedyAddition::new().threads(t).solve(inst).unwrap()
     });
 }
 
 #[test]
 fn local_search_refinement_is_thread_invariant() {
-    for_each_workload(|input, inst| {
+    for_each_workload("LocalSearch", |inst, t| {
         let base = Wma::new().threads(1).solve(inst).unwrap();
-        assert_thread_invariant(&format!("LocalSearch/{input}"), inst, |t| {
-            LocalSearch::default()
-                .threads(t)
-                .refine(inst, &base)
-                .unwrap()
-        });
+        LocalSearch::default()
+            .threads(t)
+            .refine(inst, &base)
+            .unwrap()
     });
 }
 
@@ -180,10 +254,10 @@ fn thread_invariance_holds_on_a_sparse_disconnected_workload() {
         .k(8)
         .build()
         .unwrap();
-    assert_thread_invariant("Wma/sparse", &inst, |t| {
-        Wma::new().threads(t).solve(&inst).unwrap()
+    assert_thread_invariant("Wma/sparse", &inst, |inst, t| {
+        Wma::new().threads(t).solve(inst).unwrap()
     });
-    assert_thread_invariant("Brnn/sparse", &inst, |t| {
-        BrnnBaseline::new().threads(t).solve(&inst).unwrap()
+    assert_thread_invariant("Brnn/sparse", &inst, |inst, t| {
+        BrnnBaseline::new().threads(t).solve(inst).unwrap()
     });
 }

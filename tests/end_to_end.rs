@@ -186,3 +186,52 @@ fn instrumentation_trace_is_coherent() {
         assert!(w[1].edges_in_gb >= w[0].edges_in_gb);
     }
 }
+
+/// One-way arcs: every solver measures customer → facility, and so must
+/// verification and the feasibility check. Two pinned directed instances
+/// solve, verify, and round-trip through a checkpoint (which verifies on
+/// load).
+#[test]
+fn one_way_arcs_solve_verify_and_round_trip() {
+    use mcfs_repro::core::Wma;
+    use mcfs_repro::io::{read_checkpoint, write_checkpoint};
+
+    // The only way to the facility at 3 is the one-way arc 0 → 3, so
+    // facility → customer distances are all unreachable.
+    let mut b = GraphBuilder::new(4);
+    b.add_edge(0, 1, 100);
+    b.add_edge(1, 2, 50);
+    b.add_arc(0, 3, 25);
+    let outbound = b.build();
+    // Node 3 reaches the facility at 0 only along the one-way arc 3 → 0,
+    // and 3 is numbered after the path 0-1-2.
+    let mut b = GraphBuilder::new(4);
+    b.add_edge(0, 1, 100);
+    b.add_edge(1, 2, 50);
+    b.add_arc(3, 0, 25);
+    let inbound = b.build();
+
+    for (g, customers, site, objective) in [
+        (&outbound, [2, 1], 3, 175 + 125),
+        (&inbound, [3, 2], 0, 25 + 150),
+    ] {
+        assert!(!g.is_symmetric());
+        let inst = McfsInstance::builder(g)
+            .customers(customers)
+            .facility(site, 2)
+            .k(1)
+            .build()
+            .unwrap();
+        inst.check_feasibility().unwrap();
+        for threads in [1, 2] {
+            let sol = Wma::new().threads(threads).solve(&inst).unwrap();
+            assert_eq!(sol.objective, objective, "threads {threads}");
+            inst.verify(&sol).unwrap();
+            let mut buf = Vec::new();
+            write_checkpoint(&mut buf, &inst, &sol).unwrap();
+            let (owned, back) = read_checkpoint(buf.as_slice()).unwrap();
+            assert_eq!(back, sol);
+            assert!(!owned.graph.is_symmetric());
+        }
+    }
+}

@@ -301,3 +301,71 @@ fn small_delta_warm_solve_beats_cold_on_bikes_workload() {
         cold.solve_stats.augmentations
     );
 }
+
+/// On an instance with fewer candidate nodes than customers (a symmetric
+/// grid, 30 customers, 6 sites) every row a session reads is a facility
+/// row. A customer arriving at a fresh node fills none — the selection and
+/// the warm arrival both read the cached site rows — and a candidate opening
+/// at a fresh node fills exactly its own.
+#[test]
+fn facility_rows_make_customer_edits_free_and_new_sites_cost_one_row() {
+    let side = 12u32;
+    let mut b = GraphBuilder::new((side * side) as usize);
+    for r in 0..side {
+        for c in 0..side {
+            let v = r * side + c;
+            if c + 1 < side {
+                b.add_edge(v, v + 1, 3 + u64::from((r * 7 + c) % 5));
+            }
+            if r + 1 < side {
+                b.add_edge(v, v + side, 2 + u64::from((r + c * 3) % 7));
+            }
+        }
+    }
+    let g = b.build();
+    let customers: Vec<NodeId> = (0..30).map(|i| (i * 37 + 5) % (side * side)).collect();
+    let sites: Vec<NodeId> = vec![13, 22, 58, 85, 121, 130];
+    let inst = McfsInstance::builder(&g)
+        .customers(customers.iter().copied())
+        .facilities(sites.iter().map(|&node| Facility { node, capacity: 8 }))
+        .k(4)
+        .build()
+        .unwrap();
+    let fresh = |taken: &[NodeId]| g.nodes().find(|v| !taken.contains(v)).unwrap();
+    for threads in [1, 2] {
+        let mut rs = ReSolver::new(&inst, Wma::new().threads(threads));
+        let first = rs.solve().unwrap();
+        assert_eq!(first.solve_stats.cache_misses, sites.len() as u64);
+
+        let taken: Vec<NodeId> = customers.iter().chain(&sites).copied().collect();
+        rs.apply(&[Edit::AddCustomer {
+            node: fresh(&taken),
+        }])
+        .unwrap();
+        let run = rs.solve().unwrap();
+        assert_eq!(run.solve_stats.cache_misses, 0, "threads {threads}");
+        assert_eq!(run.solve_stats.oracle_nodes_settled, 0, "threads {threads}");
+        let edited = rs.instance();
+        edited.verify(&run.solution).unwrap();
+        assert_eq!(
+            run.solution.objective,
+            Wma::new().threads(1).solve(&edited).unwrap().objective
+        );
+
+        let mut taken = taken;
+        taken.extend_from_slice(rs.customers());
+        rs.apply(&[Edit::AddFacility {
+            node: fresh(&taken),
+            capacity: 8,
+        }])
+        .unwrap();
+        let run = rs.solve().unwrap();
+        assert_eq!(run.solve_stats.cache_misses, 1, "threads {threads}");
+        let edited = rs.instance();
+        edited.verify(&run.solution).unwrap();
+        assert_eq!(
+            run.solution.objective,
+            Wma::new().threads(1).solve(&edited).unwrap().objective
+        );
+    }
+}
