@@ -24,7 +24,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mcfs::assign::optimal_assignment_with;
+use mcfs::assign::{optimal_assignment, optimal_assignment_with};
 use mcfs::components::{capacity_suffices, cover_components};
 use mcfs::greedy_add::select_greedy;
 use mcfs::parallel::resolve_oracle;
@@ -223,7 +223,10 @@ impl BrnnBaseline {
         stats.add_phase("provisions", t_prov.elapsed());
 
         let t_assign = Instant::now();
-        let (assignment, objective) = optimal_assignment_with(inst, &selection, oracle.as_deref())?;
+        let (assignment, objective) = match oracle.as_deref() {
+            Some(o) => optimal_assignment_with(inst, &selection, o)?,
+            None => optimal_assignment(inst, &selection)?,
+        };
         stats.add_phase("assignment", t_assign.elapsed());
 
         if let Some(run) = &oracle_run {

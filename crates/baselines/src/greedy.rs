@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use mcfs::assign::optimal_assignment_with;
+use mcfs::assign::{optimal_assignment, optimal_assignment_with};
 use mcfs::components::{capacity_suffices, cover_components};
 use mcfs::parallel::resolve_oracle;
 use mcfs::{McfsInstance, Solution, SolveError, Solver};
@@ -190,7 +190,10 @@ impl Solver for GreedyAddition {
         if !capacity_suffices(inst, &selection, &feas.components) {
             selection = cover_components(inst, selection, &feas.components)?;
         }
-        let (assignment, objective) = optimal_assignment_with(inst, &selection, oracle.as_deref())?;
+        let (assignment, objective) = match oracle.as_deref() {
+            Some(o) => optimal_assignment_with(inst, &selection, o)?,
+            None => optimal_assignment(inst, &selection)?,
+        };
         Ok(Solution {
             facilities: selection,
             assignment,

@@ -118,9 +118,11 @@ fn io_and_refine(c: &mut Criterion) {
 
 /// The parallel distance substrate on the Fig. 6 synthetic workload
 /// (400-node uniform network, 40 customers, facilities everywhere):
-/// 1-thread vs. N-thread batched oracle row queries, and end-to-end WMA on
-/// the legacy lazy path vs. the oracle path. Solutions are asserted
-/// identical across substrates — the thread knob may only move wall time.
+/// 1-thread vs. N-thread batched oracle row queries, end-to-end WMA at 1
+/// and 4 threads (ℓ > m, so both stream lazily and only the final
+/// assignment's site rows use the workers), and BRNN on its per-query
+/// searches vs. its customer rows. Solutions are asserted identical across
+/// thread counts — the thread knob may only move wall time.
 fn oracle_substrate(c: &mut Criterion) {
     let g = generate_synthetic(&SyntheticConfig::uniform(400, 2.0, 11));
     let customers = uniform_customers(&g, 40, 3);

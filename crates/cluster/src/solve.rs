@@ -30,10 +30,9 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mcfs::streams::facility_rows_apply;
 use mcfs::{
-    optimal_assignment_with, resolve_oracle, Edit, McfsInstance, ReSolver, RowSet, Solution,
-    SolveError, SolveStats, Wma,
+    optimal_assignment_with, run_oracle, Edit, McfsInstance, ReSolver, Solution, SolveError,
+    SolveStats, Wma,
 };
 use mcfs_graph::{DistanceOracle, OracleRunGuard};
 
@@ -347,15 +346,15 @@ fn shard_phase(
 /// gap bound, and assemble the [`ClusterOutcome`]. `stats` carries the
 /// phases the caller already timed (partition, shard solving, refinement);
 /// the reconcile and bound phases are appended here, with their row-cache
-/// activity. Reconcile and bound share one [`RowSet`] over `oracle`, so
-/// when facility rows apply the bound re-reads the merged selection's rows.
+/// activity. Reconcile and bound read one `oracle`, so when facility rows
+/// apply the bound re-reads the merged selection's rows.
 #[allow(clippy::too_many_arguments)]
 pub fn finish(
     inst: &McfsInstance,
     part: &Partition,
     runs: &[Option<ShardRun>],
     budgets: &[usize],
-    oracle: Option<&DistanceOracle>,
+    oracle: &DistanceOracle,
     mut stats: SolveStats,
     budget_moves: usize,
     recovered_shards: usize,
@@ -391,9 +390,7 @@ pub fn finish(
         mcfs_obs::PhaseState::Start,
     );
     let guard = OracleRunGuard::begin();
-    let rows = RowSet::new(oracle);
-    let (assignment, objective) =
-        optimal_assignment_with(inst, &merged, rows.for_selection(inst, &merged))?;
+    let (assignment, objective) = optimal_assignment_with(inst, &merged, oracle)?;
 
     // Count boundary customers whose facility changed vs. their shard
     // solve.
@@ -447,7 +444,7 @@ pub fn finish(
     let t_bound = Instant::now();
     let bound_span = mcfs_obs::span("cluster.bound");
     let all: Vec<u32> = (0..inst.num_facilities() as u32).collect();
-    let (_, lower_bound) = optimal_assignment_with(inst, &all, rows.for_selection(inst, &all))?;
+    let (_, lower_bound) = optimal_assignment_with(inst, &all, oracle)?;
     drop(bound_span);
     stats.add_phase("bound", t_bound.elapsed());
     stats.record_oracle_run(&guard.stats());
@@ -538,7 +535,7 @@ impl ClusterSolver {
         let mut stats = SolveStats::default();
         stats.add_phase("partition", t_partition.elapsed());
 
-        let oracle = resolve_oracle(self.solver.threads, self.solver.oracle.as_ref());
+        let oracle = run_oracle(self.solver.threads, self.solver.oracle.as_ref());
         if part.shards.is_empty() {
             return self.solve_single(inst, part, stats, oracle);
         }
@@ -612,41 +609,23 @@ impl ClusterSolver {
         drop(refine_span);
         stats.add_phase("refine", t_refine.elapsed());
 
-        stats.threads = oracle.as_ref().map_or(1, |o| o.threads());
-        finish(
-            inst,
-            &part,
-            &runs,
-            &budgets,
-            oracle.as_deref(),
-            stats,
-            moves,
-            0,
-        )
+        stats.threads = oracle.threads();
+        finish(inst, &part, &runs, &budgets, &oracle, stats, moves, 0)
     }
 
     /// The unsharded fallback: one cold solve plus the gap certificate, so
-    /// the outcome shape (and the certified bound) stays uniform.
-    ///
-    /// The solve and the bound read one row set. Without a configured
-    /// oracle, facility rows over every candidate get a run-scoped one:
-    /// every set the solve matches is a subset of the candidates, so it
-    /// reads facility rows too and that oracle never holds a customer row.
+    /// the outcome shape (and the certified bound) stays uniform. The solve
+    /// and the bound read the run's one oracle.
     fn solve_single(
         &self,
         inst: &McfsInstance,
         part: Partition,
         mut stats: SolveStats,
-        oracle: Option<Arc<DistanceOracle>>,
+        oracle: Arc<DistanceOracle>,
     ) -> Result<ClusterOutcome, SolveError> {
-        let oracle = oracle.or_else(|| {
-            let nodes = inst.facilities_by_node().len();
-            facility_rows_apply(inst.graph(), inst.num_customers(), nodes)
-                .then(|| Arc::new(DistanceOracle::new().with_threads(1)))
-        });
         let t_solve = Instant::now();
         let solver = Wma {
-            oracle: oracle.clone(),
+            oracle: Some(Arc::clone(&oracle)),
             ..self.solver.clone()
         };
         let run = solver.run(inst)?;
@@ -660,7 +639,7 @@ impl ClusterSolver {
         let t_bound = Instant::now();
         let guard = OracleRunGuard::begin();
         let all: Vec<u32> = (0..inst.num_facilities() as u32).collect();
-        let (_, lower_bound) = optimal_assignment_with(inst, &all, oracle.as_deref())?;
+        let (_, lower_bound) = optimal_assignment_with(inst, &all, &oracle)?;
         stats.record_oracle_run(&guard.stats());
         stats.add_phase("bound", t_bound.elapsed());
         stats.shards = 1;

@@ -3,8 +3,9 @@
 //! Algorithm 1's closing step (lines 14–15) recursively re-runs WMA with
 //! `F_p := F`, which collapses to a single optimal bipartite matching of all
 //! customers onto the selected facilities — computed here directly with the
-//! incremental matcher ([`optimal_assignment`]). The greedy variant
-//! ([`greedy_assignment`]) is what WMA-Naïve uses instead (Section VII-A).
+//! incremental matcher ([`optimal_assignment`]). WMA-Naïve keeps its
+//! greedy exploration matches instead and places leftover customers itself
+//! (Section VII-A, `crate::naive`).
 
 use std::rc::Rc;
 
@@ -13,7 +14,7 @@ use mcfs_graph::{DistanceOracle, NodeId};
 use rustc_hash::FxHashMap;
 
 use crate::instance::McfsInstance;
-use crate::streams::{CustomerStream, FacilityMap, NetworkStream};
+use crate::streams::{CustomerStream, FacilityMap};
 use crate::SolveError;
 
 /// Map node → positions-within-`selection` for the selected facilities.
@@ -36,25 +37,26 @@ pub(crate) fn selection_map(
 /// `selection`. Fails with [`SolveError::AssignmentFailed`] when the
 /// selection cannot host all customers (insufficient or unreachable
 /// capacity) — callers fix the selection via `CoverComponents` first.
+///
+/// Any facility rows it reads go to a throwaway oracle; callers that assign
+/// repeatedly use [`optimal_assignment_with`] with their run's oracle.
 pub fn optimal_assignment(
     inst: &McfsInstance,
     selection: &[u32],
 ) -> Result<(Vec<u32>, u64), SolveError> {
-    optimal_assignment_with(inst, selection, None)
+    optimal_assignment_with(inst, selection, &DistanceOracle::new().with_threads(1))
 }
 
-/// [`optimal_assignment`] over an explicit distance substrate. When
-/// facility rows apply ([`crate::streams::facility_rows_apply`]) they are
-/// read from `oracle`'s cache, or from a throwaway oracle under `None`;
-/// otherwise `Some` oracle serves customer rows and `None` runs lazy
-/// per-customer searches. All produce identical results. Callers that
-/// assign repeatedly (the refine pass, cluster reconcile and bound) pass
-/// their run's [`crate::RowSet`] answer, so facility rows are filled once
-/// per run rather than once per call.
+/// [`optimal_assignment`] reading facility rows from (and caching them in)
+/// `oracle` when they apply ([`crate::streams::facility_rows_apply`]),
+/// running lazy per-customer searches otherwise; both give identical
+/// results. Callers that assign repeatedly (the refine pass, cluster
+/// reconcile and bound) pass their run's oracle, so facility rows are
+/// filled once per run rather than once per call.
 pub fn optimal_assignment_with(
     inst: &McfsInstance,
     selection: &[u32],
-    oracle: Option<&DistanceOracle>,
+    oracle: &DistanceOracle,
 ) -> Result<(Vec<u32>, u64), SolveError> {
     let (mut matcher, _) = assignment_matcher(inst, selection, oracle);
     complete_assignment(&mut matcher, inst.num_customers())
@@ -67,7 +69,7 @@ pub fn optimal_assignment_with(
 pub(crate) fn assignment_matcher<'g>(
     inst: &McfsInstance<'g>,
     selection: &[u32],
-    oracle: Option<&DistanceOracle>,
+    oracle: &DistanceOracle,
 ) -> (Matcher<CustomerStream<'g>>, FacilityMap) {
     let caps: Vec<u32> = selection
         .iter()
@@ -101,46 +103,6 @@ pub(crate) fn complete_assignment<S: EdgeStream>(
     Ok((assignment, matcher.total_cost()))
 }
 
-/// Greedy assignment: customers processed in the given order, each taking
-/// its nearest selected facility with spare capacity. No rewiring — this is
-/// the WMA-Naïve final step, typically 2× worse than the optimum (Fig. 6).
-///
-/// Succeeds whenever each component's selected capacity suffices for its
-/// customers: a customer can always find *some* spare facility in its
-/// component, just not necessarily a globally good one.
-pub fn greedy_assignment(
-    inst: &McfsInstance,
-    selection: &[u32],
-    order: &[usize],
-) -> Result<(Vec<u32>, u64), SolveError> {
-    debug_assert_eq!(order.len(), inst.num_customers());
-    let caps: Vec<u32> = selection
-        .iter()
-        .map(|&j| inst.facilities()[j as usize].capacity)
-        .collect();
-    let map = selection_map(inst, selection);
-    let mut loads = vec![0u32; selection.len()];
-    let mut assignment = vec![u32::MAX; inst.num_customers()];
-    let mut objective = 0u64;
-    for &i in order {
-        let mut stream = NetworkStream::new(inst.graph(), inst.customers()[i], Rc::clone(&map));
-        let mut placed = false;
-        while let Some((pos, dist)) = stream.next_edge() {
-            if loads[pos as usize] < caps[pos as usize] {
-                loads[pos as usize] += 1;
-                assignment[i] = pos;
-                objective += dist;
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            return Err(SolveError::AssignmentFailed { customer: i });
-        }
-    }
-    Ok((assignment, objective))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,11 +132,7 @@ mod tests {
         let (_, opt) = optimal_assignment(&inst, &[0, 1]).unwrap();
         // Optimal: 0→fac@1 (100), 1→fac@4 (300) = 400.
         assert_eq!(opt, 400);
-        // Greedy processing customer 1 first: 1→fac@1 (0), 0→fac@4 (400).
-        let (_, greedy) = greedy_assignment(&inst, &[0, 1], &[1, 0]).unwrap();
-        assert_eq!(greedy, 400);
-        // ... order [0, 1]: 0→fac@1 (100), 1→fac@4 (300) — also 400 here.
-        // A sharper case: customers at 1 and 2.
+        // Customers at 2 and 1 onto sites at 1 and 0.
         let inst = McfsInstance::builder(&g)
             .customers([2, 1])
             .facility(1, 1)
@@ -184,11 +142,6 @@ mod tests {
             .unwrap();
         let (_, opt) = optimal_assignment(&inst, &[0, 1]).unwrap();
         assert_eq!(opt, 100 + 100); // 2→@1, 1→@0
-        let (_, greedy) = greedy_assignment(&inst, &[0, 1], &[0, 1]).unwrap();
-        assert_eq!(greedy, 100 + 100); // customer 2 grabs @1 first; 1→@0: equal here
-        let (_, greedy_bad) = greedy_assignment(&inst, &[0, 1], &[1, 0]).unwrap();
-        // customer 1 grabs @1 (0); customer 2 must walk to @0 (200). Worse.
-        assert_eq!(greedy_bad, 200);
     }
 
     #[test]
@@ -204,10 +157,6 @@ mod tests {
         // Selection of only facility 0 (cap 1) can't host both.
         assert!(matches!(
             optimal_assignment(&inst, &[0]),
-            Err(SolveError::AssignmentFailed { .. })
-        ));
-        assert!(matches!(
-            greedy_assignment(&inst, &[0], &[0, 1]),
             Err(SolveError::AssignmentFailed { .. })
         ));
     }

@@ -62,7 +62,7 @@ pub use instance::{
     Facility, FeasibilityReport, Infeasibility, InstanceError, McfsInstance, Solution, VerifyError,
 };
 pub use naive::WmaNaive;
-pub use parallel::{effective_threads, resolve_oracle, RowSet};
+pub use parallel::{effective_threads, resolve_oracle, run_oracle};
 pub use resolve::{Edit, EditError, ReSolveRun, ReSolver};
 pub use stats::SolveStats;
 pub use uniform_first::UniformFirst;

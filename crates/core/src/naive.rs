@@ -25,7 +25,7 @@ use crate::components::{capacity_suffices, cover_components};
 use crate::cover::check_cover;
 use crate::greedy_add::select_greedy;
 use crate::instance::{McfsInstance, Solution};
-use crate::parallel::resolve_oracle;
+use crate::parallel::run_oracle;
 use crate::streams::CustomerStream;
 use crate::{SolveError, Solver};
 
@@ -37,8 +37,8 @@ pub struct WmaNaive {
     pub seed: u64,
     /// Hard cap on main-loop iterations (`None` = the natural `m · ℓ`).
     pub max_iterations: Option<usize>,
-    /// Row-fill worker threads (`0` = auto, `1` = no oracle); which rows
-    /// are filled follows from the instance, see [`crate::parallel`].
+    /// Row-fill worker threads (`0` = auto); which rows are filled follows
+    /// from the instance, not from this count, see [`crate::parallel`].
     pub threads: usize,
     /// Explicitly shared distance oracle.
     pub oracle: Option<Arc<DistanceOracle>>,
@@ -88,11 +88,10 @@ impl WmaNaive {
         }
     }
 
-    /// Set the row-fill worker count (`0` = auto, `1` = sequential, no
-    /// customer rows). At `1` the selection streams read facility rows
-    /// from a throwaway oracle when they apply
-    /// ([`crate::streams::facility_rows_apply`]) and run lazy searches
-    /// otherwise.
+    /// Set the row-fill worker count (`0` = auto, `1` = sequential). At
+    /// every count the selection streams read facility rows when they
+    /// apply ([`crate::streams::facility_rows_apply`]) and run lazy
+    /// searches otherwise.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
         self
@@ -115,22 +114,17 @@ impl Solver for WmaNaive {
         let caps = inst.capacities();
         let mut rng = StdRng::seed_from_u64(self.seed);
 
-        let oracle = resolve_oracle(self.threads, self.oracle.as_ref());
+        let oracle = run_oracle(self.threads, self.oracle.as_ref());
         let fac_map = std::rc::Rc::new(inst.facilities_by_node());
-        let mut caches: Vec<FacilityCache> = CustomerStream::for_customers(
-            inst.graph(),
-            inst.customers(),
-            m,
-            fac_map,
-            oracle.as_deref(),
-        )
-        .into_iter()
-        .map(|stream| FacilityCache {
-            stream,
-            sorted: Vec::new(),
-            exhausted: false,
-        })
-        .collect();
+        let mut caches: Vec<FacilityCache> =
+            CustomerStream::for_customers(inst.graph(), inst.customers(), m, fac_map, &oracle)
+                .into_iter()
+                .map(|stream| FacilityCache {
+                    stream,
+                    sorted: Vec::new(),
+                    exhausted: false,
+                })
+                .collect();
 
         let mut demand = vec![1u32; m];
         let mut saturated = vec![false; m];

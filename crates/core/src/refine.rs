@@ -43,7 +43,7 @@ use rustc_hash::FxHashSet;
 use crate::assign::optimal_assignment_with;
 use crate::components::capacity_suffices;
 use crate::instance::{McfsInstance, Solution};
-use crate::parallel::{resolve_oracle, RowSet};
+use crate::parallel::run_oracle;
 use crate::{SolveError, Solver};
 
 /// Configuration for the swap-based refiner.
@@ -57,10 +57,9 @@ pub struct LocalSearch {
     /// Optional wall-clock budget; refinement stops (keeping the best
     /// solution so far) when exceeded.
     pub time_budget: Option<Duration>,
-    /// Row-fill worker threads (`0` = auto, `1` = no oracle). The refiner
-    /// re-assigns every trial swap with an exact matching, so the run's
-    /// shared rows pay off more here than anywhere else: trials read one
-    /// set of facility rows (a run-scoped oracle at `1`), so a swap fills
+    /// Row-fill worker threads (`0` = auto). The refiner re-assigns every
+    /// trial swap with an exact matching, so the run's one oracle pays off
+    /// more here than anywhere else: when facility rows apply, a swap fills
     /// at most the incoming site's row.
     pub threads: usize,
     /// Explicitly shared distance oracle.
@@ -107,8 +106,7 @@ impl LocalSearch {
         let start = Instant::now();
         let feas = inst.check_feasibility().map_err(SolveError::Infeasible)?;
         let facs = inst.facilities();
-        let oracle = resolve_oracle(self.threads, self.oracle.as_ref());
-        let rows = RowSet::new(oracle.as_deref());
+        let oracle = run_oracle(self.threads, self.oracle.as_ref());
         let mut best = solution.clone();
 
         // node -> candidate indices (highest capacity first).
@@ -154,7 +152,7 @@ impl LocalSearch {
                             continue;
                         }
                         if let Ok((assignment, objective)) =
-                            optimal_assignment_with(inst, &trial, rows.for_selection(inst, &trial))
+                            optimal_assignment_with(inst, &trial, &oracle)
                         {
                             if objective < best.objective {
                                 selected.remove(&out);

@@ -9,9 +9,9 @@
 //!
 //! 1. **Distance rows.** The oracle's row cache persists across solves.
 //!    When facility rows apply (see [`crate::streams`]) customer edits
-//!    never fill a row and each new candidate node fills one; otherwise
-//!    only customers at *new* nodes pay a Dijkstra expansion
-//!    ([`SolveStats::oracle_nodes_settled`] shows the saving).
+//!    never fill a row and each new candidate node fills one
+//!    ([`SolveStats::oracle_nodes_settled`] shows the saving); otherwise
+//!    the streams search lazily and the oracle holds no row.
 //! 2. **The final matching.** The closing optimal assignment is
 //!    warm-started from the surviving matching: departed customers release
 //!    their flow, capacity changes are synced, and each arrival costs one
@@ -70,7 +70,7 @@ use rustc_hash::FxHashMap;
 
 use crate::assign::{assignment_matcher, complete_assignment};
 use crate::instance::{Facility, McfsInstance, Solution};
-use crate::parallel::{effective_threads, RowSet};
+use crate::parallel::run_oracle;
 use crate::stats::SolveStats;
 
 /// Process-wide warm/cold re-solve decision counters (Prometheus
@@ -294,15 +294,14 @@ pub struct ReSolver<'g> {
 impl<'g> ReSolver<'g> {
     /// Wrap `inst` for repeated solving with the given WMA configuration.
     ///
-    /// The engine is always oracle-backed (rows must outlive a single solve
-    /// to be worth caching): it adopts `wma.oracle` when set, otherwise it
-    /// creates a fresh oracle with `wma.threads` workers. Per the PR-1
-    /// substrate guarantee the oracle never changes solutions, only wall
-    /// time, so results equal a cold `Wma` solve at any thread count.
+    /// The engine holds one oracle for its whole life, so facility rows
+    /// outlive a single solve: it adopts `wma.oracle` when set, otherwise
+    /// it creates a fresh oracle with `wma.threads` workers. Like a cold
+    /// `Wma` run, it reads facility rows when they apply and streams lazily
+    /// otherwise, whatever the thread count; the oracle never changes
+    /// solutions, only wall time, so results equal a cold `Wma` solve.
     pub fn new(inst: &McfsInstance<'g>, wma: Wma) -> Self {
-        let oracle = wma.oracle.clone().unwrap_or_else(|| {
-            Arc::new(DistanceOracle::new().with_threads(effective_threads(wma.threads)))
-        });
+        let oracle = run_oracle(wma.threads, wma.oracle.as_ref());
         let m = inst.num_customers() as u64;
         let l = inst.num_facilities() as u64;
         Self {
@@ -333,8 +332,7 @@ impl<'g> ReSolver<'g> {
         solution: &Solution,
     ) -> Result<Self, SolveError> {
         let mut rs = Self::new(inst, wma);
-        let (mut matcher, fac_map) =
-            assignment_matcher(inst, &solution.facilities, Some(&rs.oracle));
+        let (mut matcher, fac_map) = assignment_matcher(inst, &solution.facilities, &rs.oracle);
         complete_assignment(&mut matcher, inst.num_customers())?;
         let sel_ids = solution
             .facilities
@@ -499,12 +497,9 @@ impl<'g> ReSolver<'g> {
         // Selection: identical deterministic code to a cold Wma::run.
         let selection_span = mcfs_obs::span("resolve.selection");
         publish_phase("resolve.selection", mcfs_obs::PhaseState::Start);
-        let (selection, _trace) = self.wma.select_facilities(
-            &inst,
-            &RowSet::new(Some(&self.oracle)),
-            &feas,
-            &mut solve_stats,
-        )?;
+        let (selection, _trace) =
+            self.wma
+                .select_facilities(&inst, &self.oracle, &feas, &mut solve_stats)?;
         publish_phase("resolve.selection", mcfs_obs::PhaseState::End);
         drop(selection_span);
         let sel_ids: Vec<u64> = selection
@@ -520,8 +515,7 @@ impl<'g> ReSolver<'g> {
         {
             Some((facilities, assignment, objective)) => (facilities, assignment, objective, true),
             None => {
-                let (mut matcher, fac_map) =
-                    assignment_matcher(&inst, &selection, Some(&self.oracle));
+                let (mut matcher, fac_map) = assignment_matcher(&inst, &selection, &self.oracle);
                 let (assignment, objective) =
                     complete_assignment(&mut matcher, inst.num_customers())?;
                 solve_stats.augmentations += matcher.augmentations();
@@ -648,7 +642,7 @@ impl<'g> ReSolver<'g> {
                 &self.customers[i..=i],
                 self.customers.len(),
                 Rc::clone(&st.fac_map),
-                Some(&self.oracle),
+                &self.oracle,
             )
             .pop()
             .expect("one stream per customer");

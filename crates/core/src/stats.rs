@@ -67,14 +67,14 @@ pub struct PhaseTime {
 /// run. Always collected (it is a handful of `Instant` reads), unlike the
 /// per-iteration [`RunStats`] trace which is opt-in.
 ///
-/// `threads` is row-fill parallelism only. A `threads == 1` run can still
-/// fill rows: facility rows go to a run-scoped oracle whenever they apply
-/// (see [`crate::streams::facility_rows_apply`]), and they are counted
-/// here. The cache counters stay zero only when every stream was lazy.
+/// `threads` is row-fill parallelism only. A stream solver fills the same
+/// rows at every thread count: facility rows whenever they apply (see
+/// [`crate::streams::facility_rows_apply`]), counted here. Its cache
+/// counters stay zero only when every stream was lazy.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Row-fill worker threads of the run's configured oracle (1 without
-    /// one).
+    /// Row-fill worker threads of the run's oracle (1 when a baseline
+    /// runs without one).
     pub threads: usize,
     /// Ordered phase timings; phase names are solver-specific.
     pub phases: Vec<PhaseTime>,

@@ -14,9 +14,10 @@
 //! cheaper than `m` customer searches: on a symmetric graph
 //! `d(f, c) = d(c, f)`, so each customer reads its column of the facility
 //! rows and sorts it ([`OracleStream::from_facility_rows`]). The strategy
-//! follows from the instance's shape alone ([`facility_rows_apply`]); every
-//! strategy emits the same sequence for the same customer, so it changes
-//! wall time, never a solution.
+//! follows from the instance's shape alone ([`facility_rows_apply`]), never
+//! from a thread count or an oracle; both strategies emit the same sequence
+//! for the same customer, so the choice changes wall time, never a
+//! solution.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -98,29 +99,25 @@ impl EdgeStream for NetworkStream<'_> {
     }
 }
 
-/// A per-customer stream backed by a precomputed [`DistanceOracle`] row
-/// instead of a live search.
+/// A per-customer stream replayed from the distance rows of the facility
+/// nodes instead of a live search.
 ///
+/// On a symmetric graph `d(f, c) = d(c, f)`, so the customer's column of
+/// the facility rows holds exactly the distances a search from the customer
+/// would find ([`facility_rows_apply`] requires symmetry for this reason).
 /// Emission order is **identical** to [`NetworkStream`]'s: edge weights are
 /// strictly positive (`GraphBuilder` clamps to ≥ 1), so a lazy Dijkstra
 /// settles nodes in globally sorted `(distance, node id)` order — every node
 /// at distance `d` is already on the heap when the first of them pops, and
 /// the binary heap breaks distance ties by smaller node id. Sorting the
-/// row's facility-hosting nodes by `(distance, node id)` and expanding each
-/// node's facility list in map order therefore replays the exact sequence a
-/// `NetworkStream` would produce, which is what makes the oracle-backed
-/// solver paths byte-identical to the legacy lazy paths.
-///
-/// The same pairs can come from the customer's own row
-/// ([`from_row`](Self::from_row)) or, on a symmetric graph, from the rows of
-/// the facility nodes ([`from_facility_rows`](Self::from_facility_rows)):
-/// `d(f, c) = d(c, f)`, so the customer's column of those rows holds exactly
-/// the distances its own row would. On a directed graph the two differ,
-/// which is why [`facility_rows_apply`] requires symmetry.
+/// facility-hosting nodes by `(distance, node id)` and expanding each node's
+/// facility list in map order therefore replays the exact sequence a
+/// `NetworkStream` would produce, which is what makes the row-backed solver
+/// paths byte-identical to the lazy ones.
 ///
 /// Unlike `NetworkStream` this materializes the whole candidate list up
-/// front (the row is already paid for), trading `O(ℓ)` memory per customer
-/// for zero per-edge search work.
+/// front (the rows are already paid for), trading `O(ℓ)` memory per
+/// customer for zero per-edge search work.
 #[derive(Clone, Debug)]
 pub struct OracleStream {
     edges: Vec<(u32, u64)>,
@@ -128,45 +125,26 @@ pub struct OracleStream {
 }
 
 impl OracleStream {
-    /// Stream for a customer whose one-to-all distance row is `row`.
-    /// Unreachable facilities (`INF` row entries) are omitted, matching the
-    /// lazy stream's behavior of never settling them.
-    pub fn from_row(row: &[Dist], facilities_at: &FxHashMap<NodeId, Vec<u32>>) -> Self {
-        Self::from_nodes(
-            facilities_at.keys().map(|&v| (row[v as usize], v)),
-            facilities_at,
-        )
-    }
-
     /// Stream for the customer at `customer`, read from facility rows:
     /// `rows[i]` is the one-to-all row filled from `nodes[i]`, and `nodes`
-    /// are the keys of `facilities_at`. Equal to [`from_row`](Self::from_row)
-    /// with the customer's own row whenever the graph is symmetric.
+    /// are the keys of `facilities_at`. Unreachable facilities (`INF`
+    /// entries) are omitted, matching the lazy stream's behavior of never
+    /// settling them.
     pub fn from_facility_rows(
         customer: NodeId,
         nodes: &[NodeId],
         rows: &[Arc<Vec<Dist>>],
         facilities_at: &FxHashMap<NodeId, Vec<u32>>,
     ) -> Self {
-        Self::from_nodes(
-            nodes
-                .iter()
-                .zip(rows)
-                .map(|(&v, row)| (row[customer as usize], v)),
-            facilities_at,
-        )
-    }
-
-    /// Sort the reachable `(distance, node)` pairs and expand each node's
-    /// facilities in map order.
-    fn from_nodes(
-        nodes: impl Iterator<Item = (Dist, NodeId)>,
-        facilities_at: &FxHashMap<NodeId, Vec<u32>>,
-    ) -> Self {
-        let mut nodes: Vec<(Dist, NodeId)> = nodes.filter(|&(d, _)| d != INF).collect();
-        nodes.sort_unstable();
+        let mut reached: Vec<(Dist, NodeId)> = nodes
+            .iter()
+            .zip(rows)
+            .map(|(&v, row)| (row[customer as usize], v))
+            .filter(|&(d, _)| d != INF)
+            .collect();
+        reached.sort_unstable();
         let mut edges = Vec::new();
-        for (d, v) in nodes {
+        for (d, v) in reached {
             for &j in &facilities_at[&v] {
                 edges.push((j, d));
             }
@@ -184,72 +162,51 @@ impl EdgeStream for OracleStream {
 }
 
 /// The stream type the solvers actually instantiate: a lazy per-customer
-/// search, or a replay of precomputed rows (facility rows or customer
-/// rows). Every variant emits the same sequence for the same customer —
-/// see [`OracleStream`] — so solver output never depends on which strategy
-/// is active.
+/// search, or a replay of facility rows. Both emit the same sequence for
+/// the same customer — see [`OracleStream`] — so solver output never
+/// depends on which strategy is active.
 pub enum CustomerStream<'g> {
     /// Resumable per-customer Dijkstra (the paper's Sec. IV-D search).
     Lazy(NetworkStream<'g>),
-    /// Precomputed distance-row replay.
+    /// Facility-row replay.
     Precomputed(OracleStream),
 }
 
 impl<'g> CustomerStream<'g> {
     /// Build one stream for each of `customers`, some or all of the
-    /// `num_customers` customers of one instance. The strategy follows from
-    /// the instance's shape:
-    ///
-    /// 1. [`facility_rows_apply`]: one row per distinct facility node,
-    ///    served by `oracle` (and cached there) or, without one, by a
-    ///    throwaway oracle — fine for one-shot callers; runs that match
-    ///    repeatedly pass their row set.
-    /// 2. Otherwise, with an oracle: one row per customer, fetched as one
-    ///    batched (possibly parallel) query.
-    /// 3. Otherwise: one lazy search per customer.
+    /// `num_customers` customers of one instance. When
+    /// [`facility_rows_apply`], every stream replays one row per distinct
+    /// facility node, served by (and cached in) the run's `oracle`;
+    /// otherwise each customer gets its own lazy search and the oracle is
+    /// not touched. The choice is the same at every thread count.
     pub fn for_customers(
         graph: &'g Graph,
         customers: &[NodeId],
         num_customers: usize,
         facilities_at: FacilityMap,
-        oracle: Option<&DistanceOracle>,
+        oracle: &DistanceOracle,
     ) -> Vec<Self> {
-        if facility_rows_apply(graph, num_customers, facilities_at.len()) {
-            let mut nodes: Vec<NodeId> = facilities_at.keys().copied().collect();
-            // Sorted, so the fill (and eviction) order is a function of the set.
-            nodes.sort_unstable();
-            let rows = match oracle {
-                Some(o) => o.distances_for_sources(graph, &nodes),
-                None => DistanceOracle::new()
-                    .with_threads(1)
-                    .distances_for_sources(graph, &nodes),
-            };
-            return customers
-                .iter()
-                .map(|&c| {
-                    CustomerStream::Precomputed(OracleStream::from_facility_rows(
-                        c,
-                        &nodes,
-                        &rows,
-                        &facilities_at,
-                    ))
-                })
-                .collect();
-        }
-        match oracle {
-            None => NetworkStream::for_customers(graph, customers, facilities_at)
+        if !facility_rows_apply(graph, num_customers, facilities_at.len()) {
+            return NetworkStream::for_customers(graph, customers, facilities_at)
                 .into_iter()
                 .map(CustomerStream::Lazy)
-                .collect(),
-            Some(o) => {
-                let rows = o.distances_for_sources(graph, customers);
-                rows.iter()
-                    .map(|row| {
-                        CustomerStream::Precomputed(OracleStream::from_row(row, &facilities_at))
-                    })
-                    .collect()
-            }
+                .collect();
         }
+        let mut nodes: Vec<NodeId> = facilities_at.keys().copied().collect();
+        // Sorted, so the fill (and eviction) order is a function of the set.
+        nodes.sort_unstable();
+        let rows = oracle.distances_for_sources(graph, &nodes);
+        customers
+            .iter()
+            .map(|&c| {
+                CustomerStream::Precomputed(OracleStream::from_facility_rows(
+                    c,
+                    &nodes,
+                    &rows,
+                    &facilities_at,
+                ))
+            })
+            .collect()
     }
 }
 
@@ -334,27 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn oracle_stream_replays_lazy_order_with_ties() {
-        // Diamond with distance ties: 0-1 and 0-2 both cost 3, 1-3 and
-        // 2-3 both cost 3 — nodes 1 and 2 tie at 3, node 3 at 6. Facility
-        // indices deliberately *decrease* with node id so (dist, facility)
-        // sorting would give a different order than (dist, node).
-        let mut b = GraphBuilder::new(5);
-        b.add_edge(0, 1, 3);
-        b.add_edge(0, 2, 3);
-        b.add_edge(1, 3, 3);
-        b.add_edge(2, 3, 3);
-        let g = b.build();
-        let fm = map(&[(1, &[5, 2]), (2, &[1]), (3, &[0, 4])]);
-        for source in [0, 1, 3] {
-            let lazy = drain(NetworkStream::new(&g, source, Rc::clone(&fm)));
-            let row = mcfs_graph::dijkstra_all(&g, source);
-            let oracle = drain(OracleStream::from_row(&row, &fm));
-            assert_eq!(lazy, oracle, "source {source}");
-        }
-    }
-
-    #[test]
     fn customer_stream_variants_agree() {
         let g = line(6);
         let fm = map(&[(1, &[0]), (4, &[1]), (5, &[2])]);
@@ -367,40 +303,24 @@ mod tests {
                 .map(CustomerStream::Lazy)
                 .collect(),
         );
-        // ℓ = 3 ≤ m = 3 on a symmetric graph: one row per facility node,
-        // with or without a caller's oracle.
-        let oracle = DistanceOracle::new().with_threads(2);
-        let rows = |o| {
-            drain_all(CustomerStream::for_customers(
-                &g,
-                &customers,
-                3,
-                Rc::clone(&fm),
-                o,
-            ))
-        };
-        assert_eq!(lazy, rows(Some(&oracle)));
-        assert_eq!(lazy, rows(None));
-        assert_eq!(oracle.stats().misses, 3);
-        assert_eq!(oracle.row(&g, 4)[0], 28, "rows are keyed by facility node");
-        // ℓ > m: customer rows with an oracle, lazy searches without.
-        let oracle = DistanceOracle::new().with_threads(2);
-        let first = |o| {
-            drain_all(CustomerStream::for_customers(
-                &g,
-                &customers[..1],
-                1,
-                Rc::clone(&fm),
-                o,
-            ))
-        };
-        assert_eq!(lazy[..1], first(Some(&oracle))[..]);
-        assert_eq!(lazy[..1], first(None)[..]);
-        assert_eq!(oracle.stats().misses, 1, "one customer row");
+        for threads in [1, 2] {
+            // ℓ = 3 ≤ m = 3 on a symmetric graph: one row per facility node.
+            let oracle = DistanceOracle::new().with_threads(threads);
+            let rows = CustomerStream::for_customers(&g, &customers, 3, Rc::clone(&fm), &oracle);
+            assert_eq!(lazy, drain_all(rows), "threads {threads}");
+            assert_eq!(oracle.stats().misses, 3);
+            assert_eq!(oracle.row(&g, 4)[0], 28, "rows are keyed by facility node");
+            // ℓ > m: lazy searches, and the oracle fills no row.
+            let oracle = DistanceOracle::new().with_threads(threads);
+            let first =
+                CustomerStream::for_customers(&g, &customers[..1], 1, Rc::clone(&fm), &oracle);
+            assert!(matches!(first[0], CustomerStream::Lazy(_)));
+            assert_eq!(lazy[..1], drain_all(first)[..]);
+            assert_eq!(oracle.stats().misses, 0, "threads {threads}: no row");
+        }
         // A slice of one customer still decides on the instance's m = 3.
         let oracle = DistanceOracle::new();
-        let one =
-            CustomerStream::for_customers(&g, &customers[..1], 3, Rc::clone(&fm), Some(&oracle));
+        let one = CustomerStream::for_customers(&g, &customers[..1], 3, Rc::clone(&fm), &oracle);
         assert_eq!(lazy[..1], drain_all(one)[..]);
         assert_eq!(
             oracle.stats().misses,
@@ -418,17 +338,21 @@ mod tests {
         let g = b.build();
         assert!(!facility_rows_apply(&g, 1, 1));
         let fm = map(&[(1, &[0])]);
-        let oracle = DistanceOracle::new();
-        let streams = CustomerStream::for_customers(&g, &[0], 1, Rc::clone(&fm), Some(&oracle));
-        let got: Vec<_> = streams.into_iter().map(drain).collect();
-        assert_eq!(got, vec![vec![(0, 5)]]);
-        assert_eq!(oracle.row(&g, 0)[1], 5, "the customer's own row was filled");
+        for threads in [1, 2] {
+            let oracle = DistanceOracle::new().with_threads(threads);
+            let streams = CustomerStream::for_customers(&g, &[0], 1, Rc::clone(&fm), &oracle);
+            let got: Vec<_> = streams.into_iter().map(drain).collect();
+            assert_eq!(got, vec![vec![(0, 5)]]);
+            assert_eq!(oracle.stats().misses, 0, "threads {threads}: no row");
+        }
     }
 
     #[test]
     fn facility_rows_replay_lazy_order_with_ties() {
-        // The diamond of `oracle_stream_replays_lazy_order_with_ties`, read
-        // from the facility nodes' rows instead of the customer's.
+        // Diamond with distance ties: 0-1 and 0-2 both cost 3, 1-3 and
+        // 2-3 both cost 3 — nodes 1 and 2 tie at 3, node 3 at 6. Facility
+        // indices deliberately *decrease* with node id so (dist, facility)
+        // sorting would give a different order than (dist, node).
         let mut b = GraphBuilder::new(5);
         b.add_edge(0, 1, 3);
         b.add_edge(0, 2, 3);

@@ -15,7 +15,7 @@ use mcfs_graph::DistanceOracle;
 use crate::assign::optimal_assignment_with;
 use crate::components::{capacity_suffices, cover_components};
 use crate::instance::{Facility, McfsInstance, Solution};
-use crate::parallel::resolve_oracle;
+use crate::parallel::run_oracle;
 use crate::wma::Wma;
 use crate::{SolveError, Solver};
 
@@ -55,11 +55,11 @@ impl Solver for UniformFirst {
         // Real-capacity feasibility gates everything.
         let feas = inst.check_feasibility().map_err(SolveError::Infeasible)?;
 
-        // Resolve the substrate once so the uniform siting phase and the
-        // final re-matching share one row cache.
-        let oracle = resolve_oracle(self.inner.threads, self.inner.oracle.as_ref());
+        // One oracle for the run, so the uniform siting phase and the final
+        // re-matching share one row cache.
+        let oracle = run_oracle(self.inner.threads, self.inner.oracle.as_ref());
         let inner = Wma {
-            oracle: oracle.clone(),
+            oracle: Some(Arc::clone(&oracle)),
             ..self.inner.clone()
         };
 
@@ -114,7 +114,7 @@ impl Solver for UniformFirst {
         } else {
             cover_components(inst, selection, &feas.components)?
         };
-        let (assignment, objective) = optimal_assignment_with(inst, &selection, oracle.as_deref())?;
+        let (assignment, objective) = optimal_assignment_with(inst, &selection, &oracle)?;
         Ok(Solution {
             facilities: selection,
             assignment,

@@ -31,7 +31,7 @@ use crate::components::{capacity_suffices, cover_components};
 use crate::cover::check_cover;
 use crate::greedy_add::select_greedy;
 use crate::instance::{FeasibilityReport, McfsInstance, Solution};
-use crate::parallel::{resolve_oracle, RowSet};
+use crate::parallel::run_oracle;
 use crate::stats::{IterationStats, RunStats, SolveStats};
 use crate::streams::CustomerStream;
 use crate::{SolveError, Solver};
@@ -94,16 +94,15 @@ pub struct Wma {
     pub tie_break: TieBreak,
     /// Lazy-matching pruning rule (Section V ablation).
     pub pruning: PruningRule,
-    /// Row-fill worker threads: `0` = auto (available parallelism), `n > 1`
-    /// = an oracle with `n` workers, `1` = none. Which rows are filled
-    /// follows from the instance, not from this count: facility rows
-    /// whenever they apply ([`crate::streams::facility_rows_apply`], held in
-    /// a run-scoped oracle at `1`), else customer rows with an oracle and
-    /// lazy per-customer searches without. Thread count never changes the
-    /// solution, only wall time.
+    /// Row-fill worker threads of the run's oracle: `0` = auto (available
+    /// parallelism), `n` = `n` workers. Which rows are filled follows from
+    /// the instance, not from this count: facility rows whenever they apply
+    /// ([`crate::streams::facility_rows_apply`]), lazy per-customer searches
+    /// otherwise. Thread count never changes the solution, only wall time.
     pub threads: usize,
-    /// Explicitly shared [`DistanceOracle`]; overrides `threads` for the
-    /// substrate choice and lets several solvers reuse one row cache.
+    /// Explicitly shared [`DistanceOracle`], used instead of a fresh one
+    /// with `threads` workers so several solvers reuse one row cache. Like
+    /// `threads`, it never changes which rows are read.
     pub oracle: Option<Arc<DistanceOracle>>,
 }
 
@@ -131,8 +130,8 @@ impl Wma {
         self
     }
 
-    /// Set the row-fill worker count (`0` = auto, `1` = sequential, no
-    /// customer rows); see [`threads`](Self#structfield.threads).
+    /// Set the row-fill worker count (`0` = auto, `1` = sequential); see
+    /// [`threads`](Self#structfield.threads).
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
         self
@@ -149,23 +148,21 @@ impl Wma {
     pub fn run(&self, inst: &McfsInstance) -> Result<WmaRun, SolveError> {
         let _run_span = mcfs_obs::span("wma.run");
         let feas = inst.check_feasibility().map_err(SolveError::Infeasible)?;
-        let oracle = resolve_oracle(self.threads, self.oracle.as_ref());
-        let mut solve_stats = SolveStats::for_threads(oracle.as_ref().map_or(1, |o| o.threads()));
+        // One oracle for the run: facility rows filled for the selection are
+        // hits for the final assignment.
+        let oracle = run_oracle(self.threads, self.oracle.as_ref());
+        let mut solve_stats = SolveStats::for_threads(oracle.threads());
         // Per-run attribution: only queries issued from this call stack are
         // counted, even when the oracle (and its row cache) is shared with
         // other concurrently running solvers.
         let oracle_run = OracleRunGuard::begin();
-        // One row set for the run: facility rows filled for the selection
-        // are hits for the final assignment.
-        let rows = RowSet::new(oracle.as_deref());
 
-        let (selection, stats) = self.select_facilities(inst, &rows, &feas, &mut solve_stats)?;
+        let (selection, stats) = self.select_facilities(inst, &oracle, &feas, &mut solve_stats)?;
 
         // --- Final optimal assignment onto F (lines 14–15). ---
         let t_assign = Instant::now();
         let assign_span = mcfs_obs::span("wma.assignment");
-        let (mut matcher, _) =
-            assignment_matcher(inst, &selection, rows.for_selection(inst, &selection));
+        let (mut matcher, _) = assignment_matcher(inst, &selection, &oracle);
         let (assignment, objective) = complete_assignment(&mut matcher, inst.num_customers())?;
         drop(assign_span);
         solve_stats.augmentations += matcher.augmentations();
@@ -195,7 +192,7 @@ impl Wma {
     pub(crate) fn select_facilities(
         &self,
         inst: &McfsInstance,
-        rows: &RowSet,
+        oracle: &DistanceOracle,
         feas: &FeasibilityReport,
         solve_stats: &mut SolveStats,
     ) -> Result<(Vec<u32>, RunStats), SolveError> {
@@ -204,13 +201,12 @@ impl Wma {
         let k = inst.k();
 
         // Stream construction is the prefetch phase: it pays for (or
-        // reuses) one row per distinct candidate node, or one per customer,
-        // in one batched query; with lazy streams it is nearly free and the
-        // search cost is paid inside the matching phase instead.
+        // reuses) one row per distinct candidate node in one batched query;
+        // with lazy streams it is nearly free and the search cost is paid
+        // inside the matching phase instead.
         let t_prefetch = Instant::now();
         let prefetch_span = mcfs_obs::span("wma.prefetch");
         let fac_map = Rc::new(inst.facilities_by_node());
-        let oracle = rows.for_nodes(inst, fac_map.len());
         let streams =
             CustomerStream::for_customers(inst.graph(), inst.customers(), m, fac_map, oracle);
         let mut matcher = Matcher::with_pruning(streams, inst.capacities(), self.pruning);
@@ -601,8 +597,8 @@ mod tests {
     fn thread_counts_agree_and_substrate_stats_recorded() {
         let g = path(9, 3);
         // ℓ = 4 ≤ m = 4 on a symmetric graph: every thread count fills one
-        // row per distinct candidate node, threads(1) into a run-scoped
-        // oracle, and the final assignment re-reads the selected sites'.
+        // row per distinct candidate node, and the final assignment re-reads
+        // the selected sites'.
         let inst = McfsInstance::builder(&g)
             .customers([0, 4, 8, 2])
             .facility(1, 2)
@@ -632,8 +628,9 @@ mod tests {
             }
         }
 
-        // ℓ = 4 > m = 2, and three selected sites > m as well: threads(1)
-        // streams lazily throughout and fills no row.
+        // ℓ = 4 > m = 2, and three selected sites > m as well: every thread
+        // count, and a shared oracle, streams lazily throughout and fills no
+        // row.
         let inst = McfsInstance::builder(&g)
             .customers([0, 8])
             .facility(1, 1)
@@ -645,14 +642,24 @@ mod tests {
             .unwrap();
         let lazy = Wma::new().threads(1).run(&inst).unwrap();
         assert_eq!(lazy.solution.facilities.len(), 3);
-        assert_eq!(
-            lazy.solve_stats.cache_misses, 0,
-            "the lazy path fills no row"
-        );
-        assert_eq!(lazy.solve_stats.oracle_nodes_settled, 0);
-        let par = Wma::new().threads(2).run(&inst).unwrap();
-        assert_eq!(lazy.solution, par.solution);
-        assert_eq!(par.solve_stats.cache_misses, 2, "one row per customer");
+        let shared = Arc::new(DistanceOracle::new().with_threads(2));
+        for (label, run) in [
+            ("threads 1", lazy.clone()),
+            ("threads 2", Wma::new().threads(2).run(&inst).unwrap()),
+            ("threads 8", Wma::new().threads(8).run(&inst).unwrap()),
+            (
+                "with_oracle",
+                Wma::new()
+                    .with_oracle(Arc::clone(&shared))
+                    .run(&inst)
+                    .unwrap(),
+            ),
+        ] {
+            assert_eq!(lazy.solution, run.solution, "{label}");
+            assert_eq!(run.solve_stats.cache_misses, 0, "{label}: no row");
+            assert_eq!(run.solve_stats.oracle_nodes_settled, 0, "{label}");
+        }
+        assert_eq!(shared.stats().cached_rows, 0);
     }
 
     #[test]

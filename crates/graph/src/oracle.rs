@@ -3,10 +3,11 @@
 //! Every MCFS solver ultimately asks the same question — "how far is this
 //! customer from every candidate site?" — and the WMA pipeline asks it
 //! repeatedly: each demand-raising iteration, the refine pass, and every
-//! baseline re-derive distances from the same handful of source nodes
-//! (the candidate sites when they are the smaller side of a symmetric
-//! graph, the customers otherwise). The
-//! [`DistanceOracle`] memoizes those one-to-all rows (filled by the arena
+//! baseline re-derive distances from the same handful of source nodes —
+//! the candidate sites, for the solvers' customer streams when the sites
+//! are the smaller side of a symmetric graph (otherwise those streams
+//! search lazily and never ask), and the customers, for the BRNN and
+//! Greedy-Addition scans. The [`DistanceOracle`] memoizes those one-to-all rows (filled by the arena
 //! search [`crate::fill_row`], equal to [`crate::dijkstra_all`]) behind a
 //! mutex-guarded bounded FIFO cache of `Arc<Vec<Dist>>`, so a row is
 //! computed once and then shared by reference across WMA iterations, the
@@ -37,10 +38,10 @@ use crate::par::{available_threads, par_map_indexed};
 use crate::{fill_row, Dist, Graph, NodeId, INF};
 
 /// Default bound on cached rows. A row is `num_nodes * 8` bytes, so 4096
-/// rows of a 100k-node graph is ~3 GiB worst case. Real workloads cache one
-/// row per distinct facility node when that is the smaller side, one row
-/// per customer otherwise — at most one per customer either way (tens to
-/// thousands).
+/// rows of a 100k-node graph is ~3 GiB worst case. The stream solvers cache
+/// one row per distinct facility node, and only when that is the smaller
+/// side; the BRNN and Greedy-Addition baselines one row per customer — at
+/// most one per customer either way (tens to thousands).
 pub const DEFAULT_CACHE_ROWS: usize = 4096;
 
 /// Counters describing oracle behavior since construction (or the last
@@ -146,8 +147,7 @@ pub struct OracleRunGuard {
 impl OracleRunGuard {
     /// Open an attribution scope on the calling thread. Frames are
     /// per-thread, not per-oracle: the guard tallies the activity of every
-    /// oracle used on this thread while it lives, so a run whose rows come
-    /// from several oracles (a shared one, a run-scoped one) opens one.
+    /// oracle used on this thread while it lives.
     pub fn begin() -> Self {
         let cells = Rc::new(RunCells::default());
         RUN_STACK.with(|stack| stack.borrow_mut().push(Rc::clone(&cells)));

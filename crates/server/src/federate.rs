@@ -22,7 +22,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use mcfs::{resolve_oracle, Edit, McfsInstance, SolveError, Wma};
+use mcfs::{run_oracle, Edit, McfsInstance, SolveError, Wma};
 use mcfs_cluster::{
     finish, partition, refine_budgets, shard_attr_ns, solve_shard_local, split_budget,
     ClusterOutcome, ClusterSolver, Shard, ShardRun,
@@ -216,17 +216,10 @@ pub(crate) fn federated_solve(
     let moves = refine_budgets(&runs, &mut budgets);
     stats.add_phase("refine", t_refine.elapsed());
 
-    let oracle = resolve_oracle(wma.threads, wma.oracle.as_ref());
-    stats.threads = oracle.as_ref().map_or(1, |o| o.threads());
+    let oracle = run_oracle(wma.threads, wma.oracle.as_ref());
+    stats.threads = oracle.threads();
     finish(
-        inst,
-        &part,
-        &runs,
-        &budgets,
-        oracle.as_deref(),
-        stats,
-        moves,
-        recovered,
+        inst, &part, &runs, &budgets, &oracle, stats, moves, recovered,
     )
 }
 

@@ -173,7 +173,7 @@ proptest! {
         // site nodes, fills exactly one row per site node.
         let oracle = DistanceOracle::new();
         let m = customers.len().max(nodes.len());
-        let built: Vec<_> = CustomerStream::for_customers(&g, &customers, m, Rc::clone(&fm), Some(&oracle))
+        let built: Vec<_> = CustomerStream::for_customers(&g, &customers, m, Rc::clone(&fm), &oracle)
             .into_iter()
             .map(drain)
             .collect();

@@ -5,15 +5,15 @@
 //! the whole-solve half of the distance-engine contract; the row and
 //! stream half lives in `tests/backend_equivalence.rs`.
 //!
-//! Which rows a run reads follows from the instance. The inputs cover each
-//! strategy: facility rows (symmetric graph, no more distinct candidate
-//! nodes than customers — the `few-sites` input), and lazy streams or
-//! customer rows (every other input, and the final assignment's facility
-//! rows there). Every input is also solved on its *one-way twin*: the same
-//! graph plus one one-way arc, heavier than all edges together, between
-//! two adjacent nodes. No shortest path can use that arc, so every
-//! distance is unchanged, but the twin is not symmetric and therefore takes
-//! the customer-rooted paths throughout. Its solutions must be the same
+//! Which rows a run reads follows from the instance, never from the thread
+//! count. The inputs cover both strategies: facility rows (symmetric graph,
+//! no more distinct candidate nodes than customers — the `few-sites`
+//! input), and lazy per-customer streams (every other input, with the final
+//! assignment's facility rows there). Every input is also solved on its
+//! *one-way twin*: the same graph plus one one-way arc, heavier than all
+//! edges together, between two adjacent nodes. No shortest path can use
+//! that arc, so every distance is unchanged, but the twin is not symmetric
+//! and therefore streams lazily throughout. Its solutions must be the same
 //! bytes, with no test-only hook choosing the strategy.
 
 use std::sync::Arc;

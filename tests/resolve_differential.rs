@@ -306,7 +306,10 @@ fn small_delta_warm_solve_beats_cold_on_bikes_workload() {
 /// grid, 30 customers, 6 sites) every row a session reads is a facility
 /// row. A customer arriving at a fresh node fills none — the selection and
 /// the warm arrival both read the cached site rows — and a candidate opening
-/// at a fresh node fills exactly its own.
+/// at a fresh node fills exactly its own. With a candidate at every node
+/// (`F_p = V`) the selection streams lazily at every thread count, so the
+/// session holds only the selected sites' rows and an arrival still fills
+/// none.
 #[test]
 fn facility_rows_make_customer_edits_free_and_new_sites_cost_one_row() {
     let side = 12u32;
@@ -361,6 +364,32 @@ fn facility_rows_make_customer_edits_free_and_new_sites_cost_one_row() {
         .unwrap();
         let run = rs.solve().unwrap();
         assert_eq!(run.solve_stats.cache_misses, 1, "threads {threads}");
+        let edited = rs.instance();
+        edited.verify(&run.solution).unwrap();
+        assert_eq!(
+            run.solution.objective,
+            Wma::new().threads(1).solve(&edited).unwrap().objective
+        );
+    }
+
+    let everywhere = McfsInstance::builder(&g)
+        .customers(customers.iter().copied())
+        .facilities(g.nodes().map(|node| Facility { node, capacity: 8 }))
+        .k(6)
+        .build()
+        .unwrap();
+    for threads in [1, 2] {
+        let mut rs = ReSolver::new(&everywhere, Wma::new().threads(threads));
+        let first = rs.solve().unwrap();
+        let selected = first.solution.facilities.len();
+        assert_eq!(first.solve_stats.cache_misses, selected as u64);
+        // An arrival on the first selected site keeps the selection.
+        let site = everywhere.facilities()[first.solution.facilities[0] as usize].node;
+        rs.apply(&[Edit::AddCustomer { node: site }]).unwrap();
+        let run = rs.solve().unwrap();
+        assert_eq!(run.solve_stats.cache_misses, 0, "threads {threads}");
+        assert_eq!(run.solve_stats.oracle_nodes_settled, 0, "threads {threads}");
+        assert_eq!(rs.oracle().stats().cached_rows, selected);
         let edited = rs.instance();
         edited.verify(&run.solution).unwrap();
         assert_eq!(
