@@ -217,8 +217,8 @@ impl BrnnBaseline {
         if selection.len() < k {
             select_greedy(inst, &mut selection);
         }
-        if !capacity_suffices(inst, &selection, &feas.components) {
-            selection = cover_components(inst, selection, &feas.components)?;
+        if !capacity_suffices(inst, &selection, feas.components) {
+            selection = cover_components(inst, selection, feas.components)?;
         }
         stats.add_phase("provisions", t_prov.elapsed());
 

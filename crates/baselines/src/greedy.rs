@@ -187,8 +187,8 @@ impl Solver for GreedyAddition {
         if selection.len() < k {
             mcfs::greedy_add::select_greedy(inst, &mut selection);
         }
-        if !capacity_suffices(inst, &selection, &feas.components) {
-            selection = cover_components(inst, selection, &feas.components)?;
+        if !capacity_suffices(inst, &selection, feas.components) {
+            selection = cover_components(inst, selection, feas.components)?;
         }
         let (assignment, objective) = match oracle.as_deref() {
             Some(o) => optimal_assignment_with(inst, &selection, o)?,

@@ -52,7 +52,7 @@ impl Solver for HilbertBaseline {
             .graph()
             .coords()
             .expect("HilbertBaseline requires node coordinates");
-        let cc = &feas.components;
+        let cc = feas.components;
         let k = inst.k();
 
         // --- Budget split: proportional to customers, floored at the

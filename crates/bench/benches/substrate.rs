@@ -116,13 +116,14 @@ fn io_and_refine(c: &mut Criterion) {
     grp.finish();
 }
 
-/// The parallel distance substrate on the Fig. 6 synthetic workload
+/// The parallel distance substrate. On the Fig. 6 synthetic workload
 /// (400-node uniform network, 40 customers, facilities everywhere):
-/// 1-thread vs. N-thread batched oracle row queries, end-to-end WMA at 1
-/// and 4 threads (ℓ > m, so both stream lazily and only the final
-/// assignment's site rows use the workers), and BRNN on its per-query
-/// searches vs. its customer rows. Solutions are asserted identical across
-/// thread counts — the thread knob may only move wall time.
+/// 1-thread vs. N-thread batched oracle row queries, and BRNN on its
+/// per-query searches vs. its customer rows. On the 4000-node city with 12
+/// stations (ℓ ≤ m on a symmetric graph): end-to-end WMA at 1 and 4
+/// threads, both filling one facility row per station, so the pair times
+/// the row fill fan-out. Solutions are asserted identical across thread
+/// counts on both instances — the thread knob may only move wall time.
 fn oracle_substrate(c: &mut Criterion) {
     let g = generate_synthetic(&SyntheticConfig::uniform(400, 2.0, 11));
     let customers = uniform_customers(&g, 40, 3);
@@ -132,11 +133,32 @@ fn oracle_substrate(c: &mut Criterion) {
         .k(10)
         .build()
         .unwrap();
+    let city = city();
+    let stations = McfsInstance::builder(&city)
+        .customers(uniform_customers(&city, 200, 5))
+        .facilities(
+            city.nodes()
+                .step_by(city.num_nodes() / 12 + 1)
+                .map(|node| Facility { node, capacity: 25 }),
+        )
+        .k(10)
+        .build()
+        .unwrap();
 
-    let reference = Wma::new().threads(1).solve(&inst).unwrap();
-    for threads in [2usize, 4] {
-        let sol = Wma::new().threads(threads).solve(&inst).unwrap();
-        assert_eq!(reference, sol, "threads must not change the solution");
+    for inst in [&inst, &stations] {
+        let reference = Wma::new().threads(1).solve(inst).unwrap();
+        for threads in [2usize, 4] {
+            let sol = Wma::new().threads(threads).solve(inst).unwrap();
+            assert_eq!(reference, sol, "threads must not change the solution");
+        }
+    }
+    for threads in [1usize, 4] {
+        let run = Wma::new().threads(threads).run(&stations).unwrap();
+        assert_eq!(
+            run.solve_stats.cache_misses,
+            stations.num_facilities() as u64,
+            "one facility row per station at {threads} threads"
+        );
     }
 
     let mut grp = grp(c, "substrate_oracle");
@@ -157,13 +179,13 @@ fn oracle_substrate(c: &mut Criterion) {
     grp.bench_function("rows_warm_cached", |b| {
         b.iter(|| warm.distances_for_sources(&g, &customers))
     });
-    // End-to-end solver wall time on both substrates.
-    grp.bench_function("wma_legacy_1_thread", |b| {
-        b.iter(|| Wma::new().threads(1).solve(&inst).unwrap())
-    });
-    grp.bench_function("wma_oracle_4_threads", |b| {
-        b.iter(|| Wma::new().threads(4).solve(&inst).unwrap())
-    });
+    // End-to-end WMA on the stations instance: 12 facility rows per solve,
+    // filled by one worker or fanned out over four.
+    for threads in [1usize, 4] {
+        grp.bench_function(&format!("wma_station_rows_{threads}_threads"), |b| {
+            b.iter(|| Wma::new().threads(threads).solve(&stations).unwrap())
+        });
+    }
     grp.bench_function("brnn_legacy_1_thread", |b| {
         b.iter(|| BrnnBaseline::new().threads(1).solve(&inst).unwrap())
     });

@@ -11,7 +11,10 @@
 //! ([`fill_row`], cell `bucket`). Sampling is *paired*: each rep times
 //! both engines back to back from the same source before moving to the
 //! next source, so machine-load drift lands on both equally and cancels
-//! out of the per-rep ratio. The published `speedup_vs_heap` is the median
+//! out of the per-rep ratio. The engine that runs first alternates from
+//! rep to rep: each fill evicts the other's working set from the cache,
+//! so a fixed order would always time one engine cold and the other warm.
+//! The published `speedup_vs_heap` is the median
 //! of those per-rep ratios; `row_fill_ms` is the per-engine median. Arena
 //! warm-up runs outside the timed window — what is measured is the
 //! steady-state per-customer cost solvers pay. The arena is cross-checked
@@ -83,14 +86,16 @@ fn measure(g: &Graph, reps: usize) -> Vec<Cell> {
     }
     let stride = (n / reps.max(1) as u32).max(1) | 1;
     // Paired reps: both engines fill from the same source back to back,
-    // so within-run machine drift cancels out of the per-rep ratio.
+    // so within-run machine drift cancels out of the per-rep ratio. Even
+    // reps run the heap first, odd reps the arena first.
     let mut samples = vec![Vec::with_capacity(reps); ENGINES.len()];
     for i in 0..reps {
         let source = (1 + i as u32 * stride) % n;
-        for ((_, fill), out) in ENGINES.iter().zip(samples.iter_mut()) {
+        for e in 0..ENGINES.len() {
+            let engine = (e + i) % ENGINES.len();
             let t0 = Instant::now();
-            fill(g, source, &mut row);
-            out.push(t0.elapsed().as_secs_f64() * 1e3);
+            (ENGINES[engine].1)(g, source, &mut row);
+            samples[engine].push(t0.elapsed().as_secs_f64() * 1e3);
         }
     }
     // Exactness spot-check on the first and last timed sources.

@@ -4,7 +4,7 @@ use mcfs::{Facility, McfsInstance};
 use mcfs_gen::capacities;
 use mcfs_gen::customers::{sample_weighted, uniform_customers, uniform_nodes};
 use mcfs_gen::synthetic::{generate_synthetic, SyntheticConfig};
-use mcfs_graph::{connected_components, Graph, NodeId};
+use mcfs_graph::{Graph, NodeId};
 
 /// Capacity specification for synthetic experiments.
 #[derive(Clone, Copy, Debug)]
@@ -100,7 +100,7 @@ pub fn synthetic_workload(
     }
 
     // Restrict customers to the largest component containing facilities.
-    let cc = connected_components(&w.graph);
+    let cc = w.graph.components();
     let mut fac_comp_size = vec![0usize; cc.count];
     for f in &w.facilities {
         fac_comp_size[cc.of(f.node) as usize] = cc.sizes[cc.of(f.node) as usize];

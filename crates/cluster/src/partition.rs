@@ -27,7 +27,7 @@
 use std::hash::{Hash, Hasher};
 
 use mcfs::{Facility, InstanceError, McfsInstance};
-use mcfs_graph::{connected_components, hilbert::hilbert_keys, Graph, GraphBuilder, NodeId};
+use mcfs_graph::{hilbert::hilbert_keys, Graph, GraphBuilder, NodeId};
 use rustc_hash::FxHasher;
 
 /// Hilbert-curve order used to linearize node coordinates: 2^16 cells per
@@ -174,7 +174,7 @@ fn assign_nodes(g: &Graph, n: usize) -> Option<(Vec<u32>, PartitionStrategy)> {
     if n < 2 || num_nodes < n {
         return None;
     }
-    let cc = connected_components(g);
+    let cc = g.components();
     if cc.count > 1 {
         // Indivisible components, binned greedily largest-first into the
         // lightest bin. Deterministic: ties break to the smaller index.

@@ -28,44 +28,49 @@ pub struct CoverOutcome {
 
 /// Greedily select up to `k` facilities maximizing covered customers.
 ///
-/// * `sigma[j]` — customers currently assigned to facility `j` (the paper's
-///   `σ_j(G_b)`); a customer may appear under several facilities while its
-///   demand exceeds one.
+/// * `sigma(j)` — the customers currently assigned to facility `j` (the
+///   paper's `σ_j(G_b)`); a customer may appear under several facilities
+///   while its demand exceeds one. An accessor rather than a list, so the
+///   caller's own holder lists are read in place: WMA passes the matcher's
+///   [`holders_of`](mcfs_flow::Matcher::holders_of), WMA-Naive its
+///   incrementally built σ.
 /// * `num_customers` — `m`.
 /// * `last_selected[j]` — iteration at which `j` was last part of the
-///   selected set (0 = never); feeds the tie-break.
+///   selected set (0 = never); feeds the tie-break. Its length is the
+///   number of facilities `ℓ`.
 ///
 /// Facilities with zero marginal gain are never selected, so fewer than `k`
 /// facilities may be returned — that is the `|F| < k` special case Algorithm
 /// 1 hands to `SelectGreedy`.
-pub fn check_cover(
-    sigma: &[Vec<u32>],
+pub fn check_cover<I>(
+    sigma: impl Fn(usize) -> I,
     num_customers: usize,
     k: usize,
     last_selected: &[u64],
-) -> CoverOutcome {
-    debug_assert_eq!(sigma.len(), last_selected.len());
+) -> CoverOutcome
+where
+    I: ExactSizeIterator<Item = u32>,
+{
     let mut covered = vec![false; num_customers];
     let mut selected = Vec::with_capacity(k);
 
     // Heap entries: (cached gain, Reverse(last_selected), Reverse(facility)).
     // BinaryHeap is a max-heap, so this pops highest gain first, then least
     // recently selected, then smallest index.
-    let mut heap: BinaryHeap<(u64, Reverse<u64>, Reverse<u32>)> = sigma
+    let mut heap: BinaryHeap<(u64, Reverse<u64>, Reverse<u32>)> = last_selected
         .iter()
         .enumerate()
-        .filter(|(_, s)| !s.is_empty())
-        .map(|(j, s)| (s.len() as u64, Reverse(last_selected[j]), Reverse(j as u32)))
+        .filter_map(|(j, &last)| {
+            let holders = sigma(j).len() as u64;
+            (holders > 0).then_some((holders, Reverse(last), Reverse(j as u32)))
+        })
         .collect();
 
     while selected.len() < k {
         let Some((cached, ts, Reverse(j))) = heap.pop() else {
             break;
         };
-        let fresh = sigma[j as usize]
-            .iter()
-            .filter(|&&c| !covered[c as usize])
-            .count() as u64;
+        let fresh = sigma(j as usize).filter(|&c| !covered[c as usize]).count() as u64;
         if fresh == 0 {
             continue; // nothing left to gain from this facility
         }
@@ -74,7 +79,7 @@ pub fn check_cover(
             continue; // stale; re-rank
         }
         selected.push(j);
-        for &c in &sigma[j as usize] {
+        for c in sigma(j as usize) {
             covered[c as usize] = true;
         }
     }
@@ -91,10 +96,15 @@ pub fn check_cover(
 mod tests {
     use super::*;
 
+    /// `check_cover` over σ held as plain lists, WMA-Naive's shape.
+    fn cover(sigma: &[Vec<u32>], m: usize, k: usize, last: &[u64]) -> CoverOutcome {
+        check_cover(|j| sigma[j].iter().copied(), m, k, last)
+    }
+
     #[test]
     fn selects_biggest_first() {
         let sigma = vec![vec![0, 1], vec![2], vec![0, 1, 2]];
-        let out = check_cover(&sigma, 3, 1, &[0, 0, 0]);
+        let out = cover(&sigma, 3, 1, &[0, 0, 0]);
         assert_eq!(out.selected, vec![2]);
         assert!(out.all_covered);
     }
@@ -105,7 +115,7 @@ mod tests {
         // After picking 0, facility 1's gain drops to 1 — same as 2's, and
         // ties break toward smaller index, so 1 is picked next.
         let sigma = vec![vec![0, 1], vec![1, 2], vec![3]];
-        let out = check_cover(&sigma, 4, 2, &[0, 0, 0]);
+        let out = cover(&sigma, 4, 2, &[0, 0, 0]);
         assert_eq!(out.selected, vec![0, 1]);
         assert_eq!(out.covered, vec![true, true, true, false]);
         assert!(!out.all_covered);
@@ -115,7 +125,7 @@ mod tests {
     fn tie_break_prefers_least_recently_selected() {
         // Equal gains; facility 1 was selected more recently than 0 and 2.
         let sigma = vec![vec![0], vec![1], vec![2]];
-        let out = check_cover(&sigma, 3, 1, &[5, 9, 5]);
+        let out = cover(&sigma, 3, 1, &[5, 9, 5]);
         // Ties on gain=1: last_selected 5 beats 9; index 0 beats 2.
         assert_eq!(out.selected, vec![0]);
     }
@@ -124,7 +134,7 @@ mod tests {
     fn zero_gain_facilities_skipped() {
         // Facility 1 duplicates facility 0's coverage entirely.
         let sigma = vec![vec![0, 1], vec![0, 1], vec![]];
-        let out = check_cover(&sigma, 2, 3, &[0, 0, 0]);
+        let out = cover(&sigma, 2, 3, &[0, 0, 0]);
         assert_eq!(
             out.selected,
             vec![0],
@@ -136,14 +146,14 @@ mod tests {
     #[test]
     fn customer_in_multiple_sigmas_counted_once() {
         let sigma = vec![vec![0, 1, 2], vec![2, 3]];
-        let out = check_cover(&sigma, 4, 2, &[0, 0]);
+        let out = cover(&sigma, 4, 2, &[0, 0]);
         assert_eq!(out.selected, vec![0, 1]);
         assert!(out.all_covered);
     }
 
     #[test]
     fn empty_sigma_covers_nothing() {
-        let out = check_cover(&[vec![], vec![]], 2, 2, &[0, 0]);
+        let out = cover(&[vec![], vec![]], 2, 2, &[0, 0]);
         assert!(out.selected.is_empty());
         assert!(!out.all_covered);
         assert_eq!(out.covered, vec![false, false]);
@@ -151,7 +161,7 @@ mod tests {
 
     #[test]
     fn zero_customers_is_trivially_covered() {
-        let out = check_cover(&[vec![]], 0, 1, &[0]);
+        let out = cover(&[vec![]], 0, 1, &[0]);
         assert!(out.all_covered);
     }
 
@@ -167,7 +177,7 @@ mod tests {
         ) {
             let m = 12usize;
             let last = vec![0u64; sigma.len()];
-            let out = check_cover(&sigma, m, k, &last);
+            let out = cover(&sigma, m, k, &last);
             // Distinct selections, at most k.
             let mut uniq = out.selected.clone();
             uniq.sort_unstable();
@@ -196,8 +206,8 @@ mod tests {
     #[test]
     fn deterministic_given_equal_inputs() {
         let sigma = vec![vec![0, 1], vec![2, 3], vec![1, 2]];
-        let a = check_cover(&sigma, 4, 2, &[0, 0, 0]);
-        let b = check_cover(&sigma, 4, 2, &[0, 0, 0]);
+        let a = cover(&sigma, 4, 2, &[0, 0, 0]);
+        let b = cover(&sigma, 4, 2, &[0, 0, 0]);
         assert_eq!(a.selected, b.selected);
     }
 }

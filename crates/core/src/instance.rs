@@ -1,6 +1,6 @@
 //! Problem instances and solutions for Multicapacity Facility Selection.
 
-use mcfs_graph::{connected_components, dijkstra_all, ComponentInfo, Graph, NodeId, INF};
+use mcfs_graph::{dijkstra_all, ComponentInfo, Graph, NodeId, INF};
 use rustc_hash::FxHashMap;
 
 /// A candidate facility: a network node plus its capacity `c_j`.
@@ -191,9 +191,12 @@ impl<'g> McfsInstance<'g> {
     /// capacity for its own customers and the per-component minimum facility
     /// counts sum to at most `k`.
     ///
-    /// Returns the per-component minimum counts on success.
-    pub fn check_feasibility(&self) -> Result<FeasibilityReport, Infeasibility> {
-        let cc = connected_components(self.graph);
+    /// Returns the per-component minimum counts on success, beside the
+    /// graph's component labels, borrowed from [`Graph::components`]
+    /// (computed once per graph, so repeated checks on one network walk
+    /// it once).
+    pub fn check_feasibility(&self) -> Result<FeasibilityReport<'g>, Infeasibility> {
+        let cc = self.graph.components();
         let mut customers_per = vec![0u64; cc.count];
         for &s in &self.customers {
             customers_per[cc.of(s) as usize] += 1;
@@ -245,9 +248,10 @@ impl<'g> McfsInstance<'g> {
 
 /// Successful feasibility analysis.
 #[derive(Clone, Debug)]
-pub struct FeasibilityReport {
-    /// Component labelling of the network.
-    pub components: ComponentInfo,
+pub struct FeasibilityReport<'g> {
+    /// Component labelling of the network, borrowed from the graph
+    /// ([`Graph::components`]).
+    pub components: &'g ComponentInfo,
     /// Minimum number of facilities each component must receive
     /// (the paper's `k_g`).
     pub min_counts: Vec<usize>,

@@ -173,7 +173,7 @@ impl Solver for WmaNaive {
 
             let matching_time = t_greedy.elapsed();
             let t_cover = std::time::Instant::now();
-            let outcome = check_cover(&sigma, m, k, &last_selected);
+            let outcome = check_cover(|j| sigma[j].iter().copied(), m, k, &last_selected);
             let cover_time = t_cover.elapsed();
             for &f in &outcome.selected {
                 last_selected[f as usize] = iteration;
@@ -211,8 +211,8 @@ impl Solver for WmaNaive {
         if selection.len() < k {
             select_greedy(inst, &mut selection);
         }
-        if !all_covered || !capacity_suffices(inst, &selection, &feas.components) {
-            selection = cover_components(inst, selection, &feas.components)?;
+        if !all_covered || !capacity_suffices(inst, &selection, feas.components) {
+            selection = cover_components(inst, selection, feas.components)?;
         }
 
         // Final assignment: unlike WMA's optimal re-matching, the naive

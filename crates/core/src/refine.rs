@@ -148,7 +148,7 @@ impl LocalSearch {
                         tried += 1;
                         let mut trial = best.facilities.clone();
                         trial[pos] = cand;
-                        if !capacity_suffices(inst, &trial, &feas.components) {
+                        if !capacity_suffices(inst, &trial, feas.components) {
                             continue;
                         }
                         if let Ok((assignment, objective)) =

@@ -109,10 +109,10 @@ impl Solver for UniformFirst {
 
         // Re-matching step under the *real* capacities; repair the selection
         // first if mean-capacity siting under-provisioned some component.
-        let selection = if capacity_suffices(inst, &selection, &feas.components) {
+        let selection = if capacity_suffices(inst, &selection, feas.components) {
             selection
         } else {
-            cover_components(inst, selection, &feas.components)?
+            cover_components(inst, selection, feas.components)?
         };
         let (assignment, objective) = optimal_assignment_with(inst, &selection, &oracle)?;
         Ok(Solution {

@@ -245,10 +245,12 @@ impl Wma {
 
             // --- Set-cover phase (line 7). ---
             let t1 = Instant::now();
-            let sigma: Vec<Vec<u32>> = (0..l)
-                .map(|j| matcher.holders_of(j).iter().map(|&(c, _)| c).collect())
-                .collect();
-            let outcome = check_cover(&sigma, m, k, &last_selected);
+            let outcome = check_cover(
+                |j| matcher.holders_of(j).iter().map(|&(c, _)| c),
+                m,
+                k,
+                &last_selected,
+            );
             if self.tie_break == TieBreak::LeastRecentlyUsed {
                 for &f in &outcome.selected {
                     last_selected[f as usize] = iteration as u64;
@@ -318,8 +320,8 @@ impl Wma {
         if selection.len() < k {
             select_greedy(inst, &mut selection);
         }
-        if !all_covered || !capacity_suffices(inst, &selection, &feas.components) {
-            selection = cover_components(inst, selection, &feas.components)?;
+        if !all_covered || !capacity_suffices(inst, &selection, feas.components) {
+            selection = cover_components(inst, selection, feas.components)?;
         }
         solve_stats.add_phase("provisions", t_prov.elapsed());
 

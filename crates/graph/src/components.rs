@@ -18,7 +18,7 @@
 use crate::{Graph, NodeId};
 
 /// Component labelling of a graph.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ComponentInfo {
     /// `component[v]` is the component index of node `v` (0-based, dense).
     pub component: Vec<u32>,
@@ -51,6 +51,9 @@ impl ComponentInfo {
 /// label when some chain of arcs, each followed in either direction, joins
 /// them. Labels are dense and numbered in order of each component's
 /// smallest node, so they never depend on which way one-way arcs point.
+///
+/// Uncached: every call walks the whole graph. Solvers borrow the
+/// once-per-graph labelling from [`Graph::components`] instead.
 pub fn connected_components(g: &Graph) -> ComponentInfo {
     let n = g.num_nodes();
     // On a symmetric graph every arc's reversal is itself an out-arc; a

@@ -8,7 +8,7 @@
 
 use std::sync::OnceLock;
 
-use crate::{Dist, Point};
+use crate::{connected_components, ComponentInfo, Dist, Point};
 
 /// Node identifier. `u32` suffices for the paper's million-node networks and
 /// halves index memory versus `usize` (see the type-size guidance in the Rust
@@ -25,7 +25,9 @@ pub type EdgeId = u32;
 /// [`GraphBuilder::add_arc`] inserts a one-way arc. Self-loops are rejected
 /// at build time, parallel arcs are kept (harmless for shortest paths).
 /// [`Graph::is_symmetric`] tells whether the arcs read the same reversed,
-/// i.e. whether `d(u, v) = d(v, u)` for every pair.
+/// i.e. whether `d(u, v) = d(v, u)` for every pair, and
+/// [`Graph::components`] labels its weakly connected components; both are
+/// computed once per graph on first use.
 ///
 /// ```
 /// use mcfs_graph::GraphBuilder;
@@ -62,6 +64,8 @@ pub struct Graph {
     id_salt: u64,
     /// [`Graph::is_symmetric`], computed on first use.
     symmetric: OnceLock<bool>,
+    /// [`Graph::components`], computed on first use.
+    components: OnceLock<ComponentInfo>,
 }
 
 impl Graph {
@@ -208,6 +212,16 @@ impl Graph {
             })
         })
     }
+
+    /// The weakly connected components ([`connected_components`]).
+    ///
+    /// A graph never changes after [`GraphBuilder::build`], so the labels
+    /// are computed once per graph on first call (one BFS over every node)
+    /// and every later call borrows the same labelling; a clone carries the
+    /// labels along. [`connected_components`] is the uncached computation.
+    pub fn components(&self) -> &ComponentInfo {
+        self.components.get_or_init(|| connected_components(self))
+    }
 }
 
 /// FxHash-style mixing over the CSR arrays. One pass at build time; the
@@ -327,6 +341,7 @@ impl GraphBuilder {
             structural_hash,
             id_salt: self.id_salt,
             symmetric: OnceLock::new(),
+            components: OnceLock::new(),
         }
     }
 }

@@ -21,7 +21,8 @@
 //!   nondecreasing distance order. This is the per-customer nearest-neighbor
 //!   stream the paper's `FindPair` routine consumes (Algorithm 2, line 6).
 //! * [`components`] — connected components, needed by Algorithm 5
-//!   (`CoverComponents`) and by the component-aware Hilbert baseline.
+//!   (`CoverComponents`) and by the component-aware Hilbert baseline;
+//!   labelled once per graph and cached by [`Graph::components`].
 //! * [`hilbert`] — the Hilbert space-filling curve used by the Hilbert
 //!   baseline (Section VII-A of the paper).
 //! * [`geometry`] — planar points and a grid-bucket nearest-neighbor index

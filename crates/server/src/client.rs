@@ -2,7 +2,7 @@
 //! the in-process pipe from [`crate::ServerHandle::connect`] or a
 //! `TcpStream` — because both sides speak exactly the same bytes.
 
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpStream;
 
 use mcfs::{Edit, McfsInstance, Solution};
@@ -60,7 +60,11 @@ impl From<ProtoError> for ClientError {
 /// [`Client::next_event`]) until the awaited reply arrives.
 pub struct Client {
     reader: BufReader<Box<dyn Read + Send>>,
-    writer: Box<dyn Write + Send>,
+    /// Buffered, so a frame's many small writes leave in one transport
+    /// write (one pipe chunk, one `send` on TCP) at the flush that ends
+    /// each request. A frame longer than the buffer (8 KiB) leaves in
+    /// roughly buffer-sized writes.
+    writer: BufWriter<Box<dyn Write + Send>>,
     max_payload: usize,
     /// Event frames received while waiting for replies, oldest first.
     pending_events: std::collections::VecDeque<EventFrame>,
@@ -81,7 +85,7 @@ impl Client {
     ) -> Result<Client, ClientError> {
         let mut client = Client {
             reader: BufReader::new(Box::new(reader)),
-            writer: Box::new(writer),
+            writer: BufWriter::new(Box::new(writer)),
             max_payload: DEFAULT_MAX_PAYLOAD_LINES,
             pending_events: std::collections::VecDeque::new(),
             frame_buf: FrameBuf::new(),
