@@ -83,9 +83,11 @@ pub struct SolveStats {
     /// Distance-oracle row-cache misses (fresh Dijkstra expansions) during
     /// this run.
     pub cache_misses: u64,
-    /// Nodes the oracle settled computing missed rows during this run. Zero
-    /// when every stream was lazy, and zero for warm re-solves that find
-    /// their rows already cached.
+    /// Nodes reached by the rows the oracle filled for missed requests
+    /// during this run (each row's finite entries, see
+    /// [`mcfs_graph::OracleStats::nodes_settled`]). Zero when every stream
+    /// was lazy, and zero for warm re-solves that find their rows already
+    /// cached.
     pub oracle_nodes_settled: u64,
     /// Matcher augmentations performed across the run's matching phases
     /// (selection loop plus final assignment). A warm-started re-solve pays

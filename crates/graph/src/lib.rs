@@ -15,8 +15,10 @@
 //!   side ([`Graph::is_symmetric`]), per customer otherwise.
 //! * [`arena`] — the oracle's row engine, [`fill_row`]: a zero-alloc Dial
 //!   bucket ring (radix-heap fallback for huge weights) over a per-thread
-//!   reusable search arena, byte-identical to [`dijkstra_all`], which stays
-//!   the plain binary-heap reference.
+//!   reusable search arena that searches only the intersections (degree-2
+//!   road chains contracted to shortcuts) and expands the chains in one
+//!   linear pass, byte-identical to [`dijkstra_all`], which stays the plain
+//!   binary-heap reference.
 //! * [`LazyDijkstra`] — a *resumable* Dijkstra that yields settled nodes in
 //!   nondecreasing distance order. This is the per-customer nearest-neighbor
 //!   stream the paper's `FindPair` routine consumes (Algorithm 2, line 6).

@@ -54,10 +54,12 @@ pub struct OracleStats {
     pub misses: u64,
     /// Rows dropped by the FIFO bound.
     pub evictions: u64,
-    /// Total Dijkstra-settled nodes across all cache misses (each computed
-    /// row settles every node reachable from its source). Cache hits settle
-    /// nothing, so this counter is the oracle-side "search effort" a warm
-    /// caller avoids by reusing rows.
+    /// Total nodes reached across all cache misses: each computed row
+    /// counts its finite entries, every node reachable from its source,
+    /// which is what a plain Dijkstra would settle (the arena search itself
+    /// settles only the contracted core, [`crate::fill_row`]). Cache hits
+    /// reach nothing, so this counter is the oracle-side "search effort" a
+    /// warm caller avoids by reusing rows.
     pub nodes_settled: u64,
     /// Rows currently resident.
     pub cached_rows: usize,
@@ -316,7 +318,7 @@ impl DistanceOracle {
     }
 
     /// One arena row as a fresh `Arc` (the only allocation a warm fill
-    /// performs: the row the cache retains) and its settled-node count.
+    /// performs: the row the cache retains) and its reached-node count.
     fn compute_row(g: &Graph, source: NodeId) -> (Arc<Vec<Dist>>, u64) {
         let mut row = Vec::new();
         let settled = fill_row(g, source, &mut row);

@@ -8,7 +8,9 @@
 //! Which rows a run reads follows from the instance, never from the thread
 //! count. The inputs cover both strategies: facility rows (symmetric graph,
 //! no more distinct candidate nodes than customers — the `few-sites`
-//! input), and lazy per-customer streams (every other input, with the final
+//! input, and the `city-sites` input on a subdivided city, whose rows come
+//! from a search over its intersections expanded onto the street chains),
+//! and lazy per-customer streams (every other input, with the final
 //! assignment's facility rows there). Every input is also solved on its
 //! *one-way twin*: the same graph plus one one-way arc, heavier than all
 //! edges together, between two adjacent nodes. No shortest path can use
@@ -21,6 +23,7 @@ use std::sync::Arc;
 use mcfs_repro::baselines::{BrnnBaseline, GreedyAddition};
 use mcfs_repro::core::refine::LocalSearch;
 use mcfs_repro::core::{Facility, McfsInstance, Solution, Solver, UniformFirst, Wma, WmaNaive};
+use mcfs_repro::gen::city::{generate_city, CitySpec, CityStyle};
 use mcfs_repro::gen::customers::uniform_customers;
 use mcfs_repro::gen::synthetic::{generate_synthetic, SyntheticConfig};
 use mcfs_repro::graph::{connected_components, DistanceOracle, Graph, GraphBuilder, NodeId};
@@ -84,8 +87,44 @@ fn few_sites_instance(g: &Graph) -> McfsInstance<'_> {
         .unwrap()
 }
 
+/// A subdivided grid city of about 1,200 nodes.
+fn small_city() -> Graph {
+    generate_city(&CitySpec {
+        name: "DeterminismCity",
+        target_nodes: 1_200,
+        style: CityStyle::Grid,
+        avg_edge_len: 30.0,
+        seed: 5,
+    })
+}
+
+/// The ℓ ≤ m input on a road network: a subdivided grid city, where most
+/// nodes are degree-2 chain nodes, with 40 customers and 8 candidate sites
+/// spread over its largest component, so customers and sites mostly sit
+/// inside streets.
+fn city_sites_instance(g: &Graph) -> McfsInstance<'_> {
+    let cc = connected_components(g);
+    let largest = (0..cc.count).max_by_key(|&c| cc.sizes[c]).unwrap() as u32;
+    let nodes: Vec<NodeId> = g.nodes().filter(|&v| cc.of(v) == largest).collect();
+    let chain = nodes.iter().filter(|&&v| g.degree(v) == 2).count();
+    assert!(
+        chain * 2 > nodes.len(),
+        "only {chain} of {} nodes are chain nodes",
+        nodes.len()
+    );
+    let customers = (0..40).map(|i| nodes[(i * 37 + 11) % nodes.len()]);
+    let sites = (0..8).map(|j| nodes[(j * 173 + 29) % nodes.len()]);
+    McfsInstance::builder(g)
+        .customers(customers)
+        .facilities(sites.map(|node| Facility { node, capacity: 10 }))
+        .k(5)
+        .build()
+        .unwrap()
+}
+
 /// Check `solve` on every input of the six-solver check: the mid-size
-/// workload, the 400-node Figure-6 instance and the few-sites instance.
+/// workload, the 400-node Figure-6 instance, the few-sites instance and
+/// the city-sites instance.
 fn for_each_workload(solver: &str, solve: impl Fn(&McfsInstance, usize) -> Solution) {
     let g = generate_synthetic(&SyntheticConfig::uniform(150, 2.0, 7));
     assert_thread_invariant(
@@ -100,6 +139,12 @@ fn for_each_workload(solver: &str, solve: impl Fn(&McfsInstance, usize) -> Solut
     );
     let g = generate_synthetic(&SyntheticConfig::uniform(400, 2.0, 11));
     assert_thread_invariant(&format!("{solver}/fig6"), &fig6_instance(&g), &solve);
+    let g = small_city();
+    assert_thread_invariant(
+        &format!("{solver}/city-sites"),
+        &city_sites_instance(&g),
+        &solve,
+    );
 }
 
 /// `g` plus one one-way arc between two adjacent nodes, heavier than all
@@ -210,6 +255,19 @@ fn local_search_refinement_is_thread_invariant() {
             .refine(inst, &base)
             .unwrap()
     });
+}
+
+/// The city-sites input takes the facility-row path the city input is
+/// there for: a single-thread solve fills one row per distinct site.
+#[test]
+fn city_sites_input_reads_facility_rows() {
+    let g = small_city();
+    let inst = city_sites_instance(&g);
+    let mut sites: Vec<NodeId> = inst.facilities().iter().map(|f| f.node).collect();
+    sites.sort_unstable();
+    sites.dedup();
+    let run = Wma::new().threads(1).run(&inst).unwrap();
+    assert_eq!(run.solve_stats.cache_misses, sites.len() as u64);
 }
 
 /// The server path: a session's solver shares one long-lived

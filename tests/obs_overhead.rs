@@ -497,13 +497,20 @@ fn buffered_frame_parsing_allocates_a_bounded_trickle() {
 /// warm fill must allocate exactly zero bytes — the arena's lazy reset
 /// touches only memory it already owns.
 ///
+/// The α = 2 synthetic graph has almost no degree-2 runs, so the guard
+/// repeats on a subdivided grid city, where most nodes are chain nodes and
+/// every fill searches the contracted core and expands it, including from
+/// sources inside a run, and on that city with one street too heavy for the
+/// Dial ring (the radix heap).
+///
 /// The binary-heap reference `dijkstra_all` is measured alongside as a
 /// sanity check that the counting allocator actually sees row traffic: a
 /// fresh `BinaryHeap` plus distance row per call cannot be free.
 #[test]
 fn bucket_backend_warm_row_fill_allocates_zero_bytes() {
+    use mcfs_repro::gen::city::{generate_city, CitySpec, CityStyle};
     use mcfs_repro::gen::synthetic::{generate_synthetic, SyntheticConfig};
-    use mcfs_repro::graph::{dijkstra_all, fill_row};
+    use mcfs_repro::graph::{dijkstra_all, fill_row, GraphBuilder};
 
     let g = generate_synthetic(&SyntheticConfig::uniform(2_000, 2.0, 41));
     let mut row = Vec::new();
@@ -537,4 +544,53 @@ fn bucket_backend_warm_row_fill_allocates_zero_bytes() {
         reference > 0,
         "heap reference fill reported zero bytes — counting allocator dead?"
     );
+
+    let city = generate_city(&CitySpec {
+        name: "ZeroAllocCity",
+        target_nodes: 3_000,
+        style: CityStyle::Grid,
+        avg_edge_len: 15.0,
+        seed: 41,
+    });
+    let last = city.num_nodes() as u32 - 1;
+    assert_eq!(city.degree(last), 2, "the last node sits inside a street");
+    fill_row(&city, 0, &mut row);
+    fill_row(&city, last, &mut row);
+    let warm = bytes_allocated_by(|| {
+        for source in [1u32, last, last - 1, 7, last / 2, 0] {
+            fill_row(&city, source, &mut row);
+            black_box(&row);
+        }
+    });
+    assert_eq!(
+        warm, 0,
+        "warm row fills on a subdivided city allocated {warm} bytes (budget: exactly 0)"
+    );
+    assert_eq!(row, dijkstra_all(&city, 0));
+
+    // The same city with one 2^20 m street added: too heavy for the Dial
+    // ring, so the fills run the radix heap, which reads the core's arcs
+    // off the graph through the expansion table.
+    let (offsets, targets, weights) = city.csr();
+    let mut b = GraphBuilder::new(city.num_nodes());
+    for u in 0..city.num_nodes() {
+        for i in offsets[u] as usize..offsets[u + 1] as usize {
+            b.add_arc(u as u32, targets[i], weights[i]);
+        }
+    }
+    b.add_edge(0, last / 2, 1 << 20);
+    let radix = b.build();
+    fill_row(&radix, 0, &mut row);
+    fill_row(&radix, last, &mut row);
+    let warm = bytes_allocated_by(|| {
+        for source in [1u32, last, last - 1, 7, last / 2, 0] {
+            fill_row(&radix, source, &mut row);
+            black_box(&row);
+        }
+    });
+    assert_eq!(
+        warm, 0,
+        "warm radix-heap row fills allocated {warm} bytes (budget: exactly 0)"
+    );
+    assert_eq!(row, dijkstra_all(&radix, 0));
 }
