@@ -16,10 +16,11 @@
 //!
 //! With a [`DistanceOracle`] (`threads > 1` or an explicit oracle) the
 //! per-customer searches become cached row queries: the 1-median scan
-//! prefetches every customer row in one batched parallel query, NLR
-//! attraction counting scans those cached rows instead of re-running
-//! bounded Dijkstras each step, and the per-step Voronoi update reuses the
-//! cached selected-site rows. Results are identical on every path.
+//! prefetches every customer row in one batched parallel query and expands
+//! each into one reused buffer, NLR attraction counting reads those cached
+//! rows at the candidate nodes instead of re-running bounded Dijkstras each
+//! step, and the per-step Voronoi update reuses the cached selected-site
+//! rows. Results are identical on every path.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,7 +32,7 @@ use mcfs::parallel::resolve_oracle;
 use mcfs::stats::SolveStats;
 use mcfs::{McfsInstance, Solution, SolveError, Solver};
 use mcfs_graph::{
-    dijkstra_all, dijkstra_bounded, multi_source_dijkstra, Dist, DistanceOracle, NodeId, INF,
+    dijkstra_all, dijkstra_bounded, multi_source_dijkstra, Dist, DistanceOracle, NodeId, Row, INF,
 };
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -103,13 +104,17 @@ impl BrnnBaseline {
         let n = g.num_nodes();
         let mut sums = vec![0u64; n];
         let mut reach = vec![0u32; n];
-        let customer_rows: Option<Vec<Arc<Vec<Dist>>>> = oracle
+        let customer_rows: Option<Vec<Arc<Row>>> = oracle
             .as_ref()
             .map(|o| o.distances_for_sources(g, inst.customers()));
+        let mut full = Vec::new();
         for (i, &s) in inst.customers().iter().enumerate() {
             let owned;
             let d: &[Dist] = match &customer_rows {
-                Some(rows) => &rows[i],
+                Some(rows) => {
+                    rows[i].expand_into(&mut full);
+                    &full
+                }
                 None => {
                     owned = dijkstra_all(g, s);
                     &owned
@@ -173,7 +178,7 @@ impl BrnnBaseline {
                             // The INF guard matters when bound == INF: a
                             // bounded Dijkstra never settles unreachable
                             // nodes, so neither may the row scan count them.
-                            let d = row[v as usize];
+                            let d = row.get(v);
                             if d != INF && d <= bound {
                                 *attraction.entry(v).or_insert(0) += 1;
                             }

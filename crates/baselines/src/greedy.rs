@@ -25,7 +25,7 @@ use mcfs::assign::{optimal_assignment, optimal_assignment_with};
 use mcfs::components::{capacity_suffices, cover_components};
 use mcfs::parallel::resolve_oracle;
 use mcfs::{McfsInstance, Solution, SolveError, Solver};
-use mcfs_graph::{dijkstra_bounded, Dist, DistanceOracle, NodeId, INF};
+use mcfs_graph::{dijkstra_bounded, Dist, DistanceOracle, NodeId, Row, INF};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 /// The greedy-addition baseline.
@@ -85,7 +85,7 @@ impl Solver for GreedyAddition {
             v.sort_unstable();
             v
         };
-        let customer_rows: Option<Vec<Arc<Vec<Dist>>>> = oracle
+        let customer_rows: Option<Vec<Arc<Row>>> = oracle
             .as_ref()
             .map(|o| o.distances_for_sources(g, inst.customers()));
 
@@ -95,6 +95,8 @@ impl Solver for GreedyAddition {
         // current[i]: distance of customer i to its nearest selected site
         // (INF while nothing is selected).
         let mut current: Vec<u64> = vec![INF; inst.num_customers()];
+        // The new site's row, expanded once per round (oracle path).
+        let mut full = Vec::new();
 
         for _round in 0..k {
             // Gain of adding candidate node v: Σ_i max(0, current_i − d(s_i, v)).
@@ -127,7 +129,7 @@ impl Solver for GreedyAddition {
                         for &v in &cand_nodes {
                             // INF guard: a bounded Dijkstra never settles
                             // unreachable nodes, so neither may the row scan.
-                            let d = row[v as usize];
+                            let d = row.get(v);
                             if d != INF && d <= bound {
                                 *gain.entry(v).or_insert(0) += saving_of(d);
                             }
@@ -160,12 +162,11 @@ impl Solver for GreedyAddition {
             // Update per-customer nearest-selected distances with one
             // single-source sweep from the new site (cached when an oracle
             // is active).
-            let cached;
             let computed;
             let d_new: &[Dist] = match &oracle {
                 Some(o) => {
-                    cached = o.row(g, node);
-                    &cached
+                    o.row(g, node).expand_into(&mut full);
+                    &full
                 }
                 None => {
                     computed = mcfs_graph::dijkstra_all(g, node);

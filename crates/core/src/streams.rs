@@ -10,21 +10,21 @@
 //!
 //! The paper built its per-customer searches for `F_p = V`, where every
 //! stream stops within a few hops. When the facility set being matched has
-//! few distinct nodes (`ℓ ≤ m`), one full row *per facility node* is far
-//! cheaper than `m` customer searches: on a symmetric graph
-//! `d(f, c) = d(c, f)`, so each customer reads its column of the facility
-//! rows and sorts it ([`OracleStream::from_facility_rows`]). The strategy
-//! follows from the instance's shape alone ([`facility_rows_apply`]), never
-//! from a thread count or an oracle; both strategies emit the same sequence
-//! for the same customer, so the choice changes wall time, never a
-//! solution.
+//! few distinct nodes (`ℓ ≤ m`), one one-to-all row *per facility node* is
+//! far cheaper than `m` customer searches: on a symmetric graph
+//! `d(f, c) = d(c, f)`, so each customer reads its entry of every facility
+//! row and sorts that column ([`OracleStream::from_facility_rows`]). The
+//! strategy follows from the instance's shape alone
+//! ([`facility_rows_apply`]), never from a thread count or an oracle; both
+//! strategies emit the same sequence for the same customer, so the choice
+//! changes wall time, never a solution.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
 use mcfs_flow::EdgeStream;
-use mcfs_graph::{Dist, DistanceOracle, Graph, LazyDijkstra, NodeId, INF};
+use mcfs_graph::{Dist, DistanceOracle, Graph, LazyDijkstra, NodeId, Row, INF};
 use rustc_hash::FxHashMap;
 
 /// Shared lookup from network node to the candidate-facility indices located
@@ -126,20 +126,20 @@ pub struct OracleStream {
 
 impl OracleStream {
     /// Stream for the customer at `customer`, read from facility rows:
-    /// `rows[i]` is the one-to-all row filled from `nodes[i]`, and `nodes`
-    /// are the keys of `facilities_at`. Unreachable facilities (`INF`
-    /// entries) are omitted, matching the lazy stream's behavior of never
-    /// settling them.
+    /// `rows[i]` is the one-to-all row from `nodes[i]`, and `nodes` are the
+    /// keys of `facilities_at`. Each row is read at the customer alone
+    /// ([`Row::get`]). Unreachable facilities (`INF` entries) are omitted,
+    /// matching the lazy stream's behavior of never settling them.
     pub fn from_facility_rows(
         customer: NodeId,
         nodes: &[NodeId],
-        rows: &[Arc<Vec<Dist>>],
+        rows: &[Arc<Row>],
         facilities_at: &FxHashMap<NodeId, Vec<u32>>,
     ) -> Self {
         let mut reached: Vec<(Dist, NodeId)> = nodes
             .iter()
             .zip(rows)
-            .map(|(&v, row)| (row[customer as usize], v))
+            .map(|(&v, row)| (row.get(customer), v))
             .filter(|&(d, _)| d != INF)
             .collect();
         reached.sort_unstable();
@@ -309,7 +309,11 @@ mod tests {
             let rows = CustomerStream::for_customers(&g, &customers, 3, Rc::clone(&fm), &oracle);
             assert_eq!(lazy, drain_all(rows), "threads {threads}");
             assert_eq!(oracle.stats().misses, 3);
-            assert_eq!(oracle.row(&g, 4)[0], 28, "rows are keyed by facility node");
+            assert_eq!(
+                oracle.row(&g, 4).get(0),
+                28,
+                "rows are keyed by facility node"
+            );
             // ℓ > m: lazy searches, and the oracle fills no row.
             let oracle = DistanceOracle::new().with_threads(threads);
             let first =
@@ -361,10 +365,7 @@ mod tests {
         let g = b.build();
         let fm = map(&[(1, &[5, 2]), (2, &[1]), (3, &[0, 4])]);
         let nodes = [1, 2, 3];
-        let rows: Vec<_> = nodes
-            .iter()
-            .map(|&v| Arc::new(mcfs_graph::dijkstra_all(&g, v)))
-            .collect();
+        let rows: Vec<_> = nodes.iter().map(|&v| Arc::new(Row::new(&g, v))).collect();
         for customer in 0..5 {
             let lazy = drain(NetworkStream::new(&g, customer, Rc::clone(&fm)));
             let replay = drain(OracleStream::from_facility_rows(

@@ -4,17 +4,17 @@
 //! distances, so unlike WMA they precompute the full `m × ℓ` matrix —
 //! exactly the `d_ij` of the paper's IP formulation ("they may be computed
 //! on the fly over the input network"; here the fly-weight is paid once up
-//! front). One row per distinct node of the smaller side: on a symmetric
-//! graph `d(f, c) = d(c, f)`, so rows filled from the candidate nodes hold
-//! the same costs as rows filled from the customers. A directed graph
-//! keeps customer rows, since customer → facility is the direction every
-//! solver measures.
+//! front). One core row ([`Row`]) per distinct node of the smaller side,
+//! read only at the other side's nodes: on a symmetric graph
+//! `d(f, c) = d(c, f)`, so rows from the candidate nodes hold the same
+//! costs as rows from the customers. A directed graph keeps customer rows,
+//! since customer → facility is the direction every solver measures.
 
 use std::collections::BTreeMap;
 
 use mcfs::McfsInstance;
 use mcfs_flow::INF_COST;
-use mcfs_graph::{fill_row, NodeId, INF};
+use mcfs_graph::{NodeId, Row, INF};
 
 /// Row-major `m × ℓ` matrix of network distances; unreachable pairs get
 /// [`INF_COST`].
@@ -30,22 +30,21 @@ pub fn cost_matrix(inst: &McfsInstance) -> Vec<u64> {
         }
     };
     let (by_customer, by_site) = (by_node(customers), by_node(&sites));
-    let mut row = Vec::new();
     if g.is_symmetric() && by_site.len() < by_customer.len() {
         for (&f, js) in &by_site {
-            fill_row(g, f, &mut row);
+            let row = Row::new(g, f);
             for &j in js {
                 for (i, &c) in customers.iter().enumerate() {
-                    set(i, j, row[c as usize]);
+                    set(i, j, row.get(c));
                 }
             }
         }
     } else {
         for (&c, is) in &by_customer {
-            fill_row(g, c, &mut row);
+            let row = Row::new(g, c);
             for &i in is {
                 for (j, &f) in sites.iter().enumerate() {
-                    set(i, j, row[f as usize]);
+                    set(i, j, row.get(f));
                 }
             }
         }

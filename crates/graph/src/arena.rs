@@ -1,60 +1,50 @@
 //! The oracle's row engine: exact one-to-all Dijkstra over a per-thread
 //! reusable search arena that searches only the graph's intersections.
 //!
-//! Every row the [`DistanceOracle`](crate::DistanceOracle) caches is filled
-//! by [`fill_row`]. Its contract is the one the equivalence suites
-//! (`tests/backend_equivalence.rs`, `tests/chain_rows.rs`) pin down: the
-//! row is byte-for-byte the row [`dijkstra_all`](crate::dijkstra_all)
+//! Every row the [`DistanceOracle`](crate::DistanceOracle) caches is a
+//! [`Row`]: the core distances of one search over the graph's
+//! [`Contraction`] (degree-2 road chains contracted to shortcuts, built
+//! once per graph by [`Graph::contraction`]), read node by node on demand.
+//! [`fill_row`] runs the same search and expands it into a full
+//! `Vec<Dist>` in one linear pass. The contract is the one the equivalence
+//! suites (`tests/backend_equivalence.rs`, `tests/chain_rows.rs`) pin down:
+//! every entry a row reads is the entry [`dijkstra_all`](crate::dijkstra_all)
 //! would produce, on every graph, including disconnected ones, parallel
 //! arcs and weight-1 (bumped zero-weight) edges. `dijkstra_all` stays the
 //! plain binary-heap reference every row test compares against.
 //!
-//! **Contraction.** Road networks are mostly degree-2 *chain nodes*: a
-//! street between two intersections is cut into several segments (the
-//! paper's OSM graphs average degree 2.2–2.4). On a symmetric graph
-//! ([`Graph::is_symmetric`]) a node with exactly two arcs, to two distinct
-//! neighbours, is a chain node; every other node is a *core* node. Priming
-//! the arena for a graph turns each maximal run of chain nodes into one
-//! shortcut arc, in both directions, between the two core nodes that end
-//! it, weighted with the run's length; each chain node records its ends
-//! `a`, `b` and its offsets `pa`, `pb` from them. A run with no core end (a
-//! pure cycle) has one node promoted to core, and a run is split, by
-//! promoting the node where it would happen, before its shortcut reaches
-//! the Dial bound, so contraction never moves a graph between Dial and
-//! radix. Directed graphs and graphs without chain nodes contract to
-//! themselves: every node is core and its table entry names itself, so
-//! every graph takes the same search and the same expansion pass.
-//!
-//! **Search and expansion.** A fill searches the core only, seeded at the
-//! source or, for a chain source, at both ends of its run (at offsets `pa`,
-//! `pb`). One linear pass in node order then writes every entry as
-//! `d(v) = min(D[a] + pa, D[b] + pb)` (a core node is its own end at
-//! offset 0), and a walk along the source's own run lowers each of its
-//! entries to the direct along-run distance where that is shorter. This is
-//! exact: a shortcut weighs what its run does, so core distances are graph
-//! distances, and every path to a chain node enters its run through one of
-//! the run's two ends — except paths that start inside that run, which is
-//! what the walk covers.
+//! **Search.** A search runs over the core only, seeded at the source or,
+//! for a chain source, at both ends of its run (at offsets `pa`, `pb`).
+//! **Reads.** Node `v` reads `min(D[a] + pa, D[b] + pb)` off the core
+//! distances `D` through its expansion entry, lowered to the direct
+//! along-run distance when `v` lies on a chain source's own run (see the
+//! [`contraction`](crate::contraction) docs for why this is exact). A
+//! [`Row`] keeps the core distances (`core × 8` bytes) and that own run, a
+//! short `(node, distance)` list, and applies the formula in
+//! [`Row::get`]; [`Row::expand_into`] and [`fill_row`] apply it to every
+//! node in node order.
 //!
 //! Graphs whose max edge weight fits a bounded window run Dial's algorithm
 //! on a circular power-of-two bucket ring with a lazy-deletion entry pool,
 //! `u32` distances packed beside each core node's CSR offset, and a
 //! software pipeline that prefetches the pop chain, adjacency rows, and
-//! relax targets ahead of use; the core's arcs are packed into a copy
-//! built at prime time. Graphs with huge weights fall back to a 65-bucket
-//! radix heap (intrusive doubly-linked bucket lists, O(1) decrease-key by
-//! relocation) whose empty-bucket scans stay bounded by 64 regardless of
-//! weight magnitude; it keeps no copy of the core's arcs, but reads each
-//! core node's arcs off the graph's CSR and maps them through the
-//! expansion table. Either way a warm fill performs **zero allocations**
-//! (guarded by a counting-allocator test in `tests/obs_overhead.rs`).
+//! relax targets ahead of use; the core's arcs are the contraction's packed
+//! copy. Graphs with huge weights fall back to a 65-bucket radix heap
+//! (intrusive doubly-linked bucket lists, O(1) decrease-key by relocation)
+//! whose empty-bucket scans stay bounded by 64 regardless of weight
+//! magnitude; it reads each core node's arcs off the graph's CSR and maps
+//! them through the expansion table. The arena holds only what a search
+//! writes; a warm [`fill_row`] performs **zero allocations**, and a warm
+//! [`Row::new`] allocates only the row (both guarded by a
+//! counting-allocator test in `tests/obs_overhead.rs`).
 //!
 //! Arena reuse/initialization counters land in the global
 //! [`mcfs_obs::Registry`].
 
 use std::cell::RefCell;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock, Weak};
 
+use crate::contraction::{core_arc, Contraction, Expand};
 use crate::{Dist, Graph, NodeId, INF};
 
 /// Registry-backed arena counters, cached once.
@@ -74,7 +64,7 @@ fn arena_obs() -> &'static ArenaObs {
             ),
             init: r.counter(
                 "mcfs_backend_arena_init_total",
-                "Search-arena (re)initializations for a new graph structure",
+                "Search-arena (re)initializations for another graph",
             ),
         }
     })
@@ -104,132 +94,53 @@ const NOT_QUEUED: u8 = u8::MAX;
 const NO_ENTRY: u32 = u32::MAX;
 /// Unreached sentinel in the Dial path's `u32` distance array.
 const INF32: u32 = u32::MAX;
-/// Largest max edge weight the Dial ring serves; beyond it (or on weight
-/// overflow pathologies) the arena falls back to the radix heap. 8192
-/// slots keep the ring's head array inside L1. It also bounds every chain
-/// shortcut (runs are split before reaching it) and so every chain offset.
-const DIAL_MAX_WEIGHT: Dist = 8192;
-const _: () = assert!(DIAL_MAX_WEIGHT <= 1 << 16, "chain offsets are u16");
 /// Radix-heap buckets for 64-bit monotone keys: bucket 0 holds keys equal
 /// to the last extracted minimum, bucket `i` (1..=64) keys whose highest
 /// bit differing from it is bit `i - 1`.
 const NBUCKETS: usize = 65;
 
-/// Prime-time node kinds: a chain node no run walk has reached yet, one
-/// that a walk has passed, and a core node.
-const CHAIN: u8 = 0;
-const WALKED: u8 = 1;
-const CORE: u8 = 2;
-
-/// How one node's distance is read off the core search:
-/// `min(D[a] + pa, D[b] + pb)` over core indices `a`, `b`. A core node is
-/// its own end at offset 0; a chain node has offsets of at least 1 (every
-/// weight is), which is how the two are told apart.
-#[derive(Clone, Copy, Debug)]
-struct Expand {
-    a: u32,
-    b: u32,
-    pa: u16,
-    pb: u16,
-}
-
-impl Expand {
-    const fn core(index: u32) -> Self {
-        Self {
-            a: index,
-            b: index,
-            pa: 0,
-            pb: 0,
-        }
-    }
-
-    fn is_chain(self) -> bool {
-        self.pa != 0
-    }
-}
-
-/// The arc that leaves chain node `v` away from its neighbour `prev`.
-#[inline]
-fn step(g: &Graph, v: NodeId, prev: NodeId) -> (NodeId, Dist) {
-    let (offsets, targets, weights) = g.csr();
-    let lo = offsets[v as usize] as usize;
-    let i = lo + usize::from(targets[lo] == prev);
-    (targets[i], weights[i])
-}
-
-/// Give every chain node waiting in `segment` its far end `end`, `len`
-/// away from the segment's start, and its offset from that end.
-fn close_segment(segment: &mut Vec<NodeId>, expand: &mut [Expand], end: NodeId, len: Dist) {
-    for c in segment.drain(..) {
-        let e = &mut expand[c as usize];
-        (e.b, e.pb) = (end, (len - Dist::from(e.pa)) as u16);
-    }
-}
-
-/// The core arc that graph arc `from → to` of weight `w` stands for, with
-/// `from` a core node given by its core index: the arc itself when `to` is
-/// core, else the shortcut over `to`'s segment to the segment's far end.
-#[inline]
-fn core_arc(expand: &[Expand], from: u32, to: NodeId, w: Dist) -> (u32, Dist) {
-    let e = expand[to as usize];
-    if e.is_chain() {
-        let far = if e.a == from { e.b } else { e.a };
-        (far, Dist::from(e.pa) + Dist::from(e.pb))
-    } else {
-        (e.a, w)
-    }
-}
-
-/// The expansion pass: clear `out`, write node `v` as
-/// `min(D[a] + pa, D[b] + pb)` over its [`Expand`] entry, with `dist`
-/// reading core distances and every value from `unreached` up read as
-/// [`INF`], and return the number of finite entries. A real distance is
-/// below `unreached` on either path, so a sum never reaches it by
-/// accident, and a Dial sum of a `u32` distance and a `u16` offset cannot
-/// overflow.
-fn expand_row(
-    expand: &[Expand],
-    out: &mut Vec<Dist>,
-    unreached: Dist,
-    dist: impl Fn(u32) -> Dist,
-) -> u64 {
+/// The expansion pass: clear `out`, then write every node in node order
+/// as its [`Expand::read`] off the core distances `core`.
+fn expand_row(expand: &[Expand], core: &[Dist], out: &mut Vec<Dist>) {
     out.clear();
-    let mut finite = 0u64;
-    out.extend(expand.iter().map(|e| {
-        let da = dist(e.a).saturating_add(Dist::from(e.pa));
-        let d = da.min(dist(e.b).saturating_add(Dist::from(e.pb)));
-        let reached = d < unreached;
-        finite += u64::from(reached);
-        if reached {
-            d
-        } else {
-            INF
-        }
-    }));
-    finite
+    out.extend(expand.iter().map(|e| e.read(|c| core[c as usize])));
 }
 
-/// Per-thread reusable search state over the contracted graph: the
-/// expansion table, the core's CSR, and the Dial ring or radix heap that
-/// searches it. Everything is sized once per graph structure, and only
-/// the arrays of the graph's mode are kept; warm fills never allocate.
+/// Nodes a row from `source` reaches, the finite entries a full row would
+/// hold, without a pass over the graph: on a symmetric graph the size of
+/// the source's component (cached labels, [`Graph::components`]);
+/// otherwise — a directed graph contracts nothing — the finite core
+/// distances.
+fn reached(g: &Graph, source: NodeId, core: &[Dist]) -> u64 {
+    if g.is_symmetric() {
+        let labels = g.components();
+        labels.sizes[labels.of(source) as usize] as u64
+    } else {
+        core.iter().filter(|&&d| d != INF).count() as u64
+    }
+}
+
+/// Per-thread reusable search state for one graph's contraction: the Dial
+/// ring or the radix heap and the core distances a search writes. The
+/// contraction itself lives on the graph. Everything is sized once per
+/// graph, and only the arrays of the graph's mode are kept; warm searches
+/// never allocate.
 #[derive(Debug)]
 struct SearchArena {
-    graph_hash: u64,
-    /// Node count the arena was last primed for.
-    primed_nodes: usize,
-    /// One [`Expand`] per node.
-    expand: Vec<Expand>,
+    /// The contraction the arena was last primed for. Weak, so the arena
+    /// never keeps a dropped graph's tables alive; its allocation stays,
+    /// so no other contraction can share the address.
+    primed: Weak<Contraction>,
+    /// Core distances of the last search ([`INF`] = unreached): the radix
+    /// heap's own keys, or the Dial words' distance halves unpacked.
+    dist: Vec<Dist>,
     /// Dial mode: per core node, packed `(dist << 32) | csr_offset`, plus a
     /// tail entry holding the arc count like CSR's sentinel offset. One
     /// cache line then serves a pop's settle check *and* its adjacency
     /// bounds. `u32` distances halve the traffic on the hottest data; the
-    /// mode guard proves no reachable distance can overflow them.
+    /// contraction's mode check proves no reachable distance can overflow
+    /// them.
     node_state: Vec<u64>,
-    /// Dial mode: core arcs in core-node order, packed
-    /// `(weight << 32) | target`: one sequential stream for the relax loop
-    /// (every core weight is below [`DIAL_MAX_WEIGHT`]).
-    adj: Vec<u64>,
     /// Dial mode: circular bucket ring of `dial_mask + 1` slots holding
     /// entry-pool indices (`NO_ENTRY` = empty). `dial_mask == 0` means the
     /// graph's weights exceed the ring bound and the radix heap is used.
@@ -240,14 +151,9 @@ struct SearchArena {
     /// relaxations append, never relocate, so the hot loop's only
     /// scattered write is the distance update itself.
     pool: Vec<u64>,
-    /// Radix mode: the graph node of each core index. The radix heap keeps
-    /// no copy of the core's arcs: it reads each core node's arcs off the
-    /// graph's CSR and maps them through [`core_arc`].
-    core_node: Vec<NodeId>,
-    /// Radix mode: core distances, intrusive bucket lists and the bucket
-    /// each core node sits in (`NOT_QUEUED` when absent).
-    dist: Vec<Dist>,
-    /// Head node of each bucket's intrusive list (`NO_NODE` = empty).
+    /// Radix mode: head node of each bucket's intrusive list (`NO_NODE` =
+    /// empty), the lists' links, and the bucket each core node sits in
+    /// (`NOT_QUEUED` when absent).
     head: [u32; NBUCKETS],
     next: Vec<u32>,
     prev: Vec<u32>,
@@ -259,16 +165,12 @@ struct SearchArena {
 impl SearchArena {
     const fn empty() -> Self {
         Self {
-            graph_hash: 0,
-            primed_nodes: usize::MAX,
-            expand: Vec::new(),
+            primed: Weak::new(),
+            dist: Vec::new(),
             node_state: Vec::new(),
-            adj: Vec::new(),
             dial_mask: 0,
             dial_head: Vec::new(),
             pool: Vec::new(),
-            core_node: Vec::new(),
-            dist: Vec::new(),
             head: [NO_NODE; NBUCKETS],
             next: Vec::new(),
             prev: Vec::new(),
@@ -277,55 +179,44 @@ impl SearchArena {
         }
     }
 
-    /// Size the arena for `g`, returning whether the warm state was
-    /// reusable. Keyed by structural hash *and* length so that a different
-    /// graph — even of identical size — is contracted afresh.
-    fn prime(&mut self, g: &Graph) -> bool {
-        let n = g.num_nodes();
-        let h = g.structural_hash();
-        if self.primed_nodes == n && self.graph_hash == h {
+    /// Size the arena for contraction `c`, returning whether the warm
+    /// state was reusable. Keyed by the contraction's identity, which a
+    /// graph and its clones share; priming copies the core's CSR offsets
+    /// into the Dial words and sizes the rest, O(core).
+    fn prime(&mut self, c: &Arc<Contraction>) -> bool {
+        if std::ptr::eq(self.primed.as_ptr(), Arc::as_ptr(c)) {
             return true;
         }
-        self.graph_hash = h;
-        self.primed_nodes = n;
-        // Dial applies when every live key fits a bounded circular window
-        // — keys in flight span at most [d, d + max_weight], so a
-        // power-of-two ring of > max_weight slots is collision-free — and
-        // when no reachable distance (< n * max_weight) can overflow the
-        // `u32` distance array the Dial path runs on.
-        let (_, _, weights) = g.csr();
-        let max_w = weights.iter().copied().max().unwrap_or(0);
-        let dial =
-            max_w < DIAL_MAX_WEIGHT && (n as u64 + 1).saturating_mul(max_w) < u64::from(u32::MAX);
+        self.primed = Arc::downgrade(c);
+        let core = c.core_len();
+        self.dist.clear();
+        self.dist.resize(core, INF);
         // The other mode's arrays are surrendered: one mode per graph.
-        if dial {
-            self.core_node = Vec::new();
-            self.dist = Vec::new();
+        if c.dial {
             self.next = Vec::new();
             self.prev = Vec::new();
             self.bucket_of = Vec::new();
-        } else {
-            self.node_state = Vec::new();
-            self.adj = Vec::new();
-            self.dial_head = Vec::new();
-            self.pool = Vec::new();
-        }
-        let (core, max_core_w) = self.contract(g, dial);
-        if dial {
+            self.node_state.clear();
+            self.node_state.extend(
+                c.core_offsets
+                    .iter()
+                    .map(|&o| (u64::from(INF32) << 32) | u64::from(o)),
+            );
             // Floor of 64 slots keeps `dial_mask` nonzero (the mode flag)
             // even on edgeless graphs, at the cost of a 256-byte ring.
-            let ring = (max_core_w + 1).next_power_of_two().max(64) as usize;
+            let ring = (c.max_core_w + 1).next_power_of_two().max(64) as usize;
             self.dial_mask = ring as u64 - 1;
             self.dial_head.clear();
             self.dial_head.resize(ring, NO_ENTRY);
             // One entry per improving relaxation (at most one per core arc:
             // a core node settles once) plus the two seeds.
             self.pool.clear();
-            self.pool.resize(self.adj.len() + 2, 0);
+            self.pool.resize(c.adj.len() + 2, 0);
         } else {
+            self.node_state = Vec::new();
+            self.dial_head = Vec::new();
+            self.pool = Vec::new();
             self.dial_mask = 0;
-            self.dist.clear();
-            self.dist.resize(core, INF);
             self.next.clear();
             self.next.resize(core, NO_NODE);
             self.prev.clear();
@@ -334,131 +225,6 @@ impl SearchArena {
             self.bucket_of.resize(core, NOT_QUEUED);
         }
         false
-    }
-
-    /// Contract `g` into the expansion table, then lay out the core for the
-    /// graph's mode: the Dial path's packed CSR (`node_state` offsets and
-    /// `adj`), or the radix heap's `core_node`. Returns the core's node
-    /// count and its heaviest arc (Dial only; 0 otherwise). Flat passes over
-    /// the CSR arrays, O(n + arcs), walking every run once.
-    fn contract(&mut self, g: &Graph, dial: bool) -> (usize, Dist) {
-        let n = g.num_nodes();
-        let (offsets, targets, weights) = g.csr();
-        let arcs = |v: usize| offsets[v] as usize..offsets[v + 1] as usize;
-        let symmetric = g.is_symmetric();
-        let mut kind: Vec<u8> = (0..n)
-            .map(|v| {
-                let lo = offsets[v] as usize;
-                let chain = symmetric && arcs(v).len() == 2 && targets[lo] != targets[lo + 1];
-                if chain {
-                    CHAIN
-                } else {
-                    CORE
-                }
-            })
-            .collect();
-        self.expand.clear();
-        self.expand.resize(n, Expand::core(0));
-        // Walk each run once, from its first core end in node order. A
-        // chain node is labelled with its segment's ends (node ids until
-        // the core is numbered) and its offsets from them; the node at
-        // which a segment's shortcut would reach the Dial bound is promoted
-        // and starts the next segment. `segment` holds the labels still
-        // waiting for their far end.
-        let mut segment: Vec<NodeId> = Vec::new();
-        let mut label_run =
-            |kind: &mut [u8], expand: &mut [Expand], from: NodeId, first: NodeId, w: Dist| {
-                let (mut prev, mut cur, mut start, mut off) = (from, first, from, w);
-                while kind[cur as usize] == CHAIN {
-                    let (next, w) = step(g, cur, prev);
-                    if off.saturating_add(w) >= DIAL_MAX_WEIGHT {
-                        close_segment(&mut segment, expand, cur, off);
-                        kind[cur as usize] = CORE;
-                        (start, off) = (cur, 0);
-                    } else {
-                        kind[cur as usize] = WALKED;
-                        expand[cur as usize] = Expand {
-                            a: start,
-                            b: start,
-                            pa: off as u16,
-                            pb: 0,
-                        };
-                        segment.push(cur);
-                    }
-                    (prev, cur, off) = (cur, next, off.saturating_add(w));
-                }
-                close_segment(&mut segment, expand, cur, off);
-            };
-        for v in 0..n {
-            if kind[v] == CORE {
-                for i in arcs(v) {
-                    label_run(
-                        &mut kind,
-                        &mut self.expand,
-                        v as NodeId,
-                        targets[i],
-                        weights[i],
-                    );
-                }
-            }
-        }
-        // What no core end reached is a pure cycle: promote one node each.
-        for v in 0..n {
-            if kind[v] == CHAIN {
-                kind[v] = CORE;
-                let lo = offsets[v] as usize;
-                label_run(
-                    &mut kind,
-                    &mut self.expand,
-                    v as NodeId,
-                    targets[lo],
-                    weights[lo],
-                );
-            }
-        }
-        // Number the core in node order, then point the labels at it.
-        let (mut core, mut core_arcs) = (0u32, 0);
-        for (v, (e, &k)) in self.expand.iter_mut().zip(&kind).enumerate() {
-            if k == CORE {
-                *e = Expand::core(core);
-                core += 1;
-                core_arcs += arcs(v).len();
-            }
-        }
-        for (v, &k) in kind.iter().enumerate() {
-            if k != CORE {
-                let e = self.expand[v];
-                let (a, b) = (self.expand[e.a as usize].a, self.expand[e.b as usize].a);
-                (self.expand[v].a, self.expand[v].b) = (a, b);
-            }
-        }
-        let core_nodes = (0..n).filter(|&v| kind[v] == CORE);
-        if !dial {
-            self.core_node.clear();
-            self.core_node.reserve(core as usize);
-            self.core_node.extend(core_nodes.map(|v| v as NodeId));
-            return (core as usize, 0);
-        }
-        // The Dial path's core CSR in core-node order: an arc to a core
-        // node stays, an arc into a segment becomes the shortcut to the
-        // segment's far end.
-        self.node_state.clear();
-        self.node_state.reserve(core as usize + 1);
-        self.adj.clear();
-        self.adj.reserve(core_arcs);
-        let (mut max_w, mut offset) = (0, 0);
-        for v in core_nodes {
-            let from = self.expand[v].a;
-            self.node_state.push((u64::from(INF32) << 32) | offset);
-            offset += arcs(v).len() as u64;
-            for i in arcs(v) {
-                let (to, len) = core_arc(&self.expand, from, targets[i], weights[i]);
-                max_w = max_w.max(len);
-                self.adj.push((len << 32) | u64::from(to));
-            }
-        }
-        self.node_state.push((u64::from(INF32) << 32) | offset);
-        (core as usize, max_w)
     }
 
     #[inline]
@@ -532,19 +298,27 @@ impl SearchArena {
         Some(v)
     }
 
-    /// One exact Dijkstra over the core from `source`'s seeds: the source
-    /// itself, or the two ends of its run at their offsets (a seed that
-    /// does not improve — the second end of a loop run — is skipped).
-    /// Leaves the core distances for [`write_row`](Self::write_row).
-    /// Dispatches to the Dial ring when the graph's weights allow it, else
-    /// the radix heap, which reads the core's arcs off `g` itself.
-    fn run(&mut self, g: &Graph, source: NodeId) {
-        let e = self.expand[source as usize];
+    /// One exact Dijkstra over the core of `c` from `source`'s seeds: the
+    /// source itself, or the two ends of its run at their offsets (a seed
+    /// that does not improve — the second end of a loop run — is skipped).
+    /// Returns the core distances ([`INF`] = unreached). Dispatches to the
+    /// Dial ring when the graph's weights allow it, else the radix heap,
+    /// which reads the core's arcs off `g` itself.
+    fn run(&mut self, g: &Graph, c: &Contraction, source: NodeId) -> &[Dist] {
+        let e = c.expand[source as usize];
         let seeds = [(e.a, Dist::from(e.pa)), (e.b, Dist::from(e.pb))];
         if self.dial_mask != 0 {
-            return self.run_dial(seeds);
+            self.run_dial(&c.adj, seeds);
+            for (d, &s) in self.dist.iter_mut().zip(&self.node_state) {
+                *d = if (s >> 32) as u32 == INF32 {
+                    INF
+                } else {
+                    s >> 32
+                };
+            }
+            return &self.dist;
         }
-        // Core-sized reset: cheaper than the row pass that follows.
+        // Core-sized reset.
         self.dist.fill(INF);
         self.bucket_of.fill(NOT_QUEUED);
         self.head = [NO_NODE; NBUCKETS];
@@ -559,21 +333,22 @@ impl SearchArena {
             }
         }
         let (offsets, targets, weights) = g.csr();
-        while let Some(c) = self.pop_min() {
-            let dc = self.dist[c as usize];
-            let v = self.core_node[c as usize] as usize;
+        while let Some(u) = self.pop_min() {
+            let du = self.dist[u as usize];
+            let v = c.core_node[u as usize] as usize;
             for i in offsets[v] as usize..offsets[v + 1] as usize {
-                let (u, len) = core_arc(&self.expand, c, targets[i], weights[i]);
-                let nd = dc + len;
-                if nd < self.dist[u as usize] {
-                    self.dist[u as usize] = nd;
-                    if self.bucket_of[u as usize] != NOT_QUEUED {
-                        self.unlink(u);
+                let (t, len) = core_arc(&c.expand, u, targets[i], weights[i]);
+                let nd = du + len;
+                if nd < self.dist[t as usize] {
+                    self.dist[t as usize] = nd;
+                    if self.bucket_of[t as usize] != NOT_QUEUED {
+                        self.unlink(t);
                     }
-                    self.push(u, nd);
+                    self.push(t, nd);
                 }
             }
         }
+        &self.dist
     }
 
     /// Dial's algorithm over the circular entry ring. Lazy deletion: every
@@ -585,19 +360,20 @@ impl SearchArena {
     /// relaxation can land back in the bucket being drained.
     ///
     /// The hot loop runs on unchecked indexing. Safety rests on the
-    /// contraction's construction: `node_state` holds one entry per core
-    /// node plus the tail, whose offset is `adj.len()`; offsets are
+    /// contraction's construction and on the arena being primed for the
+    /// very contraction whose `adj` is passed (priming is keyed by its
+    /// identity): `node_state` holds one entry per core node plus the
+    /// tail, whose offset is `adj.len()`; offsets are
     /// nondecreasing; every `adj` target and every pool entry's node is a
     /// core index; pool indices stay below `pool.len()` (one entry per
     /// improving relaxation, at most one per core arc, plus two seeds);
     /// and ring indices are masked to `< dial_head.len()`. The equivalence
     /// suites exercise this path against the safe reference on every graph
     /// family.
-    fn run_dial(&mut self, seeds: [(u32, Dist); 2]) {
+    fn run_dial(&mut self, adj: &[u64], seeds: [(u32, Dist); 2]) {
         let mask = self.dial_mask as u32;
         let Self {
             node_state,
-            adj,
             dial_head,
             pool,
             ..
@@ -732,37 +508,8 @@ impl SearchArena {
             }
         }
     }
-
-    /// Expand the core distances into the full row, `out` cleared first,
-    /// and return its number of finite entries. One linear pass in node
-    /// order writes each node as the nearer of its two ends; then the
-    /// source's own run is lowered to its direct along-run distances.
-    fn write_row(&self, g: &Graph, source: NodeId, out: &mut Vec<Dist>) -> u64 {
-        let finite = if self.dial_mask == 0 {
-            expand_row(&self.expand, out, INF, |c| self.dist[c as usize])
-        } else {
-            // Dial: `(dist << 32) | offset` words, `INF32` = unreached.
-            let state = &self.node_state;
-            expand_row(&self.expand, out, Dist::from(INF32), |c| {
-                state[c as usize] >> 32
-            })
-        };
-        if self.expand[source as usize].is_chain() {
-            out[source as usize] = 0;
-            let (offsets, targets, weights) = g.csr();
-            for i in offsets[source as usize] as usize..offsets[source as usize + 1] as usize {
-                let (mut prev, mut cur, mut len) = (source, targets[i], weights[i]);
-                while self.expand[cur as usize].is_chain() {
-                    let d = &mut out[cur as usize];
-                    *d = (*d).min(len);
-                    let (next, w) = step(g, cur, prev);
-                    (prev, cur, len) = (cur, next, len + w);
-                }
-            }
-        }
-        finite
-    }
 }
+
 thread_local! {
     /// One arena per thread: the oracle's worker pool runs one fill per
     /// thread at a time, so fills never contend and warm state survives
@@ -770,27 +517,141 @@ thread_local! {
     static ARENA: RefCell<SearchArena> = const { RefCell::new(SearchArena::empty()) };
 }
 
-/// Fill `out` with the exact one-to-all distance row from `source`
-/// ([`INF`] = unreachable), element-for-element equal to
-/// [`dijkstra_all`](crate::dijkstra_all). `out` is cleared first and holds
-/// `g.num_nodes()` entries afterwards; reusing it keeps warm fills
-/// allocation-free. Returns the number of nodes the row reaches, which is
-/// the number of its finite entries (what a plain Dijkstra would settle).
-/// Runs on this thread's arena, which is re-primed (the graph contracted
-/// afresh) whenever `g`'s structure differs from the last graph it served.
-/// `source` must be a node of `g`.
-pub fn fill_row(g: &Graph, source: NodeId, out: &mut Vec<Dist>) -> u64 {
+/// Run `f` on this thread's arena, primed for `g`'s contraction (built on
+/// first use, [`Graph::contraction`]).
+fn with_arena<R>(g: &Graph, f: impl FnOnce(&mut SearchArena, &Arc<Contraction>) -> R) -> R {
+    let c = g.contraction();
     ARENA.with(|cell| {
         let mut arena = cell.borrow_mut();
         let obs = arena_obs();
-        if arena.prime(g) {
+        if arena.prime(c) {
             obs.reuse.inc();
         } else {
             obs.init.inc();
         }
-        arena.run(g, source);
-        arena.write_row(g, source, out)
+        f(&mut arena, c)
     })
+}
+
+/// Fill `out` with the exact one-to-all distance row from `source`
+/// ([`INF`] = unreachable), element-for-element equal to
+/// [`dijkstra_all`](crate::dijkstra_all): one core search, then one linear
+/// expansion pass in node order, the same reads [`Row::expand_into`]
+/// makes. `out` is cleared first and holds `g.num_nodes()` entries
+/// afterwards; reusing it keeps warm fills allocation-free. Returns the
+/// number of nodes the row reaches, which is the number of its finite
+/// entries (what a plain Dijkstra would settle). Runs on this thread's
+/// arena, re-primed whenever `g` is not the graph it last served.
+/// `source` must be a node of `g`.
+pub fn fill_row(g: &Graph, source: NodeId, out: &mut Vec<Dist>) -> u64 {
+    with_arena(g, |arena, c| {
+        let core = arena.run(g, c, source);
+        expand_row(&c.expand, core, out);
+        c.own_run(g, source, |v, d| {
+            let e = &mut out[v as usize];
+            *e = (*e).min(d);
+        });
+        reached(g, source, core)
+    })
+}
+
+/// One exact one-to-all distance row, held as the core distances of one
+/// search ([module docs](self)) and read node by node on demand: the row
+/// type the [`DistanceOracle`](crate::DistanceOracle) caches and shares.
+///
+/// A row costs `core × 8` bytes plus its source's own run, a few
+/// `(node, distance)` pairs when the source is a chain node, and shares
+/// the graph's [`Contraction`] through an `Arc`, so it reads correctly on
+/// any thread, whatever graph that thread's arena serves next.
+#[derive(Debug)]
+pub struct Row {
+    contraction: Arc<Contraction>,
+    /// One distance per core node, [`INF`] = unreached.
+    core: Box<[Dist]>,
+    /// The source's own run: `(node, direct along-run distance)` for each
+    /// node of a chain source's segment, source included, sorted by node.
+    /// Empty for a core source.
+    run: Box<[(NodeId, Dist)]>,
+    /// The ends `(a, b)` every node of a chain source's segment carries,
+    /// so [`get`](Self::get) searches the list only for chain nodes with
+    /// these ends and touches no other memory otherwise; no pair of core
+    /// indices for a core source.
+    run_ends: (u32, u32),
+    reached: u64,
+}
+
+impl Row {
+    /// Search `g`'s core from `source` on this thread's arena and keep the
+    /// core distances. A warm search allocates only the row. `source` must
+    /// be a node of `g`.
+    pub fn new(g: &Graph, source: NodeId) -> Self {
+        with_arena(g, |arena, c| {
+            let core = arena.run(g, c, source);
+            // Counted first, so the list is allocated at its exact size.
+            let mut run = Vec::with_capacity(c.own_run(g, source, |_, _| {}));
+            c.own_run(g, source, |v, d| run.push((v, d)));
+            run.sort_unstable();
+            let e = c.expand[source as usize];
+            Row {
+                contraction: Arc::clone(c),
+                core: core.into(),
+                run: run.into_boxed_slice(),
+                run_ends: if e.is_chain() {
+                    (e.a, e.b)
+                } else {
+                    (u32::MAX, u32::MAX)
+                },
+                reached: reached(g, source, core),
+            }
+        })
+    }
+
+    /// Distance from the row's source to `v` ([`INF`] = unreachable):
+    /// `min(D[a] + pa, D[b] + pb)` over `v`'s expansion entry, lowered by
+    /// the own-run list when `v` is on the source's run. Only a chain node
+    /// with the source's ends can be; a parallel run with the same ends is
+    /// told apart by the list, which holds nodes.
+    #[inline]
+    pub fn get(&self, v: NodeId) -> Dist {
+        let e = self.contraction.expand[v as usize];
+        let d = e.read(|c| self.core[c as usize]);
+        if !e.is_chain() || (e.a, e.b) != self.run_ends {
+            return d;
+        }
+        match self.run.binary_search_by_key(&v, |&(u, _)| u) {
+            Ok(i) => d.min(self.run[i].1),
+            Err(_) => d,
+        }
+    }
+
+    /// Write every node's distance into `out` (cleared first, `num_nodes`
+    /// entries afterwards) in one linear pass: the full row
+    /// [`dijkstra_all`](crate::dijkstra_all) would produce. For consumers
+    /// that scan every node; reuse `out` across rows.
+    pub fn expand_into(&self, out: &mut Vec<Dist>) {
+        expand_row(&self.contraction.expand, &self.core, out);
+        for &(v, d) in self.run.iter() {
+            let e = &mut out[v as usize];
+            *e = (*e).min(d);
+        }
+    }
+
+    /// Nodes the row reaches: its finite entries, what a plain Dijkstra
+    /// from the source would settle.
+    pub fn reached(&self) -> u64 {
+        self.reached
+    }
+
+    /// Distances the row holds: one per core node.
+    pub fn core_len(&self) -> usize {
+        self.core.len()
+    }
+
+    /// Nodes of the row's graph, the entries [`expand_into`](Self::expand_into)
+    /// writes.
+    pub fn num_nodes(&self) -> usize {
+        self.contraction.expand.len()
+    }
 }
 
 #[cfg(test)]
@@ -809,17 +670,9 @@ mod tests {
         b.build()
     }
 
-    /// Core nodes of this thread's arena after a fill on `g`.
-    fn core_size(g: &Graph) -> usize {
-        fill_row(g, 0, &mut Vec::new());
-        ARENA.with(|cell| {
-            let arena = cell.borrow();
-            if arena.dial_mask != 0 {
-                arena.node_state.len() - 1
-            } else {
-                arena.core_node.len()
-            }
-        })
+    /// Every entry of a core row, read one by one.
+    fn read_all(row: &Row) -> Vec<Dist> {
+        (0..row.num_nodes() as NodeId).map(|v| row.get(v)).collect()
     }
 
     #[test]
@@ -831,9 +684,12 @@ mod tests {
             assert_eq!(out, dijkstra_all(&g, s), "from {s}");
             let finite = out.iter().filter(|&&d| d != INF).count() as u64;
             assert_eq!(settled, finite, "settled count from {s}");
+            let row = Row::new(&g, s);
+            assert_eq!(read_all(&row), out, "core row from {s}");
+            assert_eq!(row.reached(), finite);
         }
         // Nodes 1 and 0 form a loop run from node 2 back to itself.
-        assert_eq!(core_size(&g), 3);
+        assert_eq!(g.contraction().core_len(), 3);
     }
 
     #[test]
@@ -924,13 +780,16 @@ mod tests {
                 b.add_edge(u, v, w);
             }
             let g = b.build();
-            assert_eq!(core_size(&g), intersections);
-            assert_eq!(ARENA.with(|cell| cell.borrow().dial_mask != 0), dial);
+            assert_eq!(g.contraction().core_len(), intersections);
+            assert_eq!(g.contraction().dial, dial);
             let mut out = Vec::new();
             for s in (0..g.num_nodes() as NodeId).step_by(7) {
                 let reached = fill_row(&g, s, &mut out);
                 assert_eq!(out, dijkstra_all(&g, s), "from {s}");
                 assert_eq!(reached, out.iter().filter(|&&d| d != INF).count() as u64);
+                let row = Row::new(&g, s);
+                assert_eq!(row.core_len(), intersections);
+                assert_eq!(read_all(&row), out, "core row from {s}");
             }
         }
     }
@@ -957,6 +816,7 @@ mod tests {
             for s in g.nodes() {
                 fill_row(&g, s, &mut out);
                 prop_assert_eq!(&out, &dijkstra_all(&g, s), "source {}", s);
+                prop_assert_eq!(&read_all(&Row::new(&g, s)), &out, "core row from {}", s);
             }
         }
     }

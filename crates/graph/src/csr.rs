@@ -6,9 +6,9 @@
 //! canonical representation for that access pattern: adjacency of a node is a
 //! contiguous slice, no per-node allocation, cache-friendly scans.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use crate::{connected_components, ComponentInfo, Dist, Point};
+use crate::{connected_components, ComponentInfo, Contraction, Dist, Point};
 
 /// Node identifier. `u32` suffices for the paper's million-node networks and
 /// halves index memory versus `usize` (see the type-size guidance in the Rust
@@ -26,8 +26,9 @@ pub type EdgeId = u32;
 /// at build time, parallel arcs are kept (harmless for shortest paths).
 /// [`Graph::is_symmetric`] tells whether the arcs read the same reversed,
 /// i.e. whether `d(u, v) = d(v, u)` for every pair, and
-/// [`Graph::components`] labels its weakly connected components; both are
-/// computed once per graph on first use.
+/// [`Graph::components`] labels its weakly connected components, and
+/// [`Graph::contraction`] contracts its degree-2 road chains for the
+/// distance rows; all three are computed once per graph on first use.
 ///
 /// ```
 /// use mcfs_graph::GraphBuilder;
@@ -51,9 +52,8 @@ pub struct Graph {
     coords: Option<Vec<Point>>,
     /// Hash of the CSR arrays, computed once at build time. Two graphs with
     /// equal hashes have identical arc structure (modulo hash collisions),
-    /// so caches keyed by it (the per-thread search arenas, the oracle's row
-    /// cache) can detect that a *different* graph of the same size was
-    /// swapped in.
+    /// so caches keyed by it (the oracle's row cache) can detect that a
+    /// *different* graph of the same size was swapped in.
     structural_hash: u64,
     /// Caller-chosen identity salt (0 by default). Two *isomorphic* graphs
     /// hash identically on structure alone — which is exactly wrong for
@@ -66,6 +66,8 @@ pub struct Graph {
     symmetric: OnceLock<bool>,
     /// [`Graph::components`], computed on first use.
     components: OnceLock<ComponentInfo>,
+    /// [`Graph::contraction`], computed on first use.
+    contraction: OnceLock<Arc<Contraction>>,
 }
 
 impl Graph {
@@ -158,7 +160,7 @@ impl Graph {
     /// Structural hash of the CSR arrays, computed once at build time.
     /// Equal structure ⇒ equal hash; different weights or arcs give a
     /// different hash with overwhelming probability. Used to key
-    /// per-structure caches (search arenas, the oracle's row cache).
+    /// per-structure caches (the oracle's row cache).
     #[inline]
     pub fn structural_hash(&self) -> u64 {
         self.structural_hash
@@ -221,6 +223,19 @@ impl Graph {
     /// labels along. [`connected_components`] is the uncached computation.
     pub fn components(&self) -> &ComponentInfo {
         self.components.get_or_init(|| connected_components(self))
+    }
+
+    /// The graph contracted to its core ([`Contraction`]): the expansion
+    /// table and core arcs every distance row ([`crate::Row`],
+    /// [`crate::fill_row`]) searches and reads through.
+    ///
+    /// Built once per graph on first call (flat passes over the CSR, every
+    /// degree-2 run walked once) and shared by reference: every row holds
+    /// an `Arc` to it, every thread's search arena reads it, and a clone of
+    /// the graph carries the same one.
+    pub fn contraction(&self) -> &Arc<Contraction> {
+        self.contraction
+            .get_or_init(|| Arc::new(Contraction::new(self)))
     }
 }
 
@@ -342,6 +357,7 @@ impl GraphBuilder {
             id_salt: self.id_salt,
             symmetric: OnceLock::new(),
             components: OnceLock::new(),
+            contraction: OnceLock::new(),
         }
     }
 }

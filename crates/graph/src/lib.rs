@@ -13,12 +13,14 @@
 //!   oracle so each distance row is computed once per source node — per
 //!   candidate site when the graph is symmetric and sites are the smaller
 //!   side ([`Graph::is_symmetric`]), per customer otherwise.
-//! * [`arena`] — the oracle's row engine, [`fill_row`]: a zero-alloc Dial
-//!   bucket ring (radix-heap fallback for huge weights) over a per-thread
-//!   reusable search arena that searches only the intersections (degree-2
-//!   road chains contracted to shortcuts) and expands the chains in one
-//!   linear pass, byte-identical to [`dijkstra_all`], which stays the plain
-//!   binary-heap reference.
+//! * [`arena`] — the oracle's row engine: a zero-alloc Dial bucket ring
+//!   (radix-heap fallback for huge weights) over a per-thread reusable
+//!   search arena that searches only the intersections, the core of the
+//!   graph's [`contraction`] (degree-2 road chains contracted to
+//!   shortcuts, built once per graph). A [`Row`] keeps the core distances
+//!   and reads any node on demand; [`fill_row`] expands a whole row in one
+//!   linear pass. Both are byte-identical to [`dijkstra_all`], which stays
+//!   the plain binary-heap reference.
 //! * [`LazyDijkstra`] — a *resumable* Dijkstra that yields settled nodes in
 //!   nondecreasing distance order. This is the per-customer nearest-neighbor
 //!   stream the paper's `FindPair` routine consumes (Algorithm 2, line 6).
@@ -41,6 +43,7 @@
 pub mod apsp;
 pub mod arena;
 pub mod components;
+pub mod contraction;
 pub mod csr;
 pub mod dijkstra;
 pub mod geometry;
@@ -50,8 +53,9 @@ pub mod oracle;
 pub mod par;
 pub mod paths;
 
-pub use arena::fill_row;
+pub use arena::{fill_row, Row};
 pub use components::{connected_components, ComponentInfo};
+pub use contraction::Contraction;
 pub use csr::{EdgeId, Graph, GraphBuilder, NodeId};
 pub use dijkstra::{
     dijkstra_all, dijkstra_bounded, dijkstra_to_targets, multi_source_dijkstra, two_nearest_sources,

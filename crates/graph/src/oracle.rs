@@ -7,11 +7,14 @@
 //! the candidate sites, for the solvers' customer streams when the sites
 //! are the smaller side of a symmetric graph (otherwise those streams
 //! search lazily and never ask), and the customers, for the BRNN and
-//! Greedy-Addition scans. The [`DistanceOracle`] memoizes those one-to-all rows (filled by the arena
-//! search [`crate::fill_row`], equal to [`crate::dijkstra_all`]) behind a
-//! mutex-guarded bounded FIFO cache of `Arc<Vec<Dist>>`, so a row is
-//! computed once and then shared by reference across WMA iterations, the
-//! refine pass, and the baselines.
+//! Greedy-Addition scans. The [`DistanceOracle`] memoizes those one-to-all
+//! rows behind a mutex-guarded bounded FIFO cache of `Arc<Row>`, so a row
+//! is computed once and then shared by reference across WMA iterations,
+//! the refine pass, and the baselines. A [`Row`] holds the core distances
+//! of one arena search over the graph's contraction and reads any node on
+//! demand ([`Row::get`], equal to [`crate::dijkstra_all`]); nothing writes
+//! a full-graph row unless a consumer that scans every node expands one
+//! ([`Row::expand_into`]) into a buffer of its own.
 //!
 //! The batched entry point [`DistanceOracle::distances_for_sources`] fans
 //! independent Dijkstra expansions across a scoped worker pool
@@ -35,13 +38,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 use rustc_hash::FxHashMap;
 
 use crate::par::{available_threads, par_map_indexed};
-use crate::{fill_row, Dist, Graph, NodeId, INF};
+use crate::{Dist, Graph, NodeId, Row, INF};
 
-/// Default bound on cached rows. A row is `num_nodes * 8` bytes, so 4096
-/// rows of a 100k-node graph is ~3 GiB worst case. The stream solvers cache
-/// one row per distinct facility node, and only when that is the smaller
-/// side; the BRNN and Greedy-Addition baselines one row per customer — at
-/// most one per customer either way (tens to thousands).
+/// Default bound on cached rows. A row is `core × 8` bytes (the
+/// contraction's core: about 12% of the nodes of a subdivided road
+/// network, all of them on a graph that contracts nothing) plus its
+/// source's own run, so 4096 rows of a 100k-node road graph is ~400 MB
+/// worst case, and ~3 GiB where nothing contracts. The stream solvers
+/// cache one row per distinct facility node, and only when that is the
+/// smaller side; the BRNN and Greedy-Addition baselines one row per
+/// customer — at most one per customer either way (tens to thousands).
 pub const DEFAULT_CACHE_ROWS: usize = 4096;
 
 /// Counters describing oracle behavior since construction (or the last
@@ -56,8 +62,10 @@ pub struct OracleStats {
     pub evictions: u64,
     /// Total nodes reached across all cache misses: each computed row
     /// counts its finite entries, every node reachable from its source,
-    /// which is what a plain Dijkstra would settle (the arena search itself
-    /// settles only the contracted core, [`crate::fill_row`]). Cache hits
+    /// which is what a plain Dijkstra would settle ([`Row::reached`]; the
+    /// arena search itself settles only the contracted core). Counted
+    /// without a pass over the graph: the source's component size on a
+    /// symmetric graph, the finite core entries otherwise. Cache hits
     /// reach nothing, so this counter is the oracle-side "search effort" a
     /// warm caller avoids by reusing rows.
     pub nodes_settled: u64,
@@ -211,7 +219,7 @@ impl Fingerprint {
 }
 
 struct RowCache {
-    rows: FxHashMap<NodeId, Arc<Vec<Dist>>>,
+    rows: FxHashMap<NodeId, Arc<Row>>,
     /// Insertion order for FIFO eviction. Rows evicted here stay alive for
     /// any holder of the `Arc`.
     order: VecDeque<NodeId>,
@@ -223,7 +231,8 @@ struct RowCache {
 /// See the [module docs](self) for the design; the short version:
 ///
 /// * [`row`](Self::row) / [`distances_for_sources`](Self::distances_for_sources)
-///   return cached `Arc<Vec<Dist>>` one-to-all rows (unreachable = [`INF`]);
+///   return cached `Arc<Row>` one-to-all rows, read through [`Row::get`]
+///   (unreachable = [`INF`]);
 /// * [`to_targets`](Self::to_targets) and
 ///   [`multi_source`](Self::multi_source) are row-backed equivalents of
 ///   [`dijkstra_to_targets`](crate::dijkstra_to_targets) and
@@ -317,12 +326,10 @@ impl DistanceOracle {
         self.threads
     }
 
-    /// One arena row as a fresh `Arc` (the only allocation a warm fill
-    /// performs: the row the cache retains) and its reached-node count.
-    fn compute_row(g: &Graph, source: NodeId) -> (Arc<Vec<Dist>>, u64) {
-        let mut row = Vec::new();
-        let settled = fill_row(g, source, &mut row);
-        (Arc::new(row), settled)
+    /// One arena row behind a fresh `Arc`: on a warm arena the only
+    /// allocation a miss performs is the row the cache retains.
+    fn compute_row(g: &Graph, source: NodeId) -> Arc<Row> {
+        Arc::new(Row::new(g, source))
     }
 
     /// Snapshot of the hit/miss/eviction counters and cache occupancy.
@@ -374,7 +381,7 @@ impl DistanceOracle {
     }
 
     /// Returns the number of rows the FIFO bound evicted.
-    fn insert_row(&self, cache: &mut RowCache, source: NodeId, row: Arc<Vec<Dist>>) -> u64 {
+    fn insert_row(&self, cache: &mut RowCache, source: NodeId, row: Arc<Row>) -> u64 {
         if self.capacity == 0 {
             return 0;
         }
@@ -399,10 +406,10 @@ impl DistanceOracle {
         evicted
     }
 
-    /// The full one-to-all distance row from `source`, computed on demand
-    /// and cached. Unreachable nodes hold [`INF`]. Equivalent to (and
+    /// The one-to-all distance row from `source`, computed on demand and
+    /// cached. Unreachable nodes read [`INF`]. Every entry equals (and is
     /// verified against) a fresh [`crate::dijkstra_all`] call.
-    pub fn row(&self, g: &Graph, source: NodeId) -> Arc<Vec<Dist>> {
+    pub fn row(&self, g: &Graph, source: NodeId) -> Arc<Row> {
         {
             let mut cache = self.cache.lock().unwrap();
             Self::check_graph(&mut cache, g);
@@ -419,7 +426,8 @@ impl DistanceOracle {
         // second insert is a no-op overwrite.
         self.misses.fetch_add(1, Ordering::Relaxed);
         let _span = mcfs_obs::span("oracle.row");
-        let (row, settled) = Self::compute_row(g, source);
+        let row = Self::compute_row(g, source);
+        let settled = row.reached();
         self.nodes_settled.fetch_add(settled, Ordering::Relaxed);
         let obs = obs_counters();
         obs.misses.inc();
@@ -435,9 +443,9 @@ impl DistanceOracle {
     /// are served directly; missing rows are computed by the worker pool
     /// (one Dijkstra expansion per distinct missing source). Duplicate
     /// sources in one batch share a single computation.
-    pub fn distances_for_sources(&self, g: &Graph, sources: &[NodeId]) -> Vec<Arc<Vec<Dist>>> {
+    pub fn distances_for_sources(&self, g: &Graph, sources: &[NodeId]) -> Vec<Arc<Row>> {
         // Phase 1 (under the lock): partition into cached / missing.
-        let mut found: FxHashMap<NodeId, Arc<Vec<Dist>>> = FxHashMap::default();
+        let mut found: FxHashMap<NodeId, Arc<Row>> = FxHashMap::default();
         let mut missing: Vec<NodeId> = Vec::new();
         {
             let mut cache = self.cache.lock().unwrap();
@@ -470,7 +478,7 @@ impl DistanceOracle {
             Self::compute_row(g, missing[i])
         });
         drop(batch_span);
-        let settled = computed.iter().map(|(_, settled)| settled).sum::<u64>();
+        let settled = computed.iter().map(|row| row.reached()).sum::<u64>();
         self.nodes_settled.fetch_add(settled, Ordering::Relaxed);
         obs.nodes_settled.add(settled);
 
@@ -478,12 +486,12 @@ impl DistanceOracle {
         let mut evicted = 0;
         {
             let mut cache = self.cache.lock().unwrap();
-            for (s, (row, _)) in missing.iter().zip(&computed) {
+            for (s, row) in missing.iter().zip(&computed) {
                 evicted += self.insert_row(&mut cache, *s, Arc::clone(row));
             }
         }
         note_run(hits, misses, evicted, settled);
-        for (s, (row, _)) in missing.into_iter().zip(computed) {
+        for (s, row) in missing.into_iter().zip(computed) {
             found.insert(s, row);
         }
         sources
@@ -497,23 +505,23 @@ impl DistanceOracle {
     /// [`try_distance`](Self::try_distance) so unreachability is a typed
     /// `None` instead of a magic value.
     pub fn distance(&self, g: &Graph, source: NodeId, target: NodeId) -> Dist {
-        self.row(g, source)[target as usize]
+        self.row(g, source).get(target)
     }
 
     /// Distance from `source` to `target`, or `None` when `target` is
     /// unreachable — the well-defined point-to-point API.
     pub fn try_distance(&self, g: &Graph, source: NodeId, target: NodeId) -> Option<Dist> {
-        let d = self.row(g, source)[target as usize];
+        let d = self.row(g, source).get(target);
         (d != INF).then_some(d)
     }
 
     /// Distances from `source` to each of `targets`, in the order given.
     /// Row-backed equivalent of [`dijkstra_to_targets`](crate::dijkstra_to_targets):
-    /// the first call from a source pays a full expansion instead of an
-    /// early exit, every later call from the same source is a lookup.
+    /// the first call from a source pays a core search instead of an early
+    /// exit, and every call reads just the targets off the row.
     pub fn to_targets(&self, g: &Graph, source: NodeId, targets: &[NodeId]) -> Vec<Dist> {
         let row = self.row(g, source);
-        targets.iter().map(|&t| row[t as usize]).collect()
+        targets.iter().map(|&t| row.get(t)).collect()
     }
 
     /// For every node, the distance to its nearest source and that source's
@@ -527,8 +535,10 @@ impl DistanceOracle {
         let n = g.num_nodes();
         let mut dist = vec![INF; n];
         let mut owner = vec![usize::MAX; n];
+        let mut full = Vec::with_capacity(n);
         for (i, row) in rows.iter().enumerate() {
-            for (v, &d) in row.iter().enumerate() {
+            row.expand_into(&mut full);
+            for (v, &d) in full.iter().enumerate() {
                 if d < dist[v] {
                     dist[v] = d;
                     owner[v] = i;
@@ -554,13 +564,23 @@ mod tests {
         b.build()
     }
 
+    /// Every entry of `row`, read one by one, after checking that its
+    /// one-pass expansion agrees.
+    fn entries(row: &Row) -> Vec<Dist> {
+        let read: Vec<Dist> = (0..row.num_nodes() as NodeId).map(|v| row.get(v)).collect();
+        let mut full = Vec::new();
+        row.expand_into(&mut full);
+        assert_eq!(read, full);
+        read
+    }
+
     #[test]
     fn row_matches_dijkstra_and_caches() {
         let g = sample();
         let o = DistanceOracle::new().with_threads(1);
         let row = o.row(&g, 0);
-        assert_eq!(*row, dijkstra_all(&g, 0));
-        assert_eq!(row[4], INF);
+        assert_eq!(entries(&row), dijkstra_all(&g, 0));
+        assert_eq!(row.get(4), INF);
         let s = o.stats();
         assert_eq!((s.hits, s.misses), (0, 1));
         let again = o.row(&g, 0);
@@ -577,7 +597,11 @@ mod tests {
             let rows = o.distances_for_sources(&g, &sources);
             assert_eq!(rows.len(), sources.len());
             for (&s, row) in sources.iter().zip(&rows) {
-                assert_eq!(**row, dijkstra_all(&g, s), "source {s}, threads {threads}");
+                assert_eq!(
+                    entries(row),
+                    dijkstra_all(&g, s),
+                    "source {s}, threads {threads}"
+                );
             }
             // Duplicates in one batch share the computation.
             assert!(Arc::ptr_eq(&rows[0], &rows[2]));

@@ -1,16 +1,19 @@
 //! Row-equivalence harness for the oracle's row engine.
 //!
-//! Every row the [`DistanceOracle`] caches is filled by the arena search
-//! [`fill_row`] — a Dial bucket ring with a radix-heap fallback over a
-//! per-thread reusable arena. The arena is a wall-time optimization, never
-//! an approximation. This suite pins that contract against the plain
-//! binary-heap reference [`dijkstra_all`]:
+//! Every row the [`DistanceOracle`] caches is a [`Row`]: the core
+//! distances of one arena search — a Dial bucket ring with a radix-heap
+//! fallback over a per-thread reusable arena — read node by node on
+//! demand; [`fill_row`] runs the same search and expands it into a full
+//! vector. The arena is a wall-time optimization, never an approximation.
+//! This suite pins that contract against the plain binary-heap reference
+//! [`dijkstra_all`]:
 //!
 //! 1. **Row equality** — proptest differential over random weighted graphs
 //!    (disconnected pieces, weight-0 edges the builder bumps to 1, parallel
 //!    edges, single nodes), huge weights across the Dial/radix boundary,
 //!    plus deterministic star/path/grid pathologies: every row equals
-//!    [`dijkstra_all`] `u64`-for-`u64`, `INF` included, and so does a warm
+//!    [`dijkstra_all`] `u64`-for-`u64`, `INF` included, read entry by entry
+//!    off a [`Row`] and filled whole by [`fill_row`], and so does a warm
 //!    refill into the dirty buffer.
 //! 2. **Cache keying** — every row an oracle serves, cached or freshly
 //!    filled, equals the reference.
@@ -34,7 +37,24 @@ use proptest::prelude::*;
 use mcfs_repro::core::streams::{CustomerStream, NetworkStream, OracleStream};
 use mcfs_repro::core::{Facility, McfsInstance};
 use mcfs_repro::flow::EdgeStream;
-use mcfs_repro::graph::{dijkstra_all, fill_row, DistanceOracle, Graph, GraphBuilder, NodeId, INF};
+use mcfs_repro::graph::{
+    dijkstra_all, fill_row, Dist, DistanceOracle, Graph, GraphBuilder, NodeId, Row, INF,
+};
+
+/// `floor` cases, or more when `PROPTEST_CASES` asks for more: the CI
+/// backend-suites job widens these families to 256 cases, and no job runs
+/// fewer than the floor.
+fn cases(floor: u32) -> ProptestConfig {
+    let asked = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    ProptestConfig::with_cases(asked.map_or(floor, |c: u32| c.max(floor)))
+}
+
+/// Every entry of a core row, read one node at a time.
+fn entries(row: &Row) -> Vec<Dist> {
+    (0..row.num_nodes() as NodeId).map(|v| row.get(v)).collect()
+}
 
 fn build_graph(n: usize, edges: &[(u32, u32, u64)]) -> Graph {
     let mut b = GraphBuilder::new(n);
@@ -47,11 +67,18 @@ fn build_graph(n: usize, edges: &[(u32, u32, u64)]) -> Graph {
     b.build()
 }
 
-/// Assert the arena serves the reference row for each source on `g`, cold
-/// and again as a warm refill into the dirty buffer.
+/// Assert the arena serves the reference row for each source on `g`, read
+/// off a core row, filled whole, and again as a warm refill into the dirty
+/// buffer.
 fn assert_rows_match(g: &Graph, sources: impl IntoIterator<Item = NodeId>) {
     for source in sources {
         let reference = dijkstra_all(g, source);
+        assert_eq!(
+            entries(&Row::new(g, source)),
+            reference,
+            "core row from {source} diverges on {}-node graph",
+            g.num_nodes()
+        );
         let mut row = Vec::new();
         fill_row(g, source, &mut row);
         assert_eq!(
@@ -67,8 +94,7 @@ fn assert_rows_match(g: &Graph, sources: impl IntoIterator<Item = NodeId>) {
 }
 
 proptest! {
-    // CI cranks this via PROPTEST_CASES (backend-suites job: 256).
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(cases(64))]
 
     /// Random sparse graphs: likely disconnected, with parallel edges and
     /// weight-0 inputs (bumped to 1 by the builder). The arena equals the
@@ -81,9 +107,11 @@ proptest! {
     ) {
         let g = build_graph(n, &edges);
         let source = source_pick % n as u32;
+        let reference = dijkstra_all(&g, source);
         let mut row = Vec::new();
         fill_row(&g, source, &mut row);
-        prop_assert_eq!(&row, &dijkstra_all(&g, source), "row diverges from reference");
+        prop_assert_eq!(&row, &reference, "row diverges from reference");
+        prop_assert_eq!(&entries(&Row::new(&g, source)), &reference, "core row diverges");
     }
 
     /// Huge-weight graphs push the arena off the Dial ring onto the radix
@@ -95,9 +123,11 @@ proptest! {
         edges in vec((0u32..16, 0u32..16, 1u64..=(u64::MAX >> 3)), 1..40),
     ) {
         let g = build_graph(n, &edges);
+        let reference = dijkstra_all(&g, 0);
         let mut row = Vec::new();
         fill_row(&g, 0, &mut row);
-        prop_assert_eq!(&row, &dijkstra_all(&g, 0), "row diverges under huge weights");
+        prop_assert_eq!(&row, &reference, "row diverges under huge weights");
+        prop_assert_eq!(&entries(&Row::new(&g, 0)), &reference, "core row diverges");
     }
 
     /// Every row one oracle serves — cached from an earlier request or
@@ -115,12 +145,7 @@ proptest! {
             let source = source_pick % n as u32;
             let row = oracle.row(&g, source);
             let reference = dijkstra_all(&g, source);
-            prop_assert_eq!(
-                row.as_slice(),
-                reference.as_slice(),
-                "row from {} wrong",
-                source
-            );
+            prop_assert_eq!(&entries(&row), &reference, "row from {} wrong", source);
         }
     }
 }
@@ -131,7 +156,7 @@ fn drain(mut s: impl EdgeStream) -> Vec<(u32, u64)> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(cases(64))]
 
     /// Random symmetric graphs with weights 1..=3 (many distance ties),
     /// one to three candidates per site node (co-located candidates) and
@@ -160,7 +185,10 @@ proptest! {
         let fm = Rc::new(inst.facilities_by_node());
         let mut nodes: Vec<NodeId> = fm.keys().copied().collect();
         nodes.sort_unstable();
-        let rows: Vec<_> = nodes.iter().map(|&v| std::sync::Arc::new(dijkstra_all(&g, v))).collect();
+        let rows: Vec<_> = nodes.iter().map(|&v| std::sync::Arc::new(Row::new(&g, v))).collect();
+        for (&v, row) in nodes.iter().zip(&rows) {
+            prop_assert_eq!(&entries(row), &dijkstra_all(&g, v), "site row from {}", v);
+        }
         let lazy: Vec<_> = customers
             .iter()
             .map(|&c| drain(NetworkStream::new(&g, c, Rc::clone(&fm))))
@@ -303,7 +331,7 @@ fn oracle_survives_edge_edit_between_graphs() {
     let oracle = DistanceOracle::new();
     // Warm the row cache (and this thread's arena) on the pre-edit graph.
     let row_before = oracle.row(&before, 0);
-    assert_eq!(row_before.as_slice(), dijkstra_all(&before, 0).as_slice());
+    assert_eq!(entries(&row_before), dijkstra_all(&before, 0));
     assert_eq!(oracle.try_distance(&before, 0, 29), Some(3));
 
     // "Commit" the edit, as ReSolver::apply does.
@@ -312,7 +340,7 @@ fn oracle_survives_edge_edit_between_graphs() {
     // Same node count, so row lengths match — only hash keying can tell
     // these graphs apart. Distances must now come from the edited graph.
     let row_after = oracle.row(&after, 0);
-    assert_eq!(row_after.as_slice(), dijkstra_all(&after, 0).as_slice());
+    assert_eq!(entries(&row_after), dijkstra_all(&after, 0));
     // The edited shortcut (now 100) still beats the 29-hop path (116).
     assert_eq!(oracle.try_distance(&after, 0, 29), Some(100));
     assert_eq!(oracle.try_distance(&after, 5, 29), Some(96));

@@ -1,23 +1,29 @@
 //! Rows over contracted road chains.
 //!
-//! The arena row fill ([`fill_row`]) searches only a graph's core: on a
-//! symmetric graph every maximal run of degree-2 chain nodes becomes one
-//! shortcut between the core nodes that end it, and a linear pass expands
-//! the core distances back onto the chain nodes. This suite pins every
-//! shape that contraction has to get right against the plain reference
-//! [`dijkstra_all`], from every source: pure cycles (no core end), loop
-//! runs that start and end on one intersection, parallel runs, pendant
-//! runs ending at dead ends, a source inside a run whose shortest way to
-//! its own run goes around a loop, unreachable pieces, and runs long
-//! enough to be split below the Dial bound, on both sides of it. A directed
-//! graph with long one-way chains contracts nothing and must give the same
-//! rows too. Each fill also reports how many nodes it reached, which must
-//! be the row's number of finite entries.
+//! A row searches only a graph's core: on a symmetric graph every maximal
+//! run of degree-2 chain nodes becomes one shortcut between the core nodes
+//! that end it. A [`Row`] keeps the core distances and reads any node on
+//! demand, `min(D[a] + pa, D[b] + pb)` lowered by the source's own-run
+//! list; [`fill_row`] writes the same reads for every node in one linear
+//! pass. This suite pins every shape that contraction has to get right
+//! against the plain reference [`dijkstra_all`], from every source, both
+//! ways: pure cycles (no core end), loop runs that start and end on one
+//! intersection, parallel runs (with equal ends and equal offsets, so that
+//! the own-run list must match nodes, not ends), pendant runs ending at
+//! dead ends, a source inside a loop run whose shortest way to its own run
+//! goes around the loop, unreachable pieces, and runs long enough to be
+//! split below the Dial bound, on both sides of it (the radix heap). A
+//! directed graph with long one-way chains contracts nothing and must give
+//! the same rows too. Each row also reports how many nodes it reached,
+//! which must be its number of finite entries, and a subdivided street
+//! grid's rows hold one distance per intersection, not per node.
+
+use std::sync::Arc;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use mcfs_repro::graph::{dijkstra_all, fill_row, Graph, GraphBuilder, NodeId, INF};
+use mcfs_repro::graph::{dijkstra_all, fill_row, Dist, Graph, GraphBuilder, NodeId, Row, INF};
 
 /// A street network under construction: `street` cuts one street into the
 /// given segments, numbering the chain nodes it inserts after every node
@@ -60,21 +66,43 @@ impl Streets {
     }
 }
 
-/// Every row of `g` equals the reference, and every fill reports the
+/// Every entry of a core row, read one node at a time.
+fn entries(row: &Row) -> Vec<Dist> {
+    (0..row.num_nodes() as NodeId).map(|v| row.get(v)).collect()
+}
+
+/// Where the row from `source` disagrees with the reference, read entry
+/// by entry ([`Row::get`]) and filled whole ([`fill_row`]), or how either
+/// miscounts the nodes it reached; `None` when everything agrees.
+fn row_mismatch(g: &Graph, source: NodeId, filled: &mut Vec<Dist>) -> Option<String> {
+    let reference = dijkstra_all(g, source);
+    let finite = reference.iter().filter(|&&d| d != INF).count() as u64;
+    let reached = fill_row(g, source, filled);
+    let row = Row::new(g, source);
+    let read = entries(&row);
+    let problem = if *filled != reference {
+        "fill_row"
+    } else if read != reference {
+        "Row::get"
+    } else if reached != finite || row.reached() != finite {
+        "reached count"
+    } else {
+        return None;
+    };
+    Some(format!(
+        "{problem} from {source} diverges on a {}-node graph",
+        g.num_nodes()
+    ))
+}
+
+/// Every row of `g` equals the reference, both ways, and reports the
 /// row's finite entries as reached.
 fn assert_rows_match(g: &Graph) {
-    let mut row = Vec::new();
+    let mut filled = Vec::new();
     for source in g.nodes() {
-        let reference = dijkstra_all(g, source);
-        let reached = fill_row(g, source, &mut row);
-        assert_eq!(
-            row,
-            reference,
-            "row from {source} diverges on a {}-node graph",
-            g.num_nodes()
-        );
-        let finite = reference.iter().filter(|&&d| d != INF).count() as u64;
-        assert_eq!(reached, finite, "reached count from {source}");
+        if let Some(problem) = row_mismatch(g, source, &mut filled) {
+            panic!("{problem}");
+        }
     }
 }
 
@@ -99,6 +127,51 @@ fn a_loop_run_can_beat_the_direct_way_along_it() {
     let a = 2;
     let b = 3;
     assert_eq!(dijkstra_all(&g, a)[b], 3);
+    assert_rows_match(&g);
+}
+
+#[test]
+fn a_row_from_inside_a_loop_run_reads_around_it() {
+    // Intersection 0 (it also carries a pendant street to dead end 1) has
+    // one loop run 0 -1- a -50- b -2- c -1- 0. From `b`, node `a` is 50
+    // along the run but 4 around the loop through 0, while `c` is 2 along
+    // the run and 52 the other way: the own-run list must lower `c` and
+    // leave `a` to the loop.
+    let mut s = Streets::new(2);
+    s.street(0, 0, &[1, 50, 2, 1]).street(0, 1, &[3]);
+    let g = s.graph();
+    let (a, b, c) = (2, 3, 4);
+    let row = Row::new(&g, b);
+    assert_eq!(row.get(b), 0);
+    assert_eq!(row.get(a), 4, "around the loop");
+    assert_eq!(row.get(c), 2, "along the run");
+    assert_eq!(row.get(0), 3);
+    assert_eq!(row.get(1), 6);
+    assert_eq!(row.core_len(), 2, "intersection 0 and dead end 1");
+    assert_eq!(entries(&row), dijkstra_all(&g, b));
+    assert_rows_match(&g);
+}
+
+#[test]
+fn parallel_runs_with_equal_ends_keep_their_own_distances() {
+    // Two runs between intersections 0 and 1 with identical segment
+    // lengths, so their chain nodes share ends and offsets pairwise
+    // (`x1`/`y1`, `x2`/`y2`), plus a direct street between them and a dead
+    // end 2 off intersection 0. From `x1`, the twin `y1` is not on the
+    // source's run: it sits 10 away through intersection 0, not 0 away at
+    // the same offset.
+    let mut s = Streets::new(3);
+    s.street(0, 1, &[5, 7, 9])
+        .street(0, 1, &[5, 7, 9])
+        .street(0, 1, &[30])
+        .street(0, 2, &[4]);
+    let g = s.graph();
+    let (x1, x2, y1, y2) = (3, 4, 5, 6);
+    let row = Row::new(&g, x1);
+    assert_eq!((row.get(x1), row.get(x2)), (0, 7), "own run");
+    assert_eq!((row.get(y1), row.get(y2)), (10, 17), "the twin run");
+    assert_eq!(row.core_len(), 3);
+    assert_eq!(entries(&row), dijkstra_all(&g, x1));
     assert_rows_match(&g);
 }
 
@@ -201,6 +274,72 @@ fn directed_one_way_chains_are_not_contracted() {
 /// and far beyond it.
 const SCALES: [u64; 5] = [40, 3_000, 8_191, 8_192, 1 << 40];
 
+/// A 12 × 12 street grid with 13 streets missing, every street cut into
+/// 1–5 segments the way `mcfs-gen` subdivides its cities: 616 nodes, 132
+/// of them intersections or dead ends, and `heavy` adds one street of
+/// that length between two crossings.
+fn subdivided_grid_city(heavy: Option<u64>) -> (Graph, usize) {
+    let side = 12u32;
+    let mut s = Streets::new(side * side);
+    let mut degree = vec![0usize; (side * side) as usize];
+    let mut street = |s: &mut Streets, u: u32, v: u32, salt: u32| {
+        degree[u as usize] += 1;
+        degree[v as usize] += 1;
+        let mut lengths: Vec<u64> = (1..1 + salt % 5)
+            .map(|k| u64::from(1 + (salt + k) % 9))
+            .collect();
+        lengths.push(u64::from(1 + salt % 7));
+        s.street(u, v, &lengths);
+    };
+    for i in 0..side {
+        for j in 0..side {
+            let v = i * side + j;
+            if j + 1 < side && (i * 7 + j * 5) % 11 != 0 {
+                street(&mut s, v, v + 1, i + j);
+            }
+            if i + 1 < side && (i * 5 + j * 7 + 3) % 11 != 0 {
+                street(&mut s, v, v + side, i * 3 + j);
+            }
+        }
+    }
+    let intersections = degree.iter().filter(|&&d| d != 2).count();
+    if let Some(w) = heavy {
+        let crossings: Vec<u32> = (0..side * side)
+            .filter(|&v| degree[v as usize] >= 3)
+            .collect();
+        s.street(crossings[0], crossings[crossings.len() - 1], &[w]);
+    }
+    (s.graph(), intersections)
+}
+
+#[test]
+fn subdivided_grid_city_rows_hold_its_intersections() {
+    // Dial ring, then one 2^20 street (between two crossings, so the core
+    // is unchanged) for the radix heap.
+    for heavy in [None, Some(1 << 20)] {
+        let (g, intersections) = subdivided_grid_city(heavy);
+        assert_eq!((g.num_nodes(), intersections), (616, 132));
+        assert_eq!(g.contraction().core_len(), 132);
+        let mut filled = Vec::new();
+        for source in g.nodes() {
+            let row = Row::new(&g, source);
+            assert_eq!((row.core_len(), row.num_nodes()), (132, 616));
+            if let Some(problem) = row_mismatch(&g, source, &mut filled) {
+                panic!("{problem} (heavy street {heavy:?})");
+            }
+        }
+        // A clone shares the contraction rather than rebuilding it.
+        assert!(Arc::ptr_eq(g.contraction(), g.clone().contraction()));
+    }
+}
+
+#[test]
+fn rows_are_send_and_sync() {
+    fn shareable<T: Send + Sync>() {}
+    shareable::<Row>();
+    shareable::<Arc<Row>>();
+}
+
 // No explicit case count: the default (96) reads PROPTEST_CASES, which the
 // CI backend-suites job sets to 256.
 proptest! {
@@ -224,13 +363,10 @@ proptest! {
             }
         }
         let g = s.graph();
-        let mut row = Vec::new();
+        let mut filled = Vec::new();
         for source in g.nodes() {
-            let reference = dijkstra_all(&g, source);
-            let reached = fill_row(&g, source, &mut row);
-            prop_assert_eq!(&row, &reference, "row from {}", source);
-            let finite = reference.iter().filter(|&&d| d != INF).count() as u64;
-            prop_assert_eq!(reached, finite, "reached count from {}", source);
+            let problem = row_mismatch(&g, source, &mut filled);
+            prop_assert!(problem.is_none(), "{}", problem.unwrap_or_default());
         }
     }
 }

@@ -4,12 +4,23 @@
 //! cut edge), bands stay balanced, and the budget split always grants each
 //! shard a feasible budget that sums to at most `k`.
 //!
-//! CI cranks the case count via `PROPTEST_CASES` (cluster-suites job: 256).
+//! Each property runs at least 48 cases, more when `PROPTEST_CASES` asks
+//! for more (the CI cluster-suites job: 256).
 
 use mcfs_repro::cluster::{partition, split_budget, PartitionStrategy};
 use mcfs_repro::core::{Facility, McfsInstance};
 use mcfs_repro::graph::{Graph, GraphBuilder, NodeId, Point};
 use proptest::prelude::*;
+
+/// `floor` cases, or more when `PROPTEST_CASES` asks for more: the CI
+/// cluster-suites job widens the suite to 256 cases, and no job runs fewer
+/// than the floor.
+fn cases(floor: u32) -> ProptestConfig {
+    let asked = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    ProptestConfig::with_cases(asked.map_or(floor, |c: u32| c.max(floor)))
+}
 
 /// A connected graph: spanning path plus random chords.
 fn chord_graph(n: usize, extra: &[(u32, u32, u64)]) -> Graph {
@@ -68,8 +79,7 @@ fn node_shard_map(g: &Graph, shards: &[mcfs_repro::cluster::Shard]) -> Vec<Optio
 }
 
 proptest! {
-    // CI cranks this via PROPTEST_CASES (cluster-suites job: 256).
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(cases(48))]
 
     /// On arbitrary connected graphs, a non-trivial plan covers customers
     /// and facilities exactly once, indexes exactly the cut-edge customers

@@ -594,3 +594,75 @@ fn bucket_backend_warm_row_fill_allocates_zero_bytes() {
     );
     assert_eq!(row, dijkstra_all(&radix, 0));
 }
+
+/// Allocation guard for the oracle's rows: a row holds only the core
+/// distances of its search, so on a subdivided city a warm miss (the
+/// graph's contraction and component labels built, this thread's arena
+/// primed, the cache's map and queue at capacity) allocates exactly its
+/// row — `core × 8` bytes, the source's own run at 16 bytes a pair, and
+/// the `Arc`'d row header — and never a buffer the size of the graph.
+#[test]
+fn warm_oracle_miss_allocates_only_its_row() {
+    use mcfs_repro::gen::city::{generate_city, CitySpec, CityStyle};
+    use mcfs_repro::graph::{DistanceOracle, Graph, NodeId, Row};
+
+    // Spans stay inert only while no other test arms the recorder.
+    let _arm = GLOBAL_ARM.lock().unwrap_or_else(|e| e.into_inner());
+    let city = generate_city(&CitySpec {
+        name: "RowAllocCity",
+        target_nodes: 3_000,
+        style: CityStyle::Grid,
+        avg_edge_len: 15.0,
+        seed: 41,
+    });
+    let n = city.num_nodes();
+    let core = city.contraction().core_len();
+    assert!(core * 4 < n, "the city contracts: core {core} of {n} nodes");
+
+    /// Nodes of `s`'s own run, counted off the graph: `s` and the chain
+    /// nodes (two arcs, two distinct neighbours) reached from it without
+    /// crossing another node. Zero when `s` is itself no chain node.
+    fn own_run_len(g: &Graph, s: NodeId) -> usize {
+        let chain = |v: NodeId| {
+            let mut nb = g.neighbors(v).map(|(u, _)| u);
+            g.degree(v) == 2 && nb.next() != nb.next()
+        };
+        if !chain(s) {
+            return 0;
+        }
+        let mut len = 1;
+        for (first, _) in g.neighbors(s) {
+            let (mut prev, mut cur) = (s, first);
+            while chain(cur) {
+                len += 1;
+                let next = g.neighbors(cur).map(|(u, _)| u).find(|&u| u != prev);
+                (prev, cur) = (cur, next.unwrap());
+            }
+        }
+        len
+    }
+
+    let last = n as NodeId - 1;
+    let sources = [1, last, last - 1, 7, last / 2, 0];
+    let oracle = DistanceOracle::new().with_threads(1);
+    for &s in &sources {
+        black_box(oracle.row(&city, s));
+    }
+    let header = std::mem::size_of::<Row>() + 2 * std::mem::size_of::<usize>();
+    for &s in &sources {
+        // Cleared rows leave the map and the FIFO queue their capacity.
+        oracle.clear();
+        let run = own_run_len(&city, s);
+        let bytes = bytes_allocated_by(|| {
+            black_box(oracle.row(&city, s));
+        });
+        let row = (core * 8 + run * 16 + header) as u64;
+        assert_eq!(
+            bytes, row,
+            "a warm miss from {s} allocated {bytes} bytes; its row is {row} \
+             (core {core} × 8, own run {run} × 16, header {header})"
+        );
+        assert!(bytes < (n * 8) as u64, "no n-sized buffer");
+    }
+    assert!(oracle.stats().misses >= 2 * sources.len() as u64);
+}
