@@ -64,7 +64,7 @@ pub use instance::{
 pub use naive::WmaNaive;
 pub use parallel::{effective_threads, resolve_oracle, run_oracle};
 pub use resolve::{Edit, EditError, ReSolveRun, ReSolver};
-pub use stats::SolveStats;
+pub use stats::{SolveStats, WmaPhase};
 pub use uniform_first::UniformFirst;
 pub use wma::{DemandPolicy, TieBreak, Wma, WmaRun};
 

@@ -5,14 +5,23 @@
 //! maintenance, candidate sites come and go — yet a plain solver starts
 //! every run cold. `ReSolver` holds a solved instance together with the
 //! shared [`DistanceOracle`] and accepts [`Edit`] scripts; re-solving then
-//! reuses two kinds of work:
+//! reuses three kinds of work:
 //!
 //! 1. **Distance rows.** The oracle's row cache persists across solves.
 //!    When facility rows apply (see [`crate::streams`]) customer edits
 //!    never fill a row and each new candidate node fills one
 //!    ([`SolveStats::oracle_nodes_settled`] shows the saving); otherwise
 //!    the streams search lazily and the oracle holds no row.
-//! 2. **The final matching.** The closing optimal assignment is
+//! 2. **Customer columns.** When facility rows apply, the session keeps
+//!    each live customer's selection-phase stream (its column of the
+//!    candidate rows, sorted) keyed by the customer's stable id, and hands
+//!    the selection a rewound copy. Only arrivals have their columns read
+//!    from the rows, in one batch, so a solve that moved no customer reads
+//!    no row. A column depends on the customer's node and the candidate
+//!    list alone: a candidate edit drops every column, a departure drops
+//!    its own, capacity and budget edits keep them, and lazy streams keep
+//!    none.
+//! 3. **The final matching.** The closing optimal assignment is
 //!    warm-started from the surviving matching: departed customers release
 //!    their flow, capacity changes are synced, and each arrival costs one
 //!    incremental `find_pair` instead of rebuilding all `m` units.
@@ -24,7 +33,9 @@
 //! minimum-cost value of that bipartite assignment is unique. `ReSolver`
 //! therefore re-runs the deterministic selection phase
 //! (`Wma::select_facilities` — the exact code a cold solve runs) on the
-//! edited instance, guaranteeing the warm selection equals the cold one,
+//! edited instance, over streams that emit exactly what a cold solve's
+//! would (a kept column is the stream a cold solve builds for that
+//! customer), guaranteeing the warm selection equals the cold one,
 //! and only warm-starts the final assignment. The warm matching is kept
 //! only under a *dual certificate* ([`Matcher::slack_is_free`]): after
 //! removals and capacity syncs, every facility with spare capacity must sit
@@ -71,7 +82,7 @@ use rustc_hash::FxHashMap;
 use crate::assign::{assignment_matcher, complete_assignment};
 use crate::instance::{Facility, McfsInstance, Solution};
 use crate::parallel::run_oracle;
-use crate::stats::SolveStats;
+use crate::stats::{SolveStats, WmaPhase};
 
 /// Process-wide warm/cold re-solve decision counters (Prometheus
 /// exposition via `mcfs-obs`).
@@ -105,7 +116,7 @@ fn publish_phase(name: &'static str, state: mcfs_obs::PhaseState) {
     }
 }
 
-use crate::streams::{CustomerStream, FacilityMap};
+use crate::streams::{facility_rows_apply, CustomerStream, FacilityMap, OracleStream};
 use crate::wma::Wma;
 use crate::SolveError;
 
@@ -268,6 +279,70 @@ struct WarmState<'g> {
     slots: FxHashMap<u64, usize>,
 }
 
+/// Each live customer's selection-phase column: the never-advanced
+/// [`OracleStream`] that [`CustomerStream::for_customers`] reads from the
+/// candidate rows, keyed by the customer's stable id. Held only while
+/// facility rows apply; one column is `ℓ × 16` bytes.
+#[derive(Default)]
+struct Columns {
+    /// Stable ids of the candidates the columns list, in index order. A
+    /// column names candidates by index and reads them at their nodes, so
+    /// any other candidate list invalidates every column.
+    fac_ids: Vec<u64>,
+    by_customer: FxHashMap<u64, OracleStream>,
+}
+
+impl Columns {
+    /// One fresh selection stream per customer of `inst` (stable ids
+    /// `cust_ids`, candidate ids `fac_ids`), emitting what
+    /// `CustomerStream::for_customers` over the whole instance would: a
+    /// rewound copy of each kept column, after reading the arrivals'
+    /// columns from the cached rows in one batch. Lazy streams are built
+    /// afresh and drop every column.
+    fn streams<'g>(
+        &mut self,
+        inst: &McfsInstance<'g>,
+        cust_ids: &[u64],
+        fac_ids: &[u64],
+        oracle: &DistanceOracle,
+    ) -> Vec<CustomerStream<'g>> {
+        let (graph, customers, m) = (inst.graph(), inst.customers(), inst.num_customers());
+        let fac_map = Rc::new(inst.facilities_by_node());
+        if !facility_rows_apply(graph, m, fac_map.len()) {
+            *self = Self::default();
+            return CustomerStream::for_customers(graph, customers, m, fac_map, oracle);
+        }
+        if self.fac_ids != fac_ids {
+            self.by_customer.clear();
+            self.fac_ids = fac_ids.to_vec();
+        }
+        // Customer ids ascend: an arrival takes a fresh, larger id at the
+        // end of the list and a departure keeps the others' order.
+        debug_assert!(cust_ids.is_sorted());
+        self.by_customer
+            .retain(|id, _| cust_ids.binary_search(id).is_ok());
+        let (arrivals, nodes): (Vec<u64>, Vec<NodeId>) = cust_ids
+            .iter()
+            .zip(customers)
+            .filter(|(id, _)| !self.by_customer.contains_key(id))
+            .map(|(&id, &node)| (id, node))
+            .unzip();
+        if !nodes.is_empty() {
+            let built = CustomerStream::for_customers(graph, &nodes, m, fac_map, oracle);
+            for (id, stream) in arrivals.into_iter().zip(built) {
+                let CustomerStream::Precomputed(column) = stream else {
+                    unreachable!("facility rows apply, so every stream replays them");
+                };
+                self.by_customer.insert(id, column);
+            }
+        }
+        cust_ids
+            .iter()
+            .map(|id| CustomerStream::Precomputed(self.by_customer[id].clone()))
+            .collect()
+    }
+}
+
 /// Delta-update engine over a live MCFS instance (see the [module
 /// docs](self) for the design and the warm/cold equivalence argument).
 ///
@@ -288,6 +363,7 @@ pub struct ReSolver<'g> {
     k: usize,
     wma: Wma,
     oracle: Arc<DistanceOracle>,
+    columns: Columns,
     warm: Option<WarmState<'g>>,
 }
 
@@ -314,6 +390,7 @@ impl<'g> ReSolver<'g> {
             k: inst.k(),
             wma,
             oracle,
+            columns: Columns::default(),
             warm: None,
         }
     }
@@ -373,6 +450,13 @@ impl<'g> ReSolver<'g> {
     /// Current budget.
     pub fn k(&self) -> usize {
         self.k
+    }
+
+    /// Customer columns the session holds (see the [module docs](self)):
+    /// one per live customer after a solve that read facility rows, none
+    /// while its streams are lazy.
+    pub fn columns_held(&self) -> usize {
+        self.columns.by_customer.len()
     }
 
     /// Materialize the current (edited) instance — e.g. for verification or
@@ -499,7 +583,10 @@ impl<'g> ReSolver<'g> {
         publish_phase("resolve.selection", mcfs_obs::PhaseState::Start);
         let (selection, _trace) =
             self.wma
-                .select_facilities(&inst, &self.oracle, &feas, &mut solve_stats)?;
+                .select_facilities(&inst, &feas, &mut solve_stats, || {
+                    self.columns
+                        .streams(&inst, &self.cust_ids, &self.fac_ids, &self.oracle)
+                })?;
         publish_phase("resolve.selection", mcfs_obs::PhaseState::End);
         drop(selection_span);
         let sel_ids: Vec<u64> = selection
@@ -545,7 +632,7 @@ impl<'g> ReSolver<'g> {
         if mcfs_obs::bus_enabled() {
             mcfs_obs::publish(mcfs_obs::Event::ResolveDone { warm, objective });
         }
-        solve_stats.add_phase("assignment", t_assign.elapsed());
+        solve_stats.add_phase(WmaPhase::ASSIGNMENT.name, t_assign.elapsed());
         solve_stats.record_oracle_run(&oracle_run.stats());
         drop(oracle_run);
 

@@ -53,6 +53,55 @@ impl RunStats {
     }
 }
 
+/// One phase of a WMA solve: the name [`SolveStats`] records its wall time
+/// under (`STATS` renders it as `phase.<name>_us`) and the span that
+/// brackets it. Every WMA phase name and span name comes from these
+/// constants, so the two vocabularies cannot drift apart.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WmaPhase {
+    /// [`SolveStats`] phase name.
+    pub name: &'static str,
+    /// Span name.
+    pub span: &'static str,
+}
+
+impl WmaPhase {
+    /// Stream construction: facility rows read (or filled) and sorted into
+    /// columns, or lazy searches started.
+    pub const PREFETCH: WmaPhase = WmaPhase {
+        name: "prefetch",
+        span: "wma.prefetch",
+    };
+    /// Each iteration's `FindPair` calls until every demand is met.
+    pub const MATCHING: WmaPhase = WmaPhase {
+        name: "matching",
+        span: "wma.matching",
+    };
+    /// Each iteration's `CheckCover`.
+    pub const COVER: WmaPhase = WmaPhase {
+        name: "cover",
+        span: "wma.cover",
+    };
+    /// `SelectGreedy` and `CoverComponents` after the main loop.
+    pub const PROVISIONS: WmaPhase = WmaPhase {
+        name: "provisions",
+        span: "wma.provisions",
+    };
+    /// The final optimal assignment onto the selection.
+    pub const ASSIGNMENT: WmaPhase = WmaPhase {
+        name: "assignment",
+        span: "wma.assignment",
+    };
+    /// Every WMA phase, in run order.
+    pub const ALL: [WmaPhase; 5] = [
+        Self::PREFETCH,
+        Self::MATCHING,
+        Self::COVER,
+        Self::PROVISIONS,
+        Self::ASSIGNMENT,
+    ];
+}
+
 /// One named phase of a solver run and the wall-clock time it consumed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PhaseTime {
@@ -255,6 +304,17 @@ mod tests {
         s.record_oracle(&before, &after);
         assert_eq!((s.cache_hits, s.cache_misses), (8, 3));
         assert_eq!(s.oracle_nodes_settled, 360);
+    }
+
+    #[test]
+    fn wma_phase_spans_are_named_after_their_phases() {
+        for phase in WmaPhase::ALL {
+            assert_eq!(phase.span, format!("wma.{}", phase.name));
+        }
+        let mut names: Vec<&str> = WmaPhase::ALL.iter().map(|p| p.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), WmaPhase::ALL.len(), "phase names are distinct");
     }
 
     #[test]

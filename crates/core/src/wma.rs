@@ -32,7 +32,7 @@ use crate::cover::check_cover;
 use crate::greedy_add::select_greedy;
 use crate::instance::{FeasibilityReport, McfsInstance, Solution};
 use crate::parallel::run_oracle;
-use crate::stats::{IterationStats, RunStats, SolveStats};
+use crate::stats::{IterationStats, RunStats, SolveStats, WmaPhase};
 use crate::streams::CustomerStream;
 use crate::{SolveError, Solver};
 
@@ -157,16 +157,25 @@ impl Wma {
         // other concurrently running solvers.
         let oracle_run = OracleRunGuard::begin();
 
-        let (selection, stats) = self.select_facilities(inst, &oracle, &feas, &mut solve_stats)?;
+        let (selection, stats) = self.select_facilities(inst, &feas, &mut solve_stats, || {
+            let fac_map = Rc::new(inst.facilities_by_node());
+            CustomerStream::for_customers(
+                inst.graph(),
+                inst.customers(),
+                inst.num_customers(),
+                fac_map,
+                &oracle,
+            )
+        })?;
 
         // --- Final optimal assignment onto F (lines 14–15). ---
         let t_assign = Instant::now();
-        let assign_span = mcfs_obs::span("wma.assignment");
+        let assign_span = mcfs_obs::span(WmaPhase::ASSIGNMENT.span);
         let (mut matcher, _) = assignment_matcher(inst, &selection, &oracle);
         let (assignment, objective) = complete_assignment(&mut matcher, inst.num_customers())?;
         drop(assign_span);
         solve_stats.augmentations += matcher.augmentations();
-        solve_stats.add_phase("assignment", t_assign.elapsed());
+        solve_stats.add_phase(WmaPhase::ASSIGNMENT.name, t_assign.elapsed());
         solve_stats.record_oracle_run(&oracle_run.stats());
         Ok(WmaRun {
             solution: Solution {
@@ -186,15 +195,21 @@ impl Wma {
     /// re-derives the selection with *identical* code on the edited
     /// instance, which is what makes warm and cold solutions provably agree.
     ///
+    /// `make_streams` yields one fresh stream per customer, in customer
+    /// order, over all of `inst`'s candidates; [`run`](Self::run) builds
+    /// them with [`CustomerStream::for_customers`], the re-solver rewinds
+    /// the columns it kept from earlier solves. Either way the streams emit
+    /// identical sequences, so the selection does not depend on the caller.
+    ///
     /// Phase timings and matcher augmentations are recorded into
     /// `solve_stats`; the per-iteration trace is returned (empty unless
     /// `collect_stats`).
-    pub(crate) fn select_facilities(
+    pub(crate) fn select_facilities<'g>(
         &self,
-        inst: &McfsInstance,
-        oracle: &DistanceOracle,
+        inst: &McfsInstance<'g>,
         feas: &FeasibilityReport,
         solve_stats: &mut SolveStats,
+        make_streams: impl FnOnce() -> Vec<CustomerStream<'g>>,
     ) -> Result<(Vec<u32>, RunStats), SolveError> {
         let m = inst.num_customers();
         let l = inst.num_facilities();
@@ -205,13 +220,11 @@ impl Wma {
         // with lazy streams it is nearly free and the search cost is paid
         // inside the matching phase instead.
         let t_prefetch = Instant::now();
-        let prefetch_span = mcfs_obs::span("wma.prefetch");
-        let fac_map = Rc::new(inst.facilities_by_node());
-        let streams =
-            CustomerStream::for_customers(inst.graph(), inst.customers(), m, fac_map, oracle);
+        let prefetch_span = mcfs_obs::span(WmaPhase::PREFETCH.span);
+        let streams = make_streams();
         let mut matcher = Matcher::with_pruning(streams, inst.capacities(), self.pruning);
         drop(prefetch_span);
-        solve_stats.add_phase("prefetch", t_prefetch.elapsed());
+        solve_stats.add_phase(WmaPhase::PREFETCH.name, t_prefetch.elapsed());
 
         let mut total_matching = Duration::ZERO;
         let mut total_cover = Duration::ZERO;
@@ -233,6 +246,7 @@ impl Wma {
             iterations_counter().inc();
             // --- Matching phase: satisfy every unmet demand (lines 5–6). ---
             let t0 = Instant::now();
+            let matching_span = mcfs_obs::span(WmaPhase::MATCHING.span);
             for i in 0..m {
                 while !saturated[i] && matcher.match_count(i) < demand[i] as usize {
                     if matcher.find_pair(i).is_err() {
@@ -240,11 +254,13 @@ impl Wma {
                     }
                 }
             }
+            drop(matching_span);
             let matching_time = t0.elapsed();
             total_matching += matching_time;
 
             // --- Set-cover phase (line 7). ---
             let t1 = Instant::now();
+            let cover_span = mcfs_obs::span(WmaPhase::COVER.span);
             let outcome = check_cover(
                 |j| matcher.holders_of(j).iter().map(|&(c, _)| c),
                 m,
@@ -256,6 +272,7 @@ impl Wma {
                     last_selected[f as usize] = iteration as u64;
                 }
             }
+            drop(cover_span);
             let cover_time = t1.elapsed();
             total_cover += cover_time;
 
@@ -311,19 +328,21 @@ impl Wma {
             }
         }
 
-        solve_stats.add_phase("matching", total_matching);
-        solve_stats.add_phase("cover", total_cover);
+        solve_stats.add_phase(WmaPhase::MATCHING.name, total_matching);
+        solve_stats.add_phase(WmaPhase::COVER.name, total_cover);
         solve_stats.augmentations += matcher.augmentations();
 
         // --- Special provisions (lines 10–13). ---
         let t_prov = Instant::now();
+        let provisions_span = mcfs_obs::span(WmaPhase::PROVISIONS.span);
         if selection.len() < k {
             select_greedy(inst, &mut selection);
         }
         if !all_covered || !capacity_suffices(inst, &selection, feas.components) {
             selection = cover_components(inst, selection, feas.components)?;
         }
-        solve_stats.add_phase("provisions", t_prov.elapsed());
+        drop(provisions_span);
+        solve_stats.add_phase(WmaPhase::PROVISIONS.name, t_prov.elapsed());
 
         Ok((selection, stats))
     }
@@ -625,8 +644,11 @@ mod tests {
                 run.solve_stats.cache_hits, 2,
                 "the final assignment reuses the selected sites' rows"
             );
-            for phase in ["prefetch", "matching", "cover", "provisions", "assignment"] {
-                assert!(run.solve_stats.phase(phase).is_some(), "missing {phase}");
+            for phase in WmaPhase::ALL {
+                assert!(
+                    run.solve_stats.phase(phase.name).is_some(),
+                    "missing {phase:?}"
+                );
             }
         }
 

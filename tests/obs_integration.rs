@@ -5,7 +5,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 
-use mcfs_repro::core::{Edit, McfsInstance};
+use mcfs_repro::core::{Edit, McfsInstance, WmaPhase};
 use mcfs_repro::graph::GraphBuilder;
 use mcfs_repro::io::write_instance;
 use mcfs_repro::obs::{next_trace_id, to_chrome_trace, verify_nesting, SpanRecord};
@@ -89,6 +89,10 @@ fn traced_solve_yields_a_well_nested_lifecycle_trace() {
         "server.reply",
         "resolve.solve",
         "resolve.selection",
+        WmaPhase::PREFETCH.span,
+        WmaPhase::MATCHING.span,
+        WmaPhase::COVER.span,
+        WmaPhase::PROVISIONS.span,
         "resolve.assignment",
         "matcher.augment",
     ] {

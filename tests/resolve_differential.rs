@@ -24,7 +24,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use mcfs_repro::core::{Edit, Facility, McfsInstance, ReSolver, Solver, Wma};
+use mcfs_repro::core::{Edit, Facility, McfsInstance, ReSolveRun, ReSolver, Solver, Wma};
 use mcfs_repro::gen::bikes::{docking_demand, generate_flow_field, generate_stations};
 use mcfs_repro::gen::customers::{mask_to_reachable, sample_weighted};
 use mcfs_repro::gen::{generate_city, CitySpec, CityStyle};
@@ -169,6 +169,14 @@ fn check_script(world: &World, raw: &[RawOp]) -> Result<(), String> {
                         w.solution.objective, c.objective, w.warm
                     ));
                 }
+                // The warm path may list the set in its retained order.
+                if sorted(&w.solution.facilities) != sorted(&c.facilities) {
+                    return Err(format!(
+                        "step {step} ({edit:?}): warm selection {:?} != cold selection {:?} \
+                         (warm path: {})",
+                        w.solution.facilities, c.facilities, w.warm
+                    ));
+                }
                 inst.verify(&w.solution)
                     .map_err(|e| format!("step {step} ({edit:?}): warm solution invalid: {e:?}"))?;
             }
@@ -183,6 +191,13 @@ fn check_script(world: &World, raw: &[RawOp]) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// A selection as a set: its indices, sorted.
+fn sorted(selection: &[u32]) -> Vec<u32> {
+    let mut set = selection.to_vec();
+    set.sort_unstable();
+    set
 }
 
 /// Greedy script minimization: repeatedly drop any single op whose removal
@@ -302,16 +317,9 @@ fn small_delta_warm_solve_beats_cold_on_bikes_workload() {
     );
 }
 
-/// On an instance with fewer candidate nodes than customers (a symmetric
-/// grid, 30 customers, 6 sites) every row a session reads is a facility
-/// row. A customer arriving at a fresh node fills none — the selection and
-/// the warm arrival both read the cached site rows — and a candidate opening
-/// at a fresh node fills exactly its own. With a candidate at every node
-/// (`F_p = V`) the selection streams lazily at every thread count, so the
-/// session holds only the selected sites' rows and an arrival still fills
-/// none.
-#[test]
-fn facility_rows_make_customer_edits_free_and_new_sites_cost_one_row() {
+/// A symmetric 12 × 12 grid with 30 customers and 6 candidate sites on
+/// distinct nodes.
+fn grid_world() -> (Graph, Vec<NodeId>, Vec<NodeId>) {
     let side = 12u32;
     let mut b = GraphBuilder::new((side * side) as usize);
     for r in 0..side {
@@ -325,15 +333,198 @@ fn facility_rows_make_customer_edits_free_and_new_sites_cost_one_row() {
             }
         }
     }
-    let g = b.build();
-    let customers: Vec<NodeId> = (0..30).map(|i| (i * 37 + 5) % (side * side)).collect();
-    let sites: Vec<NodeId> = vec![13, 22, 58, 85, 121, 130];
-    let inst = McfsInstance::builder(&g)
+    let customers = (0..30).map(|i| (i * 37 + 5) % (side * side)).collect();
+    (b.build(), customers, vec![13, 22, 58, 85, 121, 130])
+}
+
+/// The grid world's instance: every site has capacity 8, and k = 4.
+fn grid_instance<'g>(g: &'g Graph, customers: &[NodeId], sites: &[NodeId]) -> McfsInstance<'g> {
+    McfsInstance::builder(g)
         .customers(customers.iter().copied())
         .facilities(sites.iter().map(|&node| Facility { node, capacity: 8 }))
         .k(4)
         .build()
+        .unwrap()
+}
+
+/// Assert that `run` is what a cold `Wma` solve of the session's current
+/// instance gives: a valid solution, the same cost and the same selected
+/// set.
+fn assert_cold_equal(rs: &ReSolver, run: &ReSolveRun, what: &str) {
+    let inst = rs.instance();
+    inst.verify(&run.solution)
+        .unwrap_or_else(|e| panic!("{what}: invalid solution: {e:?}"));
+    let cold = Wma::new().threads(1).solve(&inst).unwrap();
+    assert_eq!(run.solution.objective, cold.objective, "{what}: cost");
+    assert_eq!(
+        sorted(&run.solution.facilities),
+        sorted(&cold.facilities),
+        "{what}: selected set"
+    );
+}
+
+/// Distinct nodes of a solution's selected sites: the rows its final
+/// assignment reads when it is rebuilt cold.
+fn selected_nodes(rs: &ReSolver, run: &ReSolveRun) -> u64 {
+    let mut nodes: Vec<NodeId> = run
+        .solution
+        .facilities
+        .iter()
+        .map(|&j| rs.facilities()[j as usize].node)
+        .collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    nodes.len() as u64
+}
+
+/// The session keeps each customer's selection column across solves: a
+/// re-solve with no customer moved reads no row at all, and after a
+/// capacity or budget edit the only rows read are the ones a cold final
+/// assignment reads for its selected sites. Moving a customer reads the
+/// site rows once, as one batch, for its new column.
+#[test]
+fn kept_columns_read_rows_only_for_arrivals() {
+    let (g, customers, sites) = grid_world();
+    let inst = grid_instance(&g, &customers, &sites);
+    for threads in [1, 2] {
+        let mut rs = ReSolver::new(&inst, Wma::new().threads(threads));
+        let first = rs.solve().unwrap();
+        assert_eq!(first.solve_stats.cache_misses, sites.len() as u64);
+        assert_eq!(rs.columns_held(), customers.len());
+
+        let again = rs.solve().unwrap();
+        assert_cold_equal(&rs, &again, "unchanged");
+        assert!(again.warm);
+        assert_eq!(
+            (again.solve_stats.cache_hits, again.solve_stats.cache_misses),
+            (0, 0),
+            "threads {threads}: an unchanged session reads no row"
+        );
+
+        // Both edits change the selection, so the final assignment is
+        // rebuilt cold and reads its selected sites' rows; the selection
+        // itself reads none.
+        for (what, edit, selected) in [
+            (
+                "SetCapacity",
+                Edit::SetCapacity {
+                    index: 1,
+                    capacity: 5,
+                },
+                4,
+            ),
+            ("SetBudget", Edit::SetBudget { k: 5 }, 5),
+        ] {
+            rs.apply(&[edit]).unwrap();
+            let run = rs.solve().unwrap();
+            assert_cold_equal(&rs, &run, what);
+            assert!(!run.warm, "{what}");
+            assert_eq!(selected_nodes(&rs, &run), selected, "{what}");
+            assert_eq!(
+                (run.solve_stats.cache_hits, run.solve_stats.cache_misses),
+                (selected, 0),
+                "threads {threads}: {what} keeps every column"
+            );
+            assert_eq!(rs.columns_held(), customers.len(), "{what}");
+        }
+
+        // A moved customer: the arrival's column reads the site rows in one
+        // batch, and its warm `find_pair` reads the selected sites' rows.
+        rs.apply(&[
+            Edit::RemoveCustomer { index: 3 },
+            Edit::AddCustomer { node: 1 },
+        ])
         .unwrap();
+        let run = rs.solve().unwrap();
+        assert_cold_equal(&rs, &run, "moved customer");
+        assert!(run.warm);
+        assert_eq!(
+            run.solve_stats.cache_hits,
+            sites.len() as u64 + selected_nodes(&rs, &run),
+            "threads {threads}"
+        );
+        assert_eq!(
+            rs.columns_held(),
+            customers.len(),
+            "the departure's column went"
+        );
+    }
+}
+
+/// Candidate edits change the indices and nodes a column lists, so every
+/// column goes: after a `RemoveFacility` and then an `AddFacility` each
+/// solve still equals the cold solve.
+#[test]
+fn candidate_edits_drop_every_column() {
+    let (g, customers, sites) = grid_world();
+    let inst = grid_instance(&g, &customers, &sites);
+    let mut rs = ReSolver::new(&inst, Wma::new().threads(1));
+    let first = rs.solve().unwrap();
+    assert_cold_equal(&rs, &first, "first");
+    for (what, edit) in [
+        ("RemoveFacility", Edit::RemoveFacility { index: 0 }),
+        (
+            "AddFacility",
+            Edit::AddFacility {
+                node: 13,
+                capacity: 8,
+            },
+        ),
+        ("RemoveFacility", Edit::RemoveFacility { index: 2 }),
+        (
+            "AddFacility",
+            Edit::AddFacility {
+                node: 70,
+                capacity: 6,
+            },
+        ),
+    ] {
+        rs.apply(&[edit]).unwrap();
+        let run = rs.solve().unwrap();
+        assert_cold_equal(&rs, &run, what);
+        assert_eq!(rs.columns_held(), customers.len(), "{what}");
+    }
+}
+
+/// Facility rows apply only while there are at least as many customers as
+/// distinct sites. Removing customers past that point switches the session
+/// to lazy searches, where it holds no column; adding them back switches
+/// it to rows again. Every step equals the cold solve.
+#[test]
+fn streams_flip_between_rows_and_lazy_searches() {
+    let (g, customers, sites) = grid_world();
+    let inst = grid_instance(&g, &customers, &sites);
+    let mut rs = ReSolver::new(&inst, Wma::new().threads(1));
+    rs.solve().unwrap();
+    let held = |m: usize| if m >= sites.len() { m } else { 0 };
+    while rs.customers().len() > 2 {
+        rs.apply(&[Edit::RemoveCustomer { index: 0 }]).unwrap();
+        let m = rs.customers().len();
+        let run = rs.solve().unwrap();
+        assert_cold_equal(&rs, &run, &format!("{m} customers"));
+        assert_eq!(rs.columns_held(), held(m), "{m} customers");
+    }
+    for &node in &customers[..10] {
+        rs.apply(&[Edit::AddCustomer { node }]).unwrap();
+        let m = rs.customers().len();
+        let run = rs.solve().unwrap();
+        assert_cold_equal(&rs, &run, &format!("back to {m} customers"));
+        assert_eq!(rs.columns_held(), held(m), "back to {m} customers");
+    }
+}
+
+/// On an instance with fewer candidate nodes than customers (a symmetric
+/// grid, 30 customers, 6 sites) every row a session reads is a facility
+/// row. A customer arriving at a fresh node fills none — the selection and
+/// the warm arrival both read the cached site rows — and a candidate opening
+/// at a fresh node fills exactly its own. With a candidate at every node
+/// (`F_p = V`) the selection streams lazily at every thread count, so the
+/// session holds only the selected sites' rows and an arrival still fills
+/// none.
+#[test]
+fn facility_rows_make_customer_edits_free_and_new_sites_cost_one_row() {
+    let (g, customers, sites) = grid_world();
+    let inst = grid_instance(&g, &customers, &sites);
     let fresh = |taken: &[NodeId]| g.nodes().find(|v| !taken.contains(v)).unwrap();
     for threads in [1, 2] {
         let mut rs = ReSolver::new(&inst, Wma::new().threads(threads));

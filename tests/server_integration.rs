@@ -11,7 +11,10 @@ use mcfs_repro::gen::customers::uniform_customers;
 use mcfs_repro::gen::{generate_city, CitySpec, CityStyle};
 use mcfs_repro::graph::GraphBuilder;
 use mcfs_repro::io::{read_checkpoint, write_instance};
-use mcfs_repro::server::{Reply, Request, ServerConfig, ServerHandle, WIRE_VERSION};
+use mcfs_repro::obs::{Event, PhaseState};
+use mcfs_repro::server::{
+    Client, EventBody, Reply, Request, ServerConfig, ServerHandle, WIRE_VERSION,
+};
 
 /// A tiny instance that solves in microseconds.
 fn small_instance_text() -> String {
@@ -41,9 +44,10 @@ fn small_instance_text() -> String {
     String::from_utf8(buf).unwrap()
 }
 
-/// A deliberately heavy instance whose cold solve takes long enough (a few
-/// hundred ms in an unoptimized test build) to observe overlap, queueing
-/// and draining. `scale` trades runtime for timing margin.
+/// A deliberately heavy instance whose cold solve takes long enough to
+/// observe overlap, queueing and draining: at `scale` 2 about 150 ms in an
+/// unoptimized test build and about 14 ms optimized on a 2-vCPU host.
+/// `scale` trades runtime for timing margin.
 fn heavy_instance_text(scale: usize) -> String {
     let spec = CitySpec {
         name: "server-load",
@@ -78,6 +82,41 @@ fn open_instance(client: &mut mcfs_repro::server::Client, session: &str, text: &
         .unwrap();
 }
 
+/// Block until `watcher`, which WATCHes `session`, sees that session's
+/// event `want`. Events arrive in publish order, so this orders the
+/// caller's next request after the server-side step that published it.
+/// Panics instead of waiting forever when a solve of the session finishes
+/// first.
+fn wait_for_event(watcher: &mut Client, session: &str, want: impl Fn(&Event) -> bool) {
+    loop {
+        let frame = watcher.wait_event().unwrap();
+        let EventBody::Event { event, .. } = &frame.body else {
+            panic!("watcher dropped events");
+        };
+        if frame.session != session {
+            continue;
+        }
+        if want(event) {
+            return;
+        }
+        if let Event::ResolveDone { .. } = event {
+            panic!("a solve of {session} finished before the awaited event");
+        }
+    }
+}
+
+/// `want` for [`wait_for_event`]: a solve of the session began executing
+/// on its worker (it is running, not queued).
+fn solve_started(event: &Event) -> bool {
+    matches!(
+        event,
+        Event::Phase {
+            name: "resolve.selection",
+            state: PhaseState::Start,
+        }
+    )
+}
+
 fn metric(lines: &[String], key: &str) -> u64 {
     lines
         .iter()
@@ -95,18 +134,21 @@ fn two_sessions_solve_concurrently_on_separate_workers() {
     });
     let mut slow = server.connect().unwrap();
     let mut fast = server.connect().unwrap();
+    let mut watcher = server.connect().unwrap();
     // Round-robin pinning: the first OPEN lands on worker 0, the second on
     // worker 1, so the sessions cannot serialize behind each other.
-    open_instance(&mut slow, "heavy", &heavy_instance_text(1));
+    open_instance(&mut slow, "heavy", &heavy_instance_text(2));
     open_instance(&mut fast, "light", &small_instance_text());
+    watcher.watch("heavy", None).unwrap();
 
     let (light_done, heavy_done) = std::thread::scope(|s| {
         let heavy = s.spawn(move || {
             slow.solve("heavy").unwrap();
             Instant::now()
         });
-        // Give the heavy solve a head start so it is running, not queued.
-        std::thread::sleep(std::time::Duration::from_millis(50));
+        // The heavy solve is running, not queued, before the light one is
+        // sent.
+        wait_for_event(&mut watcher, "heavy", solve_started);
         fast.solve("light").unwrap();
         let light_done = Instant::now();
         (light_done, heavy.join().unwrap())
@@ -132,12 +174,16 @@ fn flood_beyond_queue_bound_is_shed_with_busy() {
     let mut c1 = server.connect().unwrap();
     let mut c2 = server.connect().unwrap();
     let mut c3 = server.connect().unwrap();
+    let mut watcher = server.connect().unwrap();
+    watcher.watch("big", None).unwrap();
     let shed = std::thread::scope(|s| {
         let running = s.spawn(move || c1.solve("big").unwrap());
-        std::thread::sleep(std::time::Duration::from_millis(60));
+        wait_for_event(&mut watcher, "big", solve_started);
         // Queued behind the running solve: depth is now at the limit.
         let queued = s.spawn(move || c2.solve("big").unwrap());
-        std::thread::sleep(std::time::Duration::from_millis(60));
+        wait_for_event(&mut watcher, "big", |e| {
+            matches!(e, Event::QueueDepth { depth: 2 })
+        });
         let shed = c3
             .request(&Request::Solve {
                 session: "big".into(),
