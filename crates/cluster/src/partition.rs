@@ -27,12 +27,13 @@
 use std::hash::{Hash, Hasher};
 
 use mcfs::{Facility, InstanceError, McfsInstance};
-use mcfs_graph::{hilbert::hilbert_keys, Graph, GraphBuilder, NodeId};
+use mcfs_graph::{hilbert::hilbert_keys, Graph, NodeId};
 use rustc_hash::FxHasher;
 
 /// Hilbert-curve order used to linearize node coordinates: 2^16 cells per
 /// axis distinguishes sub-meter positions on city-scale extents.
 const HILBERT_ORDER: u32 = 16;
+const _: () = assert!(HILBERT_ORDER <= 16, "packed keys need 2·order <= 32 bits");
 
 /// How the partitioner split the graph.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -194,22 +195,35 @@ fn assign_nodes(g: &Graph, n: usize) -> Option<(Vec<u32>, PartitionStrategy)> {
         return Some((node_shard, PartitionStrategy::Components));
     }
     // Connected: order nodes along a locality-preserving curve and cut the
-    // order into n equal bands.
-    let (order, strategy) = match g.coords() {
-        Some(points) => {
-            let keys = hilbert_keys(points, HILBERT_ORDER);
-            let mut order: Vec<u32> = (0..num_nodes as u32).collect();
-            order.sort_by_key(|&v| (keys[v as usize], v));
-            (order, PartitionStrategy::HilbertBands)
-        }
-        None => (bfs_order(g), PartitionStrategy::BfsBands),
-    };
+    // order into n equal bands, band b holding ranks [⌈b·N/n⌉, ⌈(b+1)·N/n⌉)
+    // — the ranks r with ⌊r·n/N⌋ = b.
     let mut node_shard = vec![0u32; num_nodes];
-    for (rank, &v) in order.iter().enumerate() {
-        // Equal-size bands: band b covers ranks [b*num/n, (b+1)*num/n).
-        node_shard[v as usize] = (rank * n / num_nodes) as u32;
+    let Some(points) = g.coords() else {
+        for (rank, &v) in bfs_order(g).iter().enumerate() {
+            node_shard[v as usize] = (rank * n / num_nodes) as u32;
+        }
+        return Some((node_shard, PartitionStrategy::BfsBands));
+    };
+    // Each node's key packed as `key << 32 | node` (keys stay below 2^32
+    // at order 16): unique, and ordered as the `(key, node)` pairs. One
+    // selection per band end leaves the band's entries, in some order,
+    // right before it.
+    let mut packed = hilbert_keys(points, HILBERT_ORDER);
+    for (v, entry) in packed.iter_mut().enumerate() {
+        *entry = *entry << 32 | v as u64;
     }
-    Some((node_shard, strategy))
+    let mut lo = 0;
+    for b in 0..n {
+        let hi = ((b + 1) * num_nodes).div_ceil(n);
+        if hi < num_nodes {
+            packed[lo..].select_nth_unstable(hi - lo);
+        }
+        for &entry in &packed[lo..hi] {
+            node_shard[entry as u32 as usize] = b as u32;
+        }
+        lo = hi;
+    }
+    Some((node_shard, PartitionStrategy::HilbertBands))
 }
 
 /// Breadth-first numbering from node 0; unreached nodes (there are none on
@@ -244,42 +258,30 @@ fn try_partition(inst: &McfsInstance, n: usize) -> Option<Partition> {
     let (node_shard, strategy) = assign_nodes(g, n)?;
 
     // Local numbering: nodes of each shard ascending in global id.
-    let mut nodes: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+    let mut sizes = vec![0usize; n];
+    for &s in &node_shard {
+        sizes[s as usize] += 1;
+    }
+    if sizes.contains(&0) {
+        return None;
+    }
+    let mut nodes: Vec<Vec<NodeId>> = sizes.into_iter().map(Vec::with_capacity).collect();
     let mut node_local = vec![0u32; g.num_nodes()];
     for v in g.nodes() {
         let s = node_shard[v as usize] as usize;
         node_local[v as usize] = nodes[s].len() as u32;
         nodes[s].push(v);
     }
-    if nodes.iter().any(Vec::is_empty) {
-        return None;
-    }
 
     // Induced sub-graphs + cut-edge counts.
     let mut shards: Vec<Shard> = Vec::with_capacity(n);
-    let mut border = vec![false; g.num_nodes()];
-    for (s, shard_nodes) in nodes.iter().enumerate() {
-        let mut b = match g.coords() {
-            Some(points) => {
-                GraphBuilder::with_coords(shard_nodes.iter().map(|&v| points[v as usize]).collect())
-            }
-            None => GraphBuilder::new(shard_nodes.len()),
-        };
-        let mut cut_arcs = 0usize;
-        for &u in shard_nodes {
-            for (v, w) in g.neighbors(u) {
-                if node_shard[v as usize] as usize == s {
-                    b.add_arc(node_local[u as usize], node_local[v as usize], w);
-                } else {
-                    cut_arcs += 1;
-                    border[u as usize] = true;
-                }
-            }
-        }
-        b.set_id_salt(shard_salt(g, shard_nodes));
+    for (s, shard_nodes) in nodes.into_iter().enumerate() {
+        let member =
+            |v: NodeId| (node_shard[v as usize] as usize == s).then(|| node_local[v as usize]);
+        let (graph, cut_arcs) = g.induced(&shard_nodes, member, shard_salt(g, &shard_nodes));
         shards.push(Shard {
-            graph: b.build(),
-            nodes: shard_nodes.clone(),
+            graph,
+            nodes: shard_nodes,
             customers: Vec::new(),
             local_customers: Vec::new(),
             facilities: Vec::new(),
@@ -291,13 +293,16 @@ fn try_partition(inst: &McfsInstance, n: usize) -> Option<Partition> {
         });
     }
 
-    // Distribute customers and facilities, and collect the boundary.
+    // Distribute customers and facilities, and collect the boundary: the
+    // customers whose node has an arc into another shard.
     let mut boundary = Vec::new();
     for (i, &c) in inst.customers().iter().enumerate() {
         let s = node_shard[c as usize] as usize;
         shards[s].customers.push(i);
         shards[s].local_customers.push(node_local[c as usize]);
-        if border[c as usize] {
+        if g.neighbors(c)
+            .any(|(v, _)| node_shard[v as usize] as usize != s)
+        {
             boundary.push(i);
         }
     }
@@ -358,6 +363,7 @@ pub fn partition(inst: &McfsInstance, want: usize) -> Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcfs_graph::GraphBuilder;
 
     /// Two disconnected 3-node paths with a facility on each.
     fn two_paths() -> Graph {

@@ -167,9 +167,9 @@ impl Graph {
     }
 
     /// The graph's identity salt (0 unless [`GraphBuilder::set_id_salt`]
-    /// stamped one). Folded into cache fingerprints so two structurally
-    /// identical graphs with different salts never alias each other's
-    /// cached rows.
+    /// or [`Graph::induced`] stamped one). Folded into cache fingerprints
+    /// so two structurally identical graphs with different salts never
+    /// alias each other's cached rows.
     #[inline]
     pub fn id_salt(&self) -> u64 {
         self.id_salt
@@ -183,7 +183,9 @@ impl Graph {
     /// pair, so a row filled from `v` also holds every distance *to* `v`.
     ///
     /// Exact, computed once per graph on first call (one sort of each
-    /// node's adjacency, `O(arcs · log degree)`), then cached.
+    /// node's adjacency, `O(arcs · log degree)`), then cached; a
+    /// [`Graph::induced`] sub-graph of a symmetric graph starts out known
+    /// to be symmetric.
     pub fn is_symmetric(&self) -> bool {
         *self.symmetric.get_or_init(|| {
             // Each node's out-arcs sorted by (target, weight), so an arc's
@@ -236,6 +238,78 @@ impl Graph {
     pub fn contraction(&self) -> &Arc<Contraction> {
         self.contraction
             .get_or_init(|| Arc::new(Contraction::new(self)))
+    }
+
+    /// The sub-graph induced by `nodes`, stamped with `id_salt`, and the
+    /// number of arcs that leave it. Local node `i` is `nodes[i]` (its
+    /// coordinate comes along); `local(v)` is the local id of member `v`
+    /// and `None` for every other node. Each arc `u → v` of a member `u`
+    /// is kept, as `local(u) → local(v)`, when `v` is a member too, and
+    /// counted as leaving otherwise.
+    ///
+    /// The CSR arrays, and so [`structural_hash`](Self::structural_hash),
+    /// equal those of a [`GraphBuilder`] fed the kept arcs in the same
+    /// order, but no arc list is built: one pass copies the kept arcs into
+    /// arrays sized by the members' out-degrees, trimmed to the kept count
+    /// after. The sub-graph of a symmetric graph holds every kept arc's
+    /// reversal, so it starts out known to be symmetric.
+    pub fn induced(
+        &self,
+        nodes: &[NodeId],
+        local: impl Fn(NodeId) -> Option<NodeId>,
+        id_salt: u64,
+    ) -> (Graph, usize) {
+        let out_arcs = nodes.iter().map(|&u| self.degree(u)).sum();
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        let mut targets = Vec::with_capacity(out_arcs);
+        let mut weights = Vec::with_capacity(out_arcs);
+        offsets.push(0u32);
+        for (i, &u) in nodes.iter().enumerate() {
+            debug_assert_eq!(local(u), Some(i as NodeId), "nodes[i] is local node i");
+            for (v, w) in self.neighbors(u) {
+                if let Some(lv) = local(v) {
+                    debug_assert!((lv as usize) < nodes.len(), "local ids index nodes");
+                    targets.push(lv);
+                    weights.push(w);
+                }
+            }
+            offsets.push(targets.len() as u32);
+        }
+        let leaving = out_arcs - targets.len();
+        targets.shrink_to_fit();
+        weights.shrink_to_fit();
+        let coords = self
+            .coords
+            .as_ref()
+            .map(|points| nodes.iter().map(|&v| points[v as usize]).collect());
+        let graph = Graph::from_csr(offsets, targets, weights, coords, id_salt);
+        if self.is_symmetric() {
+            let _ = graph.symmetric.set(true);
+        }
+        (graph, leaving)
+    }
+
+    /// A graph over finished CSR arrays; its derived properties start out
+    /// unknown.
+    fn from_csr(
+        offsets: Vec<u32>,
+        targets: Vec<NodeId>,
+        weights: Vec<Dist>,
+        coords: Option<Vec<Point>>,
+        id_salt: u64,
+    ) -> Graph {
+        let structural_hash = hash_csr(&offsets, &targets, &weights);
+        Graph {
+            offsets,
+            targets,
+            weights,
+            coords,
+            structural_hash,
+            id_salt,
+            symmetric: OnceLock::new(),
+            components: OnceLock::new(),
+            contraction: OnceLock::new(),
+        }
     }
 }
 
@@ -292,8 +366,10 @@ impl GraphBuilder {
     }
 
     /// Stamp an identity salt onto the built graph (see [`Graph::id_salt`]).
-    /// Sub-graph extraction derives the salt from the global ids of the
-    /// extracted nodes, so isomorphic extracts get distinct identities.
+    /// A graph built over local ids that stand for other nodes (an
+    /// extract) takes a salt derived from those nodes, so isomorphic
+    /// extracts get distinct identities; [`Graph::induced`] takes its salt
+    /// as an argument.
     pub fn set_id_salt(&mut self, salt: u64) {
         self.id_salt = salt;
     }
@@ -347,18 +423,7 @@ impl GraphBuilder {
             weights[slot] = w;
             cursor[u as usize] += 1;
         }
-        let structural_hash = hash_csr(&offsets, &targets, &weights);
-        Graph {
-            offsets,
-            targets,
-            weights,
-            coords: self.coords,
-            structural_hash,
-            id_salt: self.id_salt,
-            symmetric: OnceLock::new(),
-            components: OnceLock::new(),
-            contraction: OnceLock::new(),
-        }
+        Graph::from_csr(offsets, targets, weights, self.coords, self.id_salt)
     }
 }
 

@@ -3,8 +3,10 @@
 //! The paper's strongest scalable baseline orders customers "using the
 //! spatial order defined by a Hilbert space-filling curve" (Section VII-A,
 //! citing Kamel & Faloutsos's Hilbert R-tree). We implement the standard
-//! iterative index/point conversions on a `2^order × 2^order` grid plus a
-//! helper that maps arbitrary planar points into curve indices.
+//! index/point conversions on a `2^order × 2^order` grid plus a helper
+//! that maps arbitrary planar points into curve indices. Point → index
+//! reads four levels per step from a `const` table (see [`hilbert_xy2d`]);
+//! index → point is the plain iterative loop.
 
 use crate::geometry::Point;
 
@@ -29,6 +31,14 @@ pub fn hilbert_d2xy(order: u32, d: u64) -> (u32, u32) {
 
 /// Convert grid coordinates to the Hilbert curve index on a
 /// `2^order × 2^order` grid. Inverse of [`hilbert_d2xy`].
+///
+/// Equal to the textbook loop that reads one bit of `x` and `y` per level,
+/// emits a 2-bit digit and rotates the lower bits. The rotations applied
+/// so far amount to a swap flag and a complement flag (complementing both
+/// coordinates commutes with swapping them), so the loop's whole state is
+/// 2 bits. A 1,024-entry `const` table steps four levels at once from
+/// that state and 4 bits of each coordinate; the leading `order % 4`
+/// levels go one at a time.
 pub fn hilbert_xy2d(order: u32, x: u32, y: u32) -> u64 {
     assert!((1..=31).contains(&order), "order must be in 1..=31");
     let side = 1u64 << order;
@@ -36,20 +46,64 @@ pub fn hilbert_xy2d(order: u32, x: u32, y: u32) -> u64 {
         (x as u64) < side && (y as u64) < side,
         "coordinates outside grid"
     );
-    let (mut x, mut y) = (x as u64, y as u64);
     let mut d = 0u64;
-    let mut s = side / 2;
-    while s > 0 {
-        let rx = if (x & s) > 0 { 1 } else { 0 };
-        let ry = if (y & s) > 0 { 1 } else { 0 };
-        d += s * s * ((3 * rx) ^ ry);
-        rot(s, &mut x, &mut y, rx, ry);
-        s /= 2;
+    let mut state = 0u32;
+    let mut level = order;
+    while !level.is_multiple_of(4) {
+        level -= 1;
+        let (digit, next) = level_step(state, (x >> level) & 1, (y >> level) & 1);
+        d = d << 2 | u64::from(digit);
+        state = next;
+    }
+    while level > 0 {
+        level -= 4;
+        let entry = LEVELS4[(state << 8 | ((x >> level) & 15) << 4 | ((y >> level) & 15)) as usize];
+        d = d << 8 | u64::from(entry >> 2);
+        state = u32::from(entry & 3);
     }
     d
 }
 
-/// Quadrant rotation used by both conversions.
+/// One level of the curve. `state` holds the swap flag (bit 0) and the
+/// complement flag (bit 1) of the rotations applied above this level;
+/// `bx`, `by` are this level's bits of the raw coordinates. Returns the
+/// level's digit and the state below it.
+const fn level_step(state: u32, bx: u32, by: u32) -> (u32, u32) {
+    let flip = state >> 1;
+    let (mut rx, mut ry) = (bx ^ flip, by ^ flip);
+    if state & 1 == 1 {
+        (rx, ry) = (ry, rx);
+    }
+    let mut next = state;
+    if ry == 0 {
+        next ^= 1 | rx << 1;
+    }
+    ((3 * rx) ^ ry, next)
+}
+
+/// Four levels at once: entry `state << 8 | x4 << 4 | y4` holds the 8
+/// index bits of those levels above the state below them
+/// (`digits << 2 | state`).
+const LEVELS4: [u16; 1024] = {
+    let mut table = [0u16; 1024];
+    let mut i = 0;
+    while i < 1024 {
+        let (mut state, x4, y4) = ((i >> 8) as u32, (i >> 4 & 15) as u32, (i & 15) as u32);
+        let mut digits = 0u32;
+        let mut bit = 4;
+        while bit > 0 {
+            bit -= 1;
+            let (digit, next) = level_step(state, x4 >> bit & 1, y4 >> bit & 1);
+            digits = digits << 2 | digit;
+            state = next;
+        }
+        table[i] = (digits << 2 | state) as u16;
+        i += 1;
+    }
+    table
+};
+
+/// Quadrant rotation of [`hilbert_d2xy`].
 #[inline]
 fn rot(s: u64, x: &mut u64, y: &mut u64, rx: u64, ry: u64) {
     if ry == 0 {
