@@ -166,6 +166,11 @@ pub struct Matcher<S> {
     parent: Vec<u32>,
     stamp: Vec<u32>,
     version: u32,
+    /// The search's priority queue, kept across searches (each drains it).
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Every slot the current search stamped, in stamp order (the source
+    /// first): the visited nodes whose potentials an augmentation moves.
+    touched: Vec<u32>,
     /// Statistics: residual Dijkstra executions (paper Fig. 12b discusses
     /// matching effort per iteration).
     dijkstra_runs: u64,
@@ -207,6 +212,8 @@ impl<S: EdgeStream> Matcher<S> {
             parent: vec![u32::MAX; m + l],
             stamp: vec![0; m + l],
             version: 0,
+            heap: BinaryHeap::new(),
+            touched: Vec::new(),
             dijkstra_runs: 0,
             edges_added: 0,
             augmentations: 0,
@@ -304,13 +311,14 @@ impl<S: EdgeStream> Matcher<S> {
     pub fn push_customer(&mut self, stream: S) -> usize {
         let i = self.customers.len();
         self.customers.push(Self::fresh_customer(stream));
-        // Facility scratch slots shift from `m..m+l` to `m+1..m+1+l`;
-        // rebuild the versioned arrays. Stale stamps are harmless: searches
-        // pre-increment `version`, so a zero stamp never reads as fresh.
+        // Facility scratch slots shift from `m..m+l` to `m+1..m+1+l`; grow
+        // the versioned arrays by one slot. Stale stamps are harmless:
+        // searches pre-increment `version`, so no earlier stamp reads as
+        // fresh.
         let n = self.customers.len() + self.facilities.len();
-        self.dist = vec![0; n];
-        self.parent = vec![u32::MAX; n];
-        self.stamp = vec![0; n];
+        self.dist.resize(n, 0);
+        self.parent.resize(n, u32::MAX);
+        self.stamp.resize(n, 0);
         i
     }
 
@@ -451,8 +459,9 @@ impl<S: EdgeStream> Matcher<S> {
         );
         let m = self.customers.len();
         loop {
-            // Shortest-path search over the currently known residual graph.
-            let search = self.residual_dijkstra(customer);
+            // Shortest-path search over the currently known residual graph;
+            // `target` is the nearest free facility, if any.
+            let target = self.residual_dijkstra(customer);
 
             // Threshold: a lower bound on any path through a
             // not-yet-materialized edge, computed over every customer the
@@ -461,8 +470,11 @@ impl<S: EdgeStream> Matcher<S> {
             // the worst potential globally (the older, looser SIA rule).
             let mut best_key: Option<(i128, u32)> = None;
             let mut tau_max: i128 = 0;
-            for idx in 0..search.touched_customers.len() {
-                let v = search.touched_customers[idx];
+            for idx in 0..self.touched.len() {
+                let v = self.touched[idx];
+                if v as usize >= m {
+                    continue;
+                }
                 self.refill_lookahead(v as usize);
                 let c = &self.customers[v as usize];
                 tau_max = tau_max.max(c.potential as i128);
@@ -482,7 +494,7 @@ impl<S: EdgeStream> Matcher<S> {
                 best_key = best_key.map(|(k, v)| (k - tau_max, v));
             }
 
-            match (search.target, best_key) {
+            match (target, best_key) {
                 (Some((dt, _)), Some((key, expand))) if (dt as i128) > key => {
                     // A hidden edge might beat the current path: materialize
                     // the most promising candidate and retry.
@@ -505,26 +517,27 @@ impl<S: EdgeStream> Matcher<S> {
     }
 
     /// Dijkstra over the known residual graph from `customer`, using reduced
-    /// costs. Returns the best free-facility target and the visited sets.
-    fn residual_dijkstra(&mut self, customer: usize) -> SearchResult {
+    /// costs. Returns the best free-facility target as `(reduced distance,
+    /// node id)`; the visited nodes are left in `touched`.
+    fn residual_dijkstra(&mut self, customer: usize) -> Option<(u64, u32)> {
         self.dijkstra_runs += 1;
         obs().dijkstra_runs.inc();
         let m = self.customers.len();
         self.version += 1;
         let version = self.version;
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
-        let mut touched_customers: Vec<u32> = Vec::new();
+        self.heap.clear();
+        self.touched.clear();
 
         let s = customer as u32;
         self.dist[customer] = 0;
         self.parent[customer] = u32::MAX;
         self.stamp[customer] = version;
-        touched_customers.push(s);
-        heap.push(Reverse((0, s)));
+        self.touched.push(s);
+        self.heap.push(Reverse((0, s)));
 
         let mut target: Option<(u64, u32)> = None;
 
-        while let Some(Reverse((d, v))) = heap.pop() {
+        while let Some(Reverse((d, v))) = self.heap.pop() {
             if d > self.dist[v as usize] {
                 continue; // stale
             }
@@ -547,7 +560,7 @@ impl<S: EdgeStream> Matcher<S> {
                     let cp = self.customers[i as usize].potential;
                     debug_assert!(cp >= w + fp, "negative reduced cost on backward arc");
                     let rc = cp - w - fp;
-                    self.relax(v, i, d + rc, version, &mut heap, &mut touched_customers);
+                    self.relax(v, i, d + rc, version);
                 }
             } else {
                 // Forward arcs: customer -> every known unused facility edge.
@@ -561,49 +574,48 @@ impl<S: EdgeStream> Matcher<S> {
                     let fp = self.facilities[j as usize].potential;
                     debug_assert!(w + fp >= cp, "negative reduced cost on forward arc");
                     let rc = w + fp - cp;
-                    self.relax(
-                        v,
-                        m as u32 + j,
-                        d + rc,
-                        version,
-                        &mut heap,
-                        &mut touched_customers,
-                    );
+                    self.relax(v, m as u32 + j, d + rc, version);
                 }
             }
         }
 
-        SearchResult {
-            target,
-            touched_customers,
-        }
+        target
     }
 
     #[inline]
-    #[allow(clippy::too_many_arguments)]
-    fn relax(
-        &mut self,
-        from: u32,
-        to: u32,
-        nd: u64,
-        version: u32,
-        heap: &mut BinaryHeap<Reverse<(u64, u32)>>,
-        touched_customers: &mut Vec<u32>,
-    ) {
+    fn relax(&mut self, from: u32, to: u32, nd: u64, version: u32) {
         let tu = to as usize;
         if self.stamp[tu] != version {
             self.stamp[tu] = version;
             self.dist[tu] = u64::MAX;
             self.parent[tu] = u32::MAX;
-            if tu < self.customers.len() {
-                touched_customers.push(to);
-            }
+            self.touched.push(to);
         }
         if nd < self.dist[tu] {
             self.dist[tu] = nd;
             self.parent[tu] = from;
-            heap.push(Reverse((nd, to)));
+            self.heap.push(Reverse((nd, to)));
         }
+    }
+
+    /// Whether `touched` lists exactly the slots stamped with the current
+    /// version, each once — the invariant that lets an augmentation move
+    /// potentials over `touched` instead of scanning every slot. Each
+    /// listed slot is marked with an older version while it is checked (a
+    /// repeat then finds its mark), the rest are scanned, and the stamps
+    /// are restored; nothing is allocated.
+    fn touched_is_exactly_stamped(&mut self) -> bool {
+        let version = self.version;
+        let mut exact = true;
+        for &v in &self.touched {
+            exact &= self.stamp[v as usize] == version;
+            self.stamp[v as usize] = version - 1;
+        }
+        exact &= !self.stamp.contains(&version);
+        for &v in &self.touched {
+            self.stamp[v as usize] = version;
+        }
+        exact
     }
 
     /// Flip the edges of the found augmenting path and update potentials
@@ -623,9 +635,13 @@ impl<S: EdgeStream> Matcher<S> {
         // Potentials: π_v += δ(t) − min(δ(v), δ(t)) over touched nodes.
         // Unsettled touched nodes have δ(v) ≥ δ(t), so only strictly closer
         // nodes move — exactly line 17 of Algorithm 2.
-        let version = self.version;
-        for idx in 0..self.stamp.len() {
-            if self.stamp[idx] == version && self.dist[idx] < dt {
+        debug_assert!(
+            self.touched_is_exactly_stamped(),
+            "the search's touched list must be exactly its stamped slots"
+        );
+        for &v in &self.touched {
+            let idx = v as usize;
+            if self.dist[idx] < dt {
                 let delta = dt - self.dist[idx];
                 if idx < m {
                     self.customers[idx].potential += delta;
@@ -676,12 +692,6 @@ impl<S: EdgeStream> Matcher<S> {
             }
         }
     }
-}
-
-struct SearchResult {
-    /// `(reduced distance, node id)` of the nearest free facility, if any.
-    target: Option<(u64, u32)>,
-    touched_customers: Vec<u32>,
 }
 
 #[cfg(test)]

@@ -35,6 +35,7 @@
 //! ([`ProfileSnapshot::merge_labeled`]), mirroring the federated metrics
 //! machinery.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
@@ -73,6 +74,18 @@ struct NameTable {
     names: Vec<&'static str>,
 }
 
+/// Ways of the per-thread memo in front of the shared name table.
+const MEMO_WAYS: usize = 16;
+
+thread_local! {
+    /// This thread's recently interned sites `(address, length, id)`,
+    /// direct-mapped by address, so an armed span site skips the shared
+    /// table's lock and hash. Ids never change once assigned, so an entry
+    /// is never stale.
+    static MEMO: [Cell<(usize, usize, u32)>; MEMO_WAYS] =
+        const { [const { Cell::new((0, 0, 0)) }; MEMO_WAYS] };
+}
+
 fn names() -> &'static RwLock<NameTable> {
     static NAMES: OnceLock<RwLock<NameTable>> = OnceLock::new();
     NAMES.get_or_init(|| RwLock::new(NameTable::default()))
@@ -80,6 +93,19 @@ fn names() -> &'static RwLock<NameTable> {
 
 fn intern(name: &'static str) -> u32 {
     let site = (name.as_ptr() as usize, name.len());
+    MEMO.with(|memo| {
+        let way = &memo[site.0 % MEMO_WAYS];
+        let (ptr, len, id) = way.get();
+        if (ptr, len) == site {
+            return id;
+        }
+        let id = intern_shared(site, name);
+        way.set((site.0, site.1, id));
+        id
+    })
+}
+
+fn intern_shared(site: (usize, usize), name: &'static str) -> u32 {
     if let Some(&id) = names().read().unwrap().by_site.get(&site) {
         return id;
     }
@@ -347,16 +373,18 @@ fn ensure_sampler() {
 /// call just retunes the rate.
 pub fn enable(hz: u64) {
     RATE_HZ.store(hz.max(1), Relaxed);
-    ENABLED.store(true, Relaxed);
-    crate::trace::rearm();
+    if !ENABLED.swap(true, Relaxed) {
+        crate::trace::arm(true);
+    }
     ensure_sampler();
 }
 
 /// Disarm the profiler: span pushes return to one relaxed load and the
 /// sampler idles. The accumulated table is kept.
 pub fn disable() {
-    ENABLED.store(false, Relaxed);
-    crate::trace::rearm();
+    if ENABLED.swap(false, Relaxed) {
+        crate::trace::arm(false);
+    }
 }
 
 /// Whether the profiler is armed.
@@ -591,6 +619,20 @@ mod tests {
         // Unit tests drive ticks by hand; a live sampler would race them.
         set_auto_sample(false);
         guard
+    }
+
+    #[test]
+    fn interning_tells_apart_sites_sharing_a_memo_way() {
+        // Sites 16 bytes apart share a way; a prefix shares its address.
+        let text: &'static str = "memo.a__________memo.b__________";
+        let (a, b, prefix) = (&text[..6], &text[16..22], &text[..4]);
+        for _ in 0..3 {
+            for name in [a, b, prefix, a] {
+                assert_eq!(resolve(intern(name)), name);
+            }
+        }
+        assert_ne!(intern(a), intern(b));
+        assert_ne!(intern(a), intern(prefix));
     }
 
     #[test]

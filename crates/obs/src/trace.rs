@@ -12,8 +12,9 @@
 //!
 //! # Cost when disabled
 //!
-//! [`span`] first reads one relaxed [`AtomicBool`] that is only set while
-//! some thread is inside a trace (or force mode is on). When it is clear —
+//! [`span`] first reads one relaxed arming count that is non-zero only
+//! while some thread is inside a trace (or force mode or the profiler is
+//! on). When it is zero —
 //! the overwhelmingly common case for untraced traffic — the call returns
 //! an inert guard without reading the clock, allocating, or touching a
 //! thread-local. The bench group `obs_tracing` and the overhead test keep
@@ -58,9 +59,14 @@ pub struct SpanRecord {
     pub name: Cow<'static, str>,
 }
 
-static ARMED: AtomicBool = AtomicBool::new(false);
+/// Live reasons for [`span`] to leave its fast path: one per entered
+/// [`TraceGuard`], one while force mode is on, one while the profiler is
+/// armed. Each reason adds 1 when it starts and subtracts 1 when it ends,
+/// so concurrent enters and drops can never store a stale total.
+/// `Relaxed` suffices: the count publishes no other data, and a thread
+/// always reads its own guard's unit back.
+static ARMING: AtomicUsize = AtomicUsize::new(0);
 static FORCE: AtomicBool = AtomicBool::new(false);
-static ACTIVE_GUARDS: AtomicUsize = AtomicUsize::new(0);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
@@ -93,22 +99,25 @@ thread_local! {
     static THREAD_ID: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Recompute the [`span`] fast-path arming bit. The profiler shares the
-/// bit so a disarmed process still pays exactly one relaxed load per span
-/// site; when armed, [`span_slow`] sorts out which consumers (trace
-/// records, profiler stack, or both) actually want the span.
-pub(crate) fn rearm() {
-    ARMED.store(
-        FORCE.load(Relaxed) || ACTIVE_GUARDS.load(Relaxed) > 0 || crate::profile::enabled(),
-        Relaxed,
-    );
+/// Start (`true`) or end (`false`) one reason to arm [`span`]'s slow path.
+/// The profiler shares the count so a disarmed process still pays exactly
+/// one relaxed load per span site; when armed, [`span_slow`] sorts out
+/// which consumers (trace records, profiler stack, or both) actually want
+/// the span.
+pub(crate) fn arm(on: bool) {
+    if on {
+        ARMING.fetch_add(1, Relaxed);
+    } else {
+        ARMING.fetch_sub(1, Relaxed);
+    }
 }
 
 /// Trace every span regardless of [`TraceGuard`]s — spans opened outside a
 /// trace get a freshly minted trace id each. Meant for benches and tests.
 pub fn set_force(on: bool) {
-    FORCE.store(on, Relaxed);
-    rearm();
+    if FORCE.swap(on, Relaxed) != on {
+        arm(on);
+    }
 }
 
 /// Nanoseconds since the process trace epoch (first call wins).
@@ -274,8 +283,7 @@ impl TraceGuard {
         let trace = if trace == 0 { next_trace_id() } else { trace };
         let prev_trace = CURRENT_TRACE.with(|t| t.replace(trace));
         let prev_parent = CURRENT_PARENT.with(|p| p.replace(parent));
-        ACTIVE_GUARDS.fetch_add(1, Relaxed);
-        rearm();
+        arm(true);
         TraceGuard {
             trace,
             prev_trace,
@@ -293,8 +301,7 @@ impl Drop for TraceGuard {
     fn drop(&mut self) {
         CURRENT_TRACE.with(|t| t.set(self.prev_trace));
         CURRENT_PARENT.with(|p| p.set(self.prev_parent));
-        ACTIVE_GUARDS.fetch_sub(1, Relaxed);
-        rearm();
+        arm(false);
     }
 }
 
@@ -330,7 +337,7 @@ impl Span {
 /// the enablement rules and the disabled-path cost.
 #[inline]
 pub fn span(name: &'static str) -> Span {
-    if !ARMED.load(Relaxed) {
+    if ARMING.load(Relaxed) == 0 {
         return Span::INERT;
     }
     span_slow(name)

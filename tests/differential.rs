@@ -9,7 +9,8 @@
 //! * `solve_transportation` — the dense transportation simplex; the
 //!   incremental matcher (WMA's inner engine) must reach exactly its optimal
 //!   cost on arbitrary cost matrices, since both claim optimality for the
-//!   same capacitated b-matching.
+//!   same capacitated b-matching — also after departures, arrivals and
+//!   capacity edits, whenever its warm-start certificate holds.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -131,5 +132,81 @@ proptest! {
             pruned.find_pair(i).unwrap();
         }
         prop_assert_eq!(pruned.total_cost(), dense.cost, "τ-max-pruned matcher");
+    }
+}
+
+/// `floor` cases, or more when `PROPTEST_CASES` asks for more.
+fn cases(floor: u32) -> ProptestConfig {
+    let asked = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    ProptestConfig::with_cases(asked.map_or(floor, |c: u32| c.max(floor)))
+}
+
+proptest! {
+    #![proptest_config(cases(64))]
+
+    /// Random scripts of the matcher's four operations — `find_pair`,
+    /// `remove_customer`, `push_customer` and `set_capacity` — the surgery
+    /// a re-solve session performs between solves. Units go only to live
+    /// customers holding none, so every demand is 0 or 1; whenever
+    /// `slack_is_free()` certifies the matching, its cost must equal the
+    /// dense transportation optimum over the customers that hold a unit.
+    #[test]
+    fn certified_matcher_equals_dense_transport_after_any_script(
+        l in 1usize..=5,
+        initial in vec(vec(1u64..=50, 5), 1..=6),
+        raw_caps in vec(0u32..=3, 5),
+        script in vec((0u8..6, 0usize..64, vec(1u64..=50, 5), 0u32..=3), 1..32),
+    ) {
+        let mut rows: Vec<Vec<u64>> = initial.iter().map(|r| r[..l].to_vec()).collect();
+        let mut caps: Vec<u32> = raw_caps[..l].to_vec();
+        let streams: Vec<VecStream> = rows.iter().map(|r| VecStream::from_row(r)).collect();
+        let mut matcher = Matcher::new(streams, caps.clone());
+        for (op, pick, costs, cap) in script {
+            let live: Vec<usize> =
+                (0..rows.len()).filter(|&i| !matcher.is_removed(i)).collect();
+            match op {
+                0..=2 => {
+                    let idle: Vec<usize> =
+                        live.iter().copied().filter(|&i| matcher.match_count(i) == 0).collect();
+                    if !idle.is_empty() {
+                        // Out of reachable capacity is a valid outcome; a
+                        // failed call leaves the matching as it was.
+                        let _ = matcher.find_pair(idle[pick % idle.len()]);
+                    }
+                }
+                3 => {
+                    if !live.is_empty() {
+                        matcher.remove_customer(live[pick % live.len()]);
+                    }
+                }
+                4 => {
+                    rows.push(costs[..l].to_vec());
+                    let slot = matcher.push_customer(VecStream::from_row(&rows[rows.len() - 1]));
+                    prop_assert_eq!(slot, rows.len() - 1);
+                }
+                _ => {
+                    // Never below the load: the matcher refuses that.
+                    let j = pick % l;
+                    caps[j] = cap.max(matcher.load(j) as u32);
+                    matcher.set_capacity(j, caps[j]);
+                }
+            }
+            if matcher.slack_is_free() {
+                let held: Vec<Vec<u64>> = (0..rows.len())
+                    .filter(|&i| !matcher.is_removed(i) && matcher.match_count(i) == 1)
+                    .map(|i| rows[i].clone())
+                    .collect();
+                let dense = if held.is_empty() {
+                    0
+                } else {
+                    solve_transportation(&TransportProblem::from_rows(&held, caps.clone()))
+                        .unwrap()
+                        .cost
+                };
+                prop_assert_eq!(matcher.total_cost(), dense, "certified after {:?}", op);
+            }
+        }
     }
 }

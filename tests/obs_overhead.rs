@@ -35,6 +35,8 @@ const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/bikes_smal
 
 /// Arming the flight recorder arms the event bus process-wide, so the
 /// tests that toggle or assert on global arming state serialize here.
+/// Every test in this binary holds it, so no timed probe shares the CPUs
+/// with a sibling test.
 static GLOBAL_ARM: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn median_ns(mut samples: Vec<u128>) -> u128 {
@@ -256,7 +258,7 @@ fn disarmed_flight_recorder_overhead_stays_under_two_percent() {
 }
 
 /// The same analytic guard for the continuous profiler, disarmed: the
-/// profiler folds into the trace `ARMED` bit, so with the profiler off a
+/// profiler folds into the trace arming count, so with the profiler off a
 /// span site must stay the single relaxed load the tracing guard above
 /// already budgets — and specifically must not have grown from wiring the
 /// profiler term into the re-arm check.
@@ -297,7 +299,8 @@ fn disarmed_profiler_overhead_stays_under_two_percent() {
 
     // Per-call cost of a span site with the profiler (and everything
     // else) disarmed: the one-relaxed-load inert path. A profiler that
-    // left `ARMED` set, or added work to the fast path, shows up here.
+    // left the arming count raised, or added work to the fast path, shows
+    // up here.
     const PROBE_CALLS: u128 = 1_000_000;
     let t0 = Instant::now();
     for _ in 0..PROBE_CALLS {
@@ -438,6 +441,7 @@ fn bytes_allocated_by(f: impl FnOnce()) -> u64 {
 fn buffered_frame_parsing_allocates_a_bounded_trickle() {
     use mcfs_repro::server::{FrameBuf, TracedRequest};
 
+    let _arm = GLOBAL_ARM.lock().unwrap_or_else(|e| e.into_inner());
     const FRAMES: u64 = 4096;
     const LINE: &str = "SOLVE load-session deadline_ms=250 trace=7\n";
     let stream: String = LINE.repeat(FRAMES as usize);
@@ -512,6 +516,7 @@ fn bucket_backend_warm_row_fill_allocates_zero_bytes() {
     use mcfs_repro::gen::synthetic::{generate_synthetic, SyntheticConfig};
     use mcfs_repro::graph::{dijkstra_all, fill_row, GraphBuilder};
 
+    let _arm = GLOBAL_ARM.lock().unwrap_or_else(|e| e.into_inner());
     let g = generate_synthetic(&SyntheticConfig::uniform(2_000, 2.0, 41));
     let mut row = Vec::new();
 
@@ -665,4 +670,67 @@ fn warm_oracle_miss_allocates_only_its_row() {
         assert!(bytes < (n * 8) as u64, "no n-sized buffer");
     }
     assert!(oracle.stats().misses >= 2 * sources.len() as u64);
+}
+
+/// Zero-allocation guard for the incremental matcher (`FindPair`): once
+/// every edge of `G_b` is materialized and the matcher's search buffers
+/// are warm, a departure (`remove_customer`) followed by one more unit of
+/// demand (`find_pair`) allocates exactly zero bytes. The residual search
+/// reuses the matcher's heap and visited list, and no holder list grows
+/// past the load it had when every facility was full.
+///
+/// Control: building a fresh `Matcher` allocates, which proves the
+/// counting allocator sees this thread's matcher traffic.
+#[test]
+fn warm_matcher_departure_and_find_pair_allocate_zero_bytes() {
+    use mcfs_repro::flow::{Matcher, VecStream};
+
+    // Spans and bus events stay inert only while no other test arms them.
+    let _arm = GLOBAL_ARM.lock().unwrap_or_else(|e| e.into_inner());
+    const M: usize = 12;
+    const L: usize = 4;
+    let rows: Vec<Vec<u64>> = (0..M)
+        .map(|i| (0..L).map(|j| 1 + ((i * 7 + j * 13) % 23) as u64).collect())
+        .collect();
+    let streams = || rows.iter().map(|r| VecStream::from_row(r)).collect();
+    let mut control = None;
+    let fresh = bytes_allocated_by(|| {
+        control = Some(Matcher::new(streams(), vec![3u32; L]));
+    });
+    assert!(
+        fresh > 0,
+        "building a matcher reported zero bytes — counting allocator dead?"
+    );
+    let mut matcher = control.unwrap();
+
+    // Capacity is exactly M, so one unit per customer fills every facility.
+    // One more unit of demand then has no free facility: that search keeps
+    // pulling edges until every customer it reaches (all of them) has
+    // exhausted its stream, which materializes all of G_b.
+    for i in 0..M {
+        matcher.find_pair(i).unwrap();
+    }
+    assert!(matcher.find_pair(0).is_err(), "every facility is full");
+    let all_edges = (M * L) as u64;
+    assert_eq!(matcher.edges_added(), all_edges);
+
+    // Each cycle frees one unit and spends it on another customer's second
+    // facility. Two cycles warm the buffers; three are measured.
+    let mut cycle = |departing: usize, rising: usize| {
+        matcher.remove_customer(departing);
+        matcher.find_pair(rising).unwrap();
+    };
+    cycle(M - 1, 0);
+    cycle(M - 2, 1);
+    let warm = bytes_allocated_by(|| {
+        cycle(M - 3, 2);
+        cycle(M - 4, 3);
+        cycle(M - 5, 4);
+    });
+    assert_eq!(
+        warm, 0,
+        "warm departure + find_pair cycles allocated {warm} bytes (budget: exactly 0)"
+    );
+    assert_eq!(matcher.edges_added(), all_edges, "no edge was pulled");
+    assert_eq!(matcher.augmentations(), (M + 5) as u64);
 }
