@@ -132,6 +132,19 @@ fn main() {
     if ids.is_empty() {
         usage_and_exit();
     }
+    // Check every id before running any: a typo late in the list must not
+    // surface only after the earlier experiments have run.
+    let unknown: Vec<&str> = ids
+        .iter()
+        .map(String::as_str)
+        .filter(|id| !ALL_IDS.contains(id))
+        .collect();
+    if !unknown.is_empty() {
+        die(&format!(
+            "unknown experiment id: {} (try `repro list`)",
+            unknown.join(", ")
+        ));
+    }
 
     let mut file = out.map(|p| {
         std::fs::OpenOptions::new()
@@ -143,19 +156,15 @@ fn main() {
 
     for id in &ids {
         eprintln!("== running {id} (scale {scale}) ==");
-        match run_experiment(id, scale) {
-            Some(report) => {
-                report.print();
-                if let Some(f) = file.as_mut() {
-                    writeln!(f, "{}", report.to_markdown()).expect("write report");
-                }
-                if let Some(dir) = &csv_dir {
-                    std::fs::create_dir_all(dir).expect("create csv dir");
-                    let path = std::path::Path::new(dir).join(format!("{id}.csv"));
-                    std::fs::write(&path, report.to_csv()).expect("write csv");
-                }
-            }
-            None => eprintln!("unknown experiment id: {id} (try `repro list`)"),
+        let report = run_experiment(id, scale).expect("ids are checked against ALL_IDS");
+        report.print();
+        if let Some(f) = file.as_mut() {
+            writeln!(f, "{}", report.to_markdown()).expect("write report");
+        }
+        if let Some(dir) = &csv_dir {
+            std::fs::create_dir_all(dir).expect("create csv dir");
+            let path = std::path::Path::new(dir).join(format!("{id}.csv"));
+            std::fs::write(&path, report.to_csv()).expect("write csv");
         }
     }
 }

@@ -1,8 +1,8 @@
 //! `mcfs-cluster`: partition-and-merge solving for MCFS instances.
 //!
 //! The paper's WMA pipeline solves one instance on one machine; this crate
-//! is the first step from "a server" to "a cluster". A cluster solve runs
-//! in three stages:
+//! splits one instance into shards, solves them concurrently in-process,
+//! and merges the results. A cluster solve runs in three stages:
 //!
 //! 1. **Partition** ([`partition`]) — split the network into balanced
 //!    shards: connected components are binned greedily when the graph is
@@ -18,11 +18,9 @@
 //!    (per-shard feasibility minima, then a water-fill of the surplus, then
 //!    a bounded Lagrangian price search that moves marginal budget to the
 //!    shard that values it most, priced by warm `±1` re-solves of the
-//!    incremental [`mcfs::ReSolver`]), and solve the shards concurrently —
-//!    in-process on scoped threads here, or across peer `mcfs-serve` nodes
-//!    in the server's federated path, which reuses the same
-//!    [`partition`]/[`split_budget`]/[`refine_budgets`]/[`finish`] pieces.
-//! 3. **Reconcile** ([`finish`]) — merge the shard selections and re-match
+//!    incremental [`mcfs::ReSolver`]), and solve the shards concurrently on
+//!    scoped threads.
+//! 3. **Reconcile** — merge the shard selections and re-match
 //!    *every* customer onto the merged selection on the full graph with
 //!    the same SIA machinery as a cold solve's assignment phase. This
 //!    subsumes boundary-customer reassignment: a boundary customer whose
@@ -41,7 +39,4 @@ pub mod partition;
 pub mod solve;
 
 pub use partition::{partition, Partition, PartitionStrategy, Shard};
-pub use solve::{
-    finish, refine_budgets, shard_attr_ns, solve_shard_local, split_budget, ClusterOutcome,
-    ClusterSolver, ShardRun, ShardSolution,
-};
+pub use solve::{split_budget, ClusterOutcome, ClusterSolver};

@@ -40,35 +40,28 @@ use crate::partition::{partition, Partition, PartitionStrategy};
 
 /// One shard solution at one budget, in global indices.
 #[derive(Clone, Debug)]
-pub struct ShardSolution {
+struct ShardSolution {
     /// Selected facilities as **global** candidate indices.
-    pub selection: Vec<u32>,
+    selection: Vec<u32>,
     /// Local customer `i` → position in [`selection`](Self::selection).
-    pub assignment: Vec<u32>,
+    assignment: Vec<u32>,
     /// Shard-local objective (sum of shard-internal distances).
-    pub objective: u64,
+    objective: u64,
 }
 
 /// All solutions computed for one shard: the base budget plus the warm
 /// `±1` probes the price search consumed.
 #[derive(Clone, Debug)]
-pub struct ShardRun {
+struct ShardRun {
     /// Solutions keyed by budget.
-    pub by_k: BTreeMap<usize, ShardSolution>,
-    /// The budget the shard was originally granted.
-    pub base_k: usize,
-    /// Re-solves that ran warm (dual certificate held across a probe).
-    pub warm_probes: usize,
+    by_k: BTreeMap<usize, ShardSolution>,
     /// Matcher augmentations across all of this shard's solves.
-    pub augmentations: u64,
-    /// `true` when this shard was re-solved locally after the peer it was
-    /// delegated to failed mid-solve.
-    pub recovered: bool,
+    augmentations: u64,
 }
 
 impl ShardRun {
     /// The solution at budget `k` (must have been probed).
-    pub fn at(&self, k: usize) -> &ShardSolution {
+    fn at(&self, k: usize) -> &ShardSolution {
         self.by_k
             .get(&k)
             .expect("budget outside the probed range; refinement is bounded to ±1")
@@ -76,11 +69,9 @@ impl ShardRun {
 }
 
 /// Per-shard phase attribution: bump the global-registry counter
-/// `mcfs_cluster_shard_<phase>_ns{shard=<id>}` by `ns`. These counters ride
-/// the ordinary registry snapshot, so `METRICS scope=cluster` shows where
-/// every shard's wall time went across the whole fleet — fill (instance
+/// `mcfs_cluster_shard_<phase>_ns{shard=<id>}` by `ns` — fill (instance
 /// construction), solve, and the shard's share of reconciliation.
-pub fn shard_attr_ns(phase: &str, shard: usize, ns: u64) {
+fn shard_attr_ns(phase: &str, shard: usize, ns: u64) {
     let name = format!("mcfs_cluster_shard_{phase}_ns");
     let shard = shard.to_string();
     mcfs_obs::Registry::global()
@@ -96,7 +87,7 @@ pub fn shard_attr_ns(phase: &str, shard: usize, ns: u64) {
 /// `probe` is set. Selections and assignments are translated to global
 /// indices before returning. `shard_id` keys the per-shard attribution
 /// counters ([`shard_attr_ns`]); pass the shard's partition index.
-pub fn solve_shard_local(
+fn solve_shard_local(
     shard: &crate::Shard,
     shard_id: usize,
     base_k: usize,
@@ -112,16 +103,10 @@ pub fn solve_shard_local(
     let t_solve = Instant::now();
     let mut run = ShardRun {
         by_k: BTreeMap::new(),
-        base_k,
-        warm_probes: 0,
         augmentations: 0,
-        recovered: false,
     };
     let record = |run: &mut ShardRun, k: usize, rs: &mut ReSolver| -> Result<(), SolveError> {
         let solved = rs.solve()?;
-        if solved.warm {
-            run.warm_probes += 1;
-        }
         run.augmentations += solved.solve_stats.augmentations;
         run.by_k.insert(
             k,
@@ -218,7 +203,7 @@ pub fn split_budget(part: &Partition, k: usize) -> Vec<usize> {
 /// loses least to the receiver that gains most, while the gain exceeds the
 /// loss. Each shard participates in at most one move, so the `±1` probes
 /// in `runs` always cover the final budgets. Returns the number of moves.
-pub fn refine_budgets(runs: &[Option<ShardRun>], budgets: &mut [usize]) -> usize {
+fn refine_budgets(runs: &[Option<ShardRun>], budgets: &mut [usize]) -> usize {
     fn gain(runs: &[Option<ShardRun>], budgets: &[usize], s: usize) -> Option<u64> {
         let run = runs[s].as_ref()?;
         let base = run.by_k.get(&budgets[s])?.objective;
@@ -282,8 +267,6 @@ pub struct ClusterOutcome {
     pub boundary_moved: usize,
     /// Budget units the price search moved between shards.
     pub budget_moves: usize,
-    /// Shards re-solved locally after a peer failure.
-    pub recovered_shards: usize,
 }
 
 impl ClusterOutcome {
@@ -291,29 +274,6 @@ impl ClusterOutcome {
     /// positive (mirrors `stats.gap_bound_ppm`).
     pub fn gap_bound_ppm(&self) -> Option<u64> {
         self.stats.gap_bound_ppm
-    }
-
-    /// Render as stable `key value` lines — the payload of the `MERGE`
-    /// wire verb.
-    pub fn to_kv_lines(&self) -> Vec<String> {
-        let mut out = vec![
-            format!("strategy {}", self.strategy.token()),
-            format!("shards {}", self.shards),
-            format!("objective {}", self.solution.objective),
-            format!("selected {}", self.solution.facilities.len()),
-            format!("lower_bound {}", self.lower_bound),
-        ];
-        if let Some(ppm) = self.stats.gap_bound_ppm {
-            out.push(format!("gap_bound_ppm {ppm}"));
-        }
-        out.push(format!("boundary {}", self.boundary_customers));
-        out.push(format!("boundary_moved {}", self.boundary_moved));
-        out.push(format!("budget_moves {}", self.budget_moves));
-        out.push(format!("recovered {}", self.recovered_shards));
-        for (s, obj) in self.shard_objectives.iter().enumerate() {
-            out.push(format!("shard.{s}.objective {obj}"));
-        }
-        out
     }
 }
 
@@ -348,8 +308,7 @@ fn shard_phase(
 /// the reconcile and bound phases are appended here, with their row-cache
 /// activity. Reconcile and bound read one `oracle`, so when facility rows
 /// apply the bound re-reads the merged selection's rows.
-#[allow(clippy::too_many_arguments)]
-pub fn finish(
+fn finish(
     inst: &McfsInstance,
     part: &Partition,
     runs: &[Option<ShardRun>],
@@ -357,7 +316,6 @@ pub fn finish(
     oracle: &DistanceOracle,
     mut stats: SolveStats,
     budget_moves: usize,
-    recovered_shards: usize,
 ) -> Result<ClusterOutcome, SolveError> {
     let scope = mcfs_obs::current_scope();
     let n = part.shards.len() as u64;
@@ -466,7 +424,6 @@ pub fn finish(
         boundary_customers: part.boundary.len(),
         boundary_moved: moved,
         budget_moves,
-        recovered_shards,
     })
 }
 
@@ -610,7 +567,7 @@ impl ClusterSolver {
         stats.add_phase("refine", t_refine.elapsed());
 
         stats.threads = oracle.threads();
-        finish(inst, &part, &runs, &budgets, &oracle, stats, moves, 0)
+        finish(inst, &part, &runs, &budgets, &oracle, stats, moves)
     }
 
     /// The unsharded fallback: one cold solve plus the gap certificate, so
@@ -654,7 +611,6 @@ impl ClusterSolver {
             boundary_customers: 0,
             boundary_moved: 0,
             budget_moves: 0,
-            recovered_shards: 0,
         })
     }
 }
@@ -778,18 +734,15 @@ mod tests {
             assignment: vec![],
             objective: obj,
         };
-        let mk = |base_k: usize, objs: &[(usize, u64)]| -> Option<ShardRun> {
+        let mk = |objs: &[(usize, u64)]| -> Option<ShardRun> {
             Some(ShardRun {
                 by_k: objs.iter().map(|&(k, o)| (k, sol(o))).collect(),
-                base_k,
-                warm_probes: 0,
                 augmentations: 0,
-                recovered: false,
             })
         };
         let runs = vec![
-            mk(2, &[(1, 400), (2, 300), (3, 200)]),
-            mk(2, &[(1, 51), (2, 50), (3, 49)]),
+            mk(&[(1, 400), (2, 300), (3, 200)]),
+            mk(&[(1, 51), (2, 50), (3, 49)]),
         ];
         let mut budgets = vec![2, 2];
         let moves = refine_budgets(&runs, &mut budgets);

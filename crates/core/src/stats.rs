@@ -189,23 +189,11 @@ impl SolveStats {
         self.phases.iter().map(|p| p.wall).sum()
     }
 
-    /// Attribute the oracle activity between two [`OracleStats`] snapshots
-    /// (taken before and after the run) to this run.
-    ///
-    /// Prefer [`record_oracle_run`](Self::record_oracle_run) with a
-    /// [`mcfs_graph::OracleRunGuard`] snapshot: global before/after deltas
-    /// double-count when two solvers share one oracle concurrently.
-    pub fn record_oracle(&mut self, before: &OracleStats, after: &OracleStats) {
-        self.cache_hits += after.hits.saturating_sub(before.hits);
-        self.cache_misses += after.misses.saturating_sub(before.misses);
-        self.oracle_nodes_settled += after.nodes_settled.saturating_sub(before.nodes_settled);
-    }
-
     /// Attribute one run's oracle activity from a per-run snapshot (the
     /// [`mcfs_graph::OracleRunGuard::stats`] of a guard opened around the
-    /// run). Unlike [`record_oracle`](Self::record_oracle), this counts only
-    /// queries issued from the guarded call stack, so two solvers sharing
-    /// one oracle each see exactly their own traffic.
+    /// run). This counts only queries issued from the guarded call stack,
+    /// so two solvers sharing one oracle each see exactly their own
+    /// traffic.
     pub fn record_oracle_run(&mut self, run: &OracleStats) {
         self.cache_hits += run.hits;
         self.cache_misses += run.misses;
@@ -279,7 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_stats_phases_and_oracle_delta() {
+    fn solve_stats_phases_accumulate() {
         let mut s = SolveStats::for_threads(4);
         s.add_phase("matching", Duration::from_millis(10));
         s.add_phase("cover", Duration::from_millis(3));
@@ -288,22 +276,6 @@ mod tests {
         assert_eq!(s.phase("cover"), Some(Duration::from_millis(3)));
         assert_eq!(s.phase("nope"), None);
         assert_eq!(s.total_wall(), Duration::from_millis(18));
-
-        let before = OracleStats {
-            hits: 2,
-            misses: 1,
-            nodes_settled: 100,
-            ..Default::default()
-        };
-        let after = OracleStats {
-            hits: 10,
-            misses: 4,
-            nodes_settled: 460,
-            ..Default::default()
-        };
-        s.record_oracle(&before, &after);
-        assert_eq!((s.cache_hits, s.cache_misses), (8, 3));
-        assert_eq!(s.oracle_nodes_settled, 360);
     }
 
     #[test]

@@ -50,8 +50,9 @@ use crate::{Dist, Graph, NodeId, Row, INF};
 /// customer — at most one per customer either way (tens to thousands).
 pub const DEFAULT_CACHE_ROWS: usize = 4096;
 
-/// Counters describing oracle behavior since construction (or the last
-/// [`DistanceOracle::reset_stats`]).
+/// Oracle counters and cache occupancy: over the oracle's lifetime from
+/// [`DistanceOracle::stats`], or over one guarded run from
+/// [`OracleRunGuard::stats`] (counters only; occupancy fields are zero).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OracleStats {
     /// Row requests answered from the cache.
@@ -352,14 +353,6 @@ impl DistanceOracle {
     /// snapshots when several solvers share one oracle.
     pub fn begin_run(&self) -> OracleRunGuard {
         OracleRunGuard::begin()
-    }
-
-    /// Zero the hit/miss/eviction counters (cached rows are kept).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.nodes_settled.store(0, Ordering::Relaxed);
     }
 
     /// Drop every cached row (counters are kept).
@@ -732,8 +725,6 @@ mod tests {
         o.distances_for_sources(&g, &[0, 1, 4]);
         // Row 0 cached; rows 1 (settles 4 nodes) and 4 (settles itself).
         assert_eq!(o.stats().nodes_settled, 4 + 4 + 1);
-        o.reset_stats();
-        assert_eq!(o.stats().nodes_settled, 0);
     }
 
     #[test]
@@ -801,7 +792,5 @@ mod tests {
         o.clear();
         assert_eq!(o.stats().cached_rows, 0);
         assert_eq!(o.stats().misses, 1);
-        o.reset_stats();
-        assert_eq!(o.stats().misses, 0);
     }
 }

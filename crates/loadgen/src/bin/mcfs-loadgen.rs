@@ -33,7 +33,7 @@ struct Args {
 }
 
 fn usage() -> String {
-    "usage: mcfs-loadgen [--profile ci|acceptance] [--mix solve-heavy|edit-heavy|watch-heavy|mixed|federated]\n\
+    "usage: mcfs-loadgen [--profile ci|acceptance] [--mix solve-heavy|edit-heavy|watch-heavy|mixed]\n\
      \x20                 [--connections N] [--sessions N] [--requests N] [--rate HZ] [--seed N]\n\
      \x20                 [--tcp ADDR | --in-process] [--workers N] [--queue-limit N]\n\
      \x20                 [--nodes N] [--customers N] [--stations N] [--k N] [--watch-buffer N]\n\

@@ -153,7 +153,6 @@ pub fn slow_watcher(
         let reply = driver
             .request(&Request::Solve {
                 session: session.to_owned(),
-                shards: None,
                 deadline_ms: None,
             })
             .map_err(|e| format!("burst solve failed: {e}"))?;
@@ -201,7 +200,6 @@ pub fn deadline_storm(
         let reply = client
             .request(&Request::Solve {
                 session,
-                shards: None,
                 deadline_ms: Some(0),
             })
             .map_err(|e| format!("storm solve failed: {e}"))?;
@@ -225,7 +223,6 @@ pub fn health_check(addr: SocketAddr, sessions: &[String]) -> Result<u64, String
         let reply = client
             .request(&Request::Solve {
                 session: session.clone(),
-                shards: None,
                 deadline_ms: None,
             })
             .map_err(|e| format!("health solve failed: {e}"))?;

@@ -14,7 +14,7 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
 use mcfs::Edit;
-use mcfs_server::protocol::{MetricsFormat, MetricsScope, OpenKind, Request, Verb};
+use mcfs_server::protocol::{MetricsFormat, OpenKind, Request, Verb};
 use mcfs_server::{Client, EventBody, Outcome, ServerHandle};
 use rand::{Rng, SeedableRng};
 
@@ -75,9 +75,6 @@ pub struct ClientStats {
     pub dropped_markers: u64,
     /// Sum of the counts those markers carried.
     pub dropped_events: u64,
-    /// Federated solves whose distributed trace was pulled back with
-    /// `TRACE remote=1` and passed the splice invariants end-to-end.
-    pub fed_traces_verified: u64,
 }
 
 impl Default for ClientStats {
@@ -89,7 +86,6 @@ impl Default for ClientStats {
             events_seen: 0,
             dropped_markers: 0,
             dropped_events: 0,
-            fed_traces_verified: 0,
         }
     }
 }
@@ -109,7 +105,6 @@ impl ClientStats {
         self.events_seen += other.events_seen;
         self.dropped_markers += other.dropped_markers;
         self.dropped_events += other.dropped_events;
-        self.fed_traces_verified += other.fed_traces_verified;
     }
 
     /// Total requests across all verbs and outcomes.
@@ -183,10 +178,6 @@ struct Connection<'p> {
     /// Customers added (beyond the base set) per owned session, indexed
     /// like `owned`.
     added: Vec<usize>,
-    /// Whether this connection has already run its traced-and-verified
-    /// federated solve (one per connection keeps the extra `TRACE`
-    /// round-trips out of the steady-state measurement).
-    fed_verified: bool,
     stats: ClientStats,
     measured: u64,
 }
@@ -224,7 +215,6 @@ impl Connection<'_> {
                 Verb::Solve,
                 &Request::Solve {
                     session,
-                    shards: None,
                     deadline_ms: None,
                 },
             )?;
@@ -279,7 +269,6 @@ impl Connection<'_> {
                     Verb::Solve,
                     &Request::Solve {
                         session,
-                        shards: None,
                         deadline_ms: None,
                     },
                 )?;
@@ -291,7 +280,6 @@ impl Connection<'_> {
                     Verb::Solve,
                     &Request::Solve {
                         session,
-                        shards: None,
                         deadline_ms: None,
                     },
                 )?;
@@ -328,7 +316,6 @@ impl Connection<'_> {
                     Verb::Solve,
                     &Request::Solve {
                         session: session.clone(),
-                        shards: None,
                         deadline_ms: None,
                     },
                 )?;
@@ -345,96 +332,6 @@ impl Connection<'_> {
                     }
                 }
             }
-            OpKind::Federated => {
-                let session = self.random_session();
-                if self.fed_verified {
-                    self.issue(
-                        Verb::Solve,
-                        &Request::Solve {
-                            session: session.clone(),
-                            shards: Some(2),
-                            deadline_ms: None,
-                        },
-                    )?;
-                } else {
-                    // The first federated solve per connection runs under a
-                    // client-minted trace and is verified end-to-end: pull
-                    // the distributed trace back and check the splice
-                    // invariants hold under real concurrent load.
-                    let trace = mcfs_obs::next_trace_id();
-                    let t0 = Instant::now();
-                    let reply = self
-                        .client
-                        .request_traced(
-                            &Request::Solve {
-                                session: session.clone(),
-                                shards: Some(2),
-                                deadline_ms: None,
-                            },
-                            trace,
-                        )
-                        .map_err(|e| format!("traced SOLVE failed: {e}"))?;
-                    let us = t0.elapsed().as_micros() as u64;
-                    let applied = matches!(reply, mcfs_server::Reply::Ok { .. });
-                    self.stats.record(Verb::Solve, &reply, us);
-                    if applied {
-                        self.verify_federated_trace(&session)?;
-                        self.fed_verified = true;
-                        self.stats.fed_traces_verified += 1;
-                    }
-                }
-                self.measured += 1;
-                self.issue(
-                    Verb::Merge,
-                    &Request::Merge {
-                        session,
-                        deadline_ms: None,
-                    },
-                )?;
-                self.measured += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// Pull the distributed trace of `session`'s last solve with
-    /// `TRACE remote=1` and check the invariants the splice promises: a
-    /// non-empty, well-nested span tree, one trace id throughout, sorted
-    /// by start time, with the `peers=` attribution kv present. Another
-    /// connection may have re-solved the session since our traced solve —
-    /// whichever trace the server hands back must still verify, so this
-    /// deliberately does not pin the trace id.
-    fn verify_federated_trace(&mut self, session: &str) -> Result<(), String> {
-        let t0 = Instant::now();
-        let (spans, reply) = self
-            .client
-            .trace_spans_remote(session, None)
-            .map_err(|e| format!("TRACE remote=1 on {session} failed: {e}"))?;
-        // Count the pull like any other request, or the client/server
-        // reconciliation would diverge on the TRACE row.
-        self.stats
-            .record(Verb::Trace, &reply, t0.elapsed().as_micros() as u64);
-        if spans.is_empty() {
-            return Err(format!("TRACE remote=1 on {session} returned no spans"));
-        }
-        mcfs_obs::verify_nesting(&spans)
-            .map_err(|e| format!("distributed trace of {session} is malformed: {e}"))?;
-        let trace = spans[0].trace;
-        if let Some(stray) = spans.iter().find(|s| s.trace != trace) {
-            return Err(format!(
-                "distributed trace of {session} mixes trace ids {trace} and {}",
-                stray.trace
-            ));
-        }
-        if !spans.windows(2).all(|w| w[0].start_ns <= w[1].start_ns) {
-            return Err(format!(
-                "distributed trace of {session} is not sorted by start time"
-            ));
-        }
-        if reply.kv("peers").is_none() {
-            return Err(format!(
-                "TRACE remote=1 on {session} reply is missing the peers= kv"
-            ));
         }
         Ok(())
     }
@@ -480,7 +377,6 @@ pub fn run(profile: &LoadProfile, target: &Target<'_>) -> Result<RunOutput, Stri
                             .step_by(profile.connections)
                             .collect(),
                         added: Vec::new(),
-                        fed_verified: false,
                         stats: ClientStats::default(),
                         measured: 0,
                     };
@@ -524,7 +420,6 @@ pub fn run(profile: &LoadProfile, target: &Target<'_>) -> Result<RunOutput, Stri
     let reply = probe
         .request(&Request::Metrics {
             format: MetricsFormat::Kv,
-            scope: MetricsScope::Local,
         })
         .map_err(|e| format!("final METRICS failed: {e}"))?;
     if !reply.is_ok() {

@@ -27,19 +27,15 @@ pub enum OpKind {
     /// `WATCH` a random session, `SOLVE` it, then `UNWATCH` — one
     /// subscribe/stream/unsubscribe cycle.
     Watch,
-    /// `SOLVE shards=2` a uniformly random session, then `MERGE` it —
-    /// one cluster solve plus its reconciliation report (wire v1.2).
-    Federated,
 }
 
 impl OpKind {
-    const ALL: [OpKind; 6] = [
+    const ALL: [OpKind; 5] = [
         OpKind::EditSolve,
         OpKind::Solve,
         OpKind::Stats,
         OpKind::Snapshot,
         OpKind::Watch,
-        OpKind::Federated,
     ];
 }
 
@@ -49,30 +45,26 @@ pub struct Mix {
     /// Display name (and `--mix` token).
     pub name: &'static str,
     /// Draw weights, indexed like [`OpKind::ALL`].
-    pub weights: [u32; 6],
+    pub weights: [u32; 5],
 }
 
 /// The named mixes `--mix` accepts.
-pub const MIXES: [Mix; 5] = [
+pub const MIXES: [Mix; 4] = [
     Mix {
         name: "solve-heavy",
-        weights: [10, 65, 10, 5, 10, 0],
+        weights: [10, 65, 10, 5, 10],
     },
     Mix {
         name: "edit-heavy",
-        weights: [55, 25, 10, 5, 5, 0],
+        weights: [55, 25, 10, 5, 5],
     },
     Mix {
         name: "watch-heavy",
-        weights: [10, 35, 5, 5, 45, 0],
+        weights: [10, 35, 5, 5, 45],
     },
     Mix {
         name: "mixed",
-        weights: [25, 35, 15, 10, 15, 0],
-    },
-    Mix {
-        name: "federated",
-        weights: [15, 25, 10, 5, 10, 35],
+        weights: [25, 35, 15, 10, 15],
     },
 ];
 

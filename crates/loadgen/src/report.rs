@@ -372,13 +372,6 @@ impl LoadReport {
         push(
             &mut out,
             &format!(
-                "  \"federated_traces_verified\": {},\n",
-                self.run.stats.fed_traces_verified,
-            ),
-        );
-        push(
-            &mut out,
-            &format!(
                 "  \"profile\": {{ \"available\": {}, \"samples\": {}, \"named_ppm\": {}, \
                  \"idle\": {}, \"dropped\": {} }},\n",
                 self.profile.available,

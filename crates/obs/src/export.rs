@@ -39,55 +39,21 @@ fn us(ns: u64) -> String {
 }
 
 /// Render spans as a Chrome trace-event JSON document (complete `"X"`
-/// events inside a `traceEvents` array). Load the output in Perfetto or
-/// `about://tracing` to see the request waterfall.
-///
-/// Spliced multi-process traces get one Chrome *process* lane per source
-/// process: [`crate::trace::splice_remote`] shifts remote thread ids by
-/// [`crate::trace::PROCESS_SHIFT`], and this exporter maps lane `k` to
-/// `pid = k + 1` with a `process_name` metadata record (`coordinator` for
-/// lane 0, `peer-k` otherwise). Single-process traces keep their historical
-/// shape: every span on `pid:1`, no metadata records.
+/// events inside a `traceEvents` array, every span on `pid:1`). Load the
+/// output in Perfetto or `about://tracing` to see the request waterfall.
 pub fn to_chrome_trace(spans: &[SpanRecord]) -> String {
-    use crate::trace::PROCESS_SHIFT;
-    let mut lanes: Vec<u64> = spans.iter().map(|s| s.thread >> PROCESS_SHIFT).collect();
-    lanes.sort_unstable();
-    lanes.dedup();
-    let multi = lanes.iter().any(|&l| l != 0);
     let mut out = String::from("{\"traceEvents\":[");
-    let mut first = true;
-    if multi {
-        for &lane in &lanes {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let name = if lane == 0 {
-                "coordinator".to_owned()
-            } else {
-                format!("peer-{lane}")
-            };
-            out.push_str(&format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\
-                 \"args\":{{\"name\":\"{name}\"}}}}",
-                lane + 1,
-            ));
-        }
-    }
-    for s in spans {
-        if !first {
+    for (i, s) in spans.iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
-        let lane = s.thread >> PROCESS_SHIFT;
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"cat\":\"mcfs\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":{},\"tid\":{},\"args\":{{\"trace\":{},\"span\":{},\"parent\":{}}}}}",
+             \"pid\":1,\"tid\":{},\"args\":{{\"trace\":{},\"span\":{},\"parent\":{}}}}}",
             escape_json(&s.name),
             us(s.start_ns),
             us(s.dur_ns),
-            lane + 1,
-            s.thread & ((1u64 << PROCESS_SHIFT) - 1),
+            s.thread,
             s.trace,
             s.id,
             s.parent,
@@ -246,33 +212,6 @@ mod tests {
         assert!(json.contains("\"ts\":1.500"));
         assert!(json.contains("\"dur\":2000.250"));
         assert!(json.contains("\"parent\":10"));
-    }
-
-    #[test]
-    fn chrome_trace_gives_spliced_processes_their_own_lanes() {
-        use crate::trace::PROCESS_SHIFT;
-        let mut spans = sample();
-        // One span spliced in from peer lane 2 on its thread 7.
-        spans.push(SpanRecord {
-            trace: 3,
-            id: 12,
-            parent: 10,
-            thread: (2 << PROCESS_SHIFT) | 7,
-            start_ns: 2_100,
-            dur_ns: 100,
-            name: Cow::Borrowed("peer.solve"),
-        });
-        let json = to_chrome_trace(&spans);
-        assert!(json.contains("\"name\":\"process_name\""));
-        assert!(json.contains("\"args\":{\"name\":\"coordinator\"}"));
-        assert!(json.contains("\"args\":{\"name\":\"peer-2\"}"));
-        assert!(json.contains("\"pid\":3,\"tid\":7"));
-        // Coordinator spans keep pid 1.
-        assert!(json.contains("\"pid\":1,\"tid\":1"));
-        // Single-process traces keep the historical shape.
-        let solo = to_chrome_trace(&sample());
-        assert!(!solo.contains("process_name"));
-        assert!(solo.contains("\"pid\":1,"));
     }
 
     #[test]

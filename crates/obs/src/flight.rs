@@ -11,8 +11,7 @@
 //!
 //! Nothing is written anywhere until someone asks: [`dump`] snapshots one
 //! scope's ring, and [`to_jsonl`] renders a dump as one self-describing
-//! JSON object per line — the payload of the server's `DUMP` verb and of
-//! the automatic post-fail-over artifact.
+//! JSON object per line — the payload of the server's `DUMP` verb.
 //!
 //! # Cost
 //!

@@ -21,7 +21,7 @@
 //!   with no subscriber, [`publish`] is one relaxed atomic load.
 //! * [`flight`] — the always-on flight recorder: a bounded per-scope ring
 //!   of recent events and spans, dumpable as JSONL for postmortems (the
-//!   server's `DUMP` verb and the automatic fail-over artifact).
+//!   server's `DUMP` verb).
 //! * [`profile`] — the continuous span-path sampling profiler: a sampler
 //!   thread folds every thread's open-span path into a bounded
 //!   `path → samples` table, exported as collapsed stacks or speedscope
@@ -67,8 +67,7 @@ pub use registry::{
     CellValue, Counter, FamilySnapshot, Gauge, Histogram, Registry, RegistrySnapshot,
 };
 pub use trace::{
-    alloc_span_id, clear_spans, clock_offset, current_parent, current_trace, last_spans,
-    next_trace_id, now_ns, record_manual, set_force, set_ring_capacity, span, spans_dropped,
-    spans_for, splice_remote, thread_id, verify_nesting, Span, SpanRecord, TraceGuard,
-    DEFAULT_RING_CAPACITY, PROCESS_SHIFT,
+    alloc_span_id, clear_spans, current_trace, last_spans, next_trace_id, now_ns, record_manual,
+    set_force, set_ring_capacity, span, spans_dropped, spans_for, thread_id, verify_nesting, Span,
+    SpanRecord, TraceGuard, DEFAULT_RING_CAPACITY,
 };

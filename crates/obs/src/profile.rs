@@ -27,13 +27,10 @@
 //! stores; the sampler's work is off-thread. `tests/obs_overhead.rs`
 //! keeps both paths honest analytically.
 //!
-//! # Windows and merging
+//! # Windows
 //!
 //! The table is cumulative. A profile *window* is the difference of two
-//! [`snapshot`]s ([`ProfileSnapshot::diff`]); cluster-scope profiles merge
-//! per-process snapshots under `peer=<addr>` lanes
-//! ([`ProfileSnapshot::merge_labeled`]), mirroring the federated metrics
-//! machinery.
+//! [`snapshot`]s ([`ProfileSnapshot::diff`]).
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -319,9 +316,9 @@ fn sample_once() {
             },
         }
     }
-    // Per-conversation and per-shard threads are short-lived; left alone,
+    // Per-connection and per-shard threads are short-lived; left alone,
     // every one of them would keep a `threads` entry forever and a busy
-    // federated server would grow the table without bound. Fold dead
+    // server would grow the table without bound. Fold dead
     // threads' tables into one retired pseudo-thread per class — every
     // count is preserved, only the per-thread identity is given up.
     let live_ids: HashSet<u64> = live.iter().map(|s| s.thread).collect();
@@ -417,7 +414,7 @@ pub fn tick_for_test() {
 }
 
 // ---------------------------------------------------------------------
-// Snapshots: the resolved, mergeable, wire-friendly view.
+// Snapshots: the resolved, wire-friendly view.
 
 /// One thread's resolved folded table.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -433,8 +430,7 @@ pub struct ThreadProfile {
 /// A resolved point-in-time copy of the profiler's folded table.
 ///
 /// `merged` is the canonical folded view: `lane;name;name → samples`,
-/// where the lane is the thread class (`cpu`/`io`) locally and gains a
-/// `peer=<addr>` prefix per process in a cluster merge. [`Self::diff`]
+/// where the lane is the thread class (`cpu`/`io`). [`Self::diff`]
 /// turns two snapshots into a window; [`Self::to_folded`] renders the
 /// collapsed-stack text `flamegraph.pl` and speedscope consume.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -446,7 +442,7 @@ pub struct ProfileSnapshot {
     /// for snapshots parsed back from folded wire lines.
     pub threads: BTreeMap<u64, ThreadProfile>,
     /// The merged folded table: `lane;path → samples`, deterministic
-    /// (BTreeMap) so two merges of the same inputs render identically.
+    /// (BTreeMap) so the same samples always render identically.
     pub merged: BTreeMap<String, u64>,
     /// Samples that found a registered thread idle.
     pub idle_samples: u64,
@@ -494,28 +490,6 @@ impl ProfileSnapshot {
             idle_samples: self.idle_samples.saturating_sub(earlier.idle_samples),
             dropped_samples: self.dropped_samples.saturating_sub(earlier.dropped_samples),
         }
-    }
-
-    /// Fold `other`'s merged table into this one under a `peer=<label>`
-    /// lane prefix. Rejects labels that are not wire-safe and peers whose
-    /// paths already carry a `peer=` lane (one node impersonating another
-    /// in the merged view), mirroring the federated-metrics merge rules.
-    pub fn merge_labeled(&mut self, label: &str, other: &ProfileSnapshot) -> Result<(), String> {
-        if label.is_empty() || label.contains(|c: char| c.is_whitespace() || c == ';') {
-            return Err(format!("peer label {label:?} is not wire-safe"));
-        }
-        for (path, &count) in &other.merged {
-            if path.starts_with("peer=") {
-                return Err(format!("peer {label:?} smuggles a peer= lane: {path:?}"));
-            }
-            *self
-                .merged
-                .entry(format!("peer={label};{path}"))
-                .or_insert(0) += count;
-        }
-        self.idle_samples += other.idle_samples;
-        self.dropped_samples += other.dropped_samples;
-        Ok(())
     }
 
     /// Render the merged table as collapsed-stack ("folded") lines:
@@ -733,7 +707,7 @@ mod tests {
     }
 
     #[test]
-    fn folded_round_trips_and_merges_deterministically() {
+    fn folded_round_trips() {
         let mut a = ProfileSnapshot::default();
         a.merged.insert("cpu;wma.run;oracle.batch".into(), 30);
         a.merged.insert("cpu;wma.run".into(), 10);
@@ -742,31 +716,6 @@ mod tests {
         let lines: Vec<&str> = folded.lines().collect();
         let back = ProfileSnapshot::from_folded_lines(&lines).unwrap();
         assert_eq!(back.merged, a.merged);
-
-        let mut cluster = ProfileSnapshot::default();
-        cluster.merge_labeled("local", &a).unwrap();
-        cluster.merge_labeled("10.0.0.2:4816", &back).unwrap();
-        let text = cluster.to_folded();
-        assert!(text.contains("peer=local;cpu;wma.run 10"));
-        assert!(text.contains("peer=10.0.0.2:4816;cpu;wma.run;oracle.batch 30"));
-        // Merging the same inputs again in the same order is reproducible.
-        let mut again = ProfileSnapshot::default();
-        again.merge_labeled("local", &a).unwrap();
-        again.merge_labeled("10.0.0.2:4816", &back).unwrap();
-        assert_eq!(again, cluster);
-    }
-
-    #[test]
-    fn merge_rejects_bad_labels_and_smuggled_lanes() {
-        let mut base = ProfileSnapshot::default();
-        base.merged.insert("cpu;x".into(), 1);
-        let mut m = ProfileSnapshot::default();
-        assert!(m.merge_labeled("has space", &base).is_err());
-        assert!(m.merge_labeled("", &base).is_err());
-        assert!(m.merge_labeled("semi;colon", &base).is_err());
-        let mut evil = ProfileSnapshot::default();
-        evil.merged.insert("peer=victim;cpu;x".into(), 1);
-        assert!(m.merge_labeled("attacker", &evil).is_err());
     }
 
     #[test]

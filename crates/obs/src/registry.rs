@@ -282,9 +282,8 @@ impl Registry {
         }
     }
 
-    /// A point-in-time copy of every family: the cross-process currency of
-    /// federated metrics. The snapshot is detached from the live atomics, so
-    /// it can be wire-encoded, merged with peers, and rendered later.
+    /// A point-in-time copy of every family, detached from the live
+    /// atomics so it can be rendered later.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let families = self.families.lock().unwrap();
         let mut out = RegistrySnapshot::default();
@@ -343,16 +342,6 @@ pub enum CellValue {
     },
 }
 
-impl CellValue {
-    fn kind_token(&self) -> &'static str {
-        match self {
-            CellValue::Counter(_) => "counter",
-            CellValue::Gauge(_) => "gauge",
-            CellValue::Histogram { .. } => "histogram",
-        }
-    }
-}
-
 /// One family inside a [`RegistrySnapshot`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FamilySnapshot {
@@ -364,297 +353,14 @@ pub struct FamilySnapshot {
     pub cells: BTreeMap<Vec<(String, String)>, CellValue>,
 }
 
-/// A detached, mergeable copy of a [`Registry`]'s contents.
-///
-/// This is the unit federated metrics travel in: a peer snapshots its
-/// registry, encodes it as wire lines, and the coordinator decodes and
-/// [merges](RegistrySnapshot::merge_labeled) each peer's snapshot into one
-/// cluster view. Merge semantics: every incoming cell is re-labeled with
-/// `peer=<addr>`; counters and histograms are *additionally* folded into the
-/// un-labeled aggregate cell (counters summed, histogram buckets added
-/// bucket-for-bucket), while gauges stay per-peer only — summing a queue
-/// depth across machines is a lie, but summing request counts is the truth.
+/// A detached copy of a [`Registry`]'s contents.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RegistrySnapshot {
     /// Families keyed by metric name.
     pub families: BTreeMap<String, FamilySnapshot>,
 }
 
-/// Escape a token for a space-separated wire line: `%`, space, comma,
-/// equals, and newline become `%XX`.
-fn escape_token(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'%' | b' ' | b',' | b'=' | b'\n' | b'\r' => {
-                out.push('%');
-                out.push_str(&format!("{b:02X}"));
-            }
-            _ if b.is_ascii() => out.push(b as char),
-            _ => {
-                out.push('%');
-                out.push_str(&format!("{b:02X}"));
-            }
-        }
-    }
-    out
-}
-
-fn unescape_token(s: &str) -> Result<String, String> {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = bytes
-                .get(i + 1..i + 3)
-                .ok_or_else(|| format!("truncated escape in {s:?}"))?;
-            let hex = std::str::from_utf8(hex).map_err(|_| format!("bad escape in {s:?}"))?;
-            out.push(
-                u8::from_str_radix(hex, 16).map_err(|_| format!("bad escape %{hex} in {s:?}"))?,
-            );
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8(out).map_err(|_| format!("non-utf8 escape payload in {s:?}"))
-}
-
-fn encode_labels(labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return "-".to_owned();
-    }
-    labels
-        .iter()
-        .map(|(k, v)| format!("{}={}", escape_token(k), escape_token(v)))
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-fn decode_labels(s: &str) -> Result<Vec<(String, String)>, String> {
-    if s == "-" {
-        return Ok(Vec::new());
-    }
-    s.split(',')
-        .map(|pair| {
-            let (k, v) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("label {pair:?} is not k=v"))?;
-            if k.is_empty() {
-                return Err(format!("empty label name in {pair:?}"));
-            }
-            Ok((unescape_token(k)?, unescape_token(v)?))
-        })
-        .collect()
-}
-
 impl RegistrySnapshot {
-    /// Encode as self-describing wire lines (`family`/`cell` records), the
-    /// payload of a `METRICS format=snapshot` reply. Inverse of
-    /// [`from_wire_lines`](Self::from_wire_lines).
-    pub fn to_wire_lines(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for (name, family) in &self.families {
-            out.push(format!(
-                "family {} {} {}",
-                escape_token(name),
-                family.kind,
-                family.help
-            ));
-            for (labels, value) in &family.cells {
-                let labels = encode_labels(labels);
-                match value {
-                    CellValue::Counter(v) | CellValue::Gauge(v) => {
-                        out.push(format!("cell {labels} {v}"));
-                    }
-                    CellValue::Histogram {
-                        buckets,
-                        sum,
-                        count,
-                    } => {
-                        let buckets = buckets
-                            .iter()
-                            .map(u64::to_string)
-                            .collect::<Vec<_>>()
-                            .join(" ");
-                        out.push(format!("cell {labels} {sum} {count} {buckets}"));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Decode wire lines produced by [`to_wire_lines`](Self::to_wire_lines).
-    /// Structurally invalid payloads (unknown record, bad kind, cell before
-    /// any family, malformed labels or numbers) are rejected with a message.
-    pub fn from_wire_lines<S: AsRef<str>>(lines: &[S]) -> Result<RegistrySnapshot, String> {
-        let mut out = RegistrySnapshot::default();
-        let mut current: Option<String> = None;
-        for line in lines {
-            let line = line.as_ref();
-            let mut parts = line.splitn(2, ' ');
-            let record = parts.next().unwrap_or("");
-            let rest = parts.next().unwrap_or("");
-            match record {
-                "family" => {
-                    let mut f = rest.splitn(3, ' ');
-                    let name = unescape_token(f.next().unwrap_or(""))?;
-                    let kind = f.next().ok_or("family line missing kind")?;
-                    if !matches!(kind, "counter" | "gauge" | "histogram") {
-                        return Err(format!("unknown family kind {kind:?}"));
-                    }
-                    if name.is_empty() {
-                        return Err("family line missing name".to_owned());
-                    }
-                    let help = f.next().unwrap_or("").to_owned();
-                    out.families.insert(
-                        name.clone(),
-                        FamilySnapshot {
-                            kind: kind.to_owned(),
-                            help,
-                            cells: BTreeMap::new(),
-                        },
-                    );
-                    current = Some(name);
-                }
-                "cell" => {
-                    let name = current
-                        .as_ref()
-                        .ok_or("cell record before any family record")?;
-                    let family = out.families.get_mut(name).expect("current family exists");
-                    let fields: Vec<&str> = rest.split(' ').filter(|s| !s.is_empty()).collect();
-                    let labels =
-                        decode_labels(fields.first().ok_or("cell record missing labels")?)?;
-                    let parse = |s: &str| {
-                        s.parse::<u64>()
-                            .map_err(|_| format!("bad cell number {s:?}"))
-                    };
-                    let value = match family.kind.as_str() {
-                        "counter" | "gauge" => {
-                            if fields.len() != 2 {
-                                return Err(format!("scalar cell needs 2 fields: {line:?}"));
-                            }
-                            let v = parse(fields[1])?;
-                            if family.kind == "counter" {
-                                CellValue::Counter(v)
-                            } else {
-                                CellValue::Gauge(v)
-                            }
-                        }
-                        _ => {
-                            if fields.len() < 4 {
-                                return Err(format!("histogram cell needs >= 4 fields: {line:?}"));
-                            }
-                            CellValue::Histogram {
-                                sum: parse(fields[1])?,
-                                count: parse(fields[2])?,
-                                buckets: fields[3..]
-                                    .iter()
-                                    .map(|s| parse(s))
-                                    .collect::<Result<_, _>>()?,
-                            }
-                        }
-                    };
-                    family.cells.insert(labels, value);
-                }
-                _ => return Err(format!("unknown snapshot record {record:?}")),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Merge `other` (one peer's snapshot) into this cluster view. Every
-    /// incoming cell lands under its labels plus `peer=<peer>`; counters and
-    /// histograms additionally fold into the aggregate cell carrying the
-    /// original label set (counters summed, buckets added bucket-for-bucket).
-    /// Fails without partial effect visibility concerns — merging is
-    /// idempotent per (family, labels, peer) — if `other` redeclares an
-    /// existing family with a different kind.
-    pub fn merge_labeled(&mut self, peer: &str, other: &RegistrySnapshot) -> Result<(), String> {
-        for (name, family) in &other.families {
-            let merged = self
-                .families
-                .entry(name.clone())
-                .or_insert_with(|| FamilySnapshot {
-                    kind: family.kind.clone(),
-                    help: family.help.clone(),
-                    cells: BTreeMap::new(),
-                });
-            if merged.kind != family.kind {
-                return Err(format!(
-                    "family {name:?} is a {} here but a {} in peer {peer:?}",
-                    merged.kind, family.kind
-                ));
-            }
-            for (labels, value) in &family.cells {
-                if labels.iter().any(|(k, _)| k == "peer") {
-                    return Err(format!(
-                        "family {name:?} from peer {peer:?} already carries a peer label"
-                    ));
-                }
-                if value.kind_token() != family.kind {
-                    return Err(format!(
-                        "family {name:?} from peer {peer:?} declares kind {} but carries a {} cell",
-                        family.kind,
-                        value.kind_token()
-                    ));
-                }
-                let mut peer_labels = labels.clone();
-                peer_labels.push(("peer".to_owned(), peer.to_owned()));
-                merged.cells.insert(peer_labels, value.clone());
-                match value {
-                    CellValue::Gauge(_) => {}
-                    CellValue::Counter(v) => {
-                        let slot = merged
-                            .cells
-                            .entry(labels.clone())
-                            .or_insert(CellValue::Counter(0));
-                        match slot {
-                            CellValue::Counter(total) => *total += v,
-                            _ => return Err(format!("aggregate cell kind clash in {name:?}")),
-                        }
-                    }
-                    CellValue::Histogram {
-                        buckets,
-                        sum,
-                        count,
-                    } => {
-                        let slot =
-                            merged
-                                .cells
-                                .entry(labels.clone())
-                                .or_insert(CellValue::Histogram {
-                                    buckets: vec![0; buckets.len()],
-                                    sum: 0,
-                                    count: 0,
-                                });
-                        match slot {
-                            CellValue::Histogram {
-                                buckets: tb,
-                                sum: ts,
-                                count: tc,
-                            } => {
-                                if tb.len() < buckets.len() {
-                                    tb.resize(buckets.len(), 0);
-                                }
-                                for (t, b) in tb.iter_mut().zip(buckets) {
-                                    *t += b;
-                                }
-                                *ts += sum;
-                                *tc += count;
-                            }
-                            _ => return Err(format!("aggregate cell kind clash in {name:?}")),
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Render in the Prometheus text exposition format (version 0.0.4),
     /// byte-identical to what [`Registry::render_prometheus`] produces for
     /// the same values.
@@ -696,62 +402,6 @@ impl RegistrySnapshot {
                         out.push_str(&format!(
                             "{name}_count{} {count}\n",
                             render_labels(labels, None)
-                        ));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Render as flat `key value` lines (the wire `METRICS` kv format):
-    /// `name{k=v,...}` keys, histograms expanded to `_bucket{le=...}`,
-    /// `_sum`, `_count`. Keys never contain spaces.
-    pub fn to_kv_lines(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        let key = |name: &str, labels: &[(String, String)], le: Option<&str>| {
-            let mut parts: Vec<String> = labels
-                .iter()
-                .map(|(k, v)| format!("{k}={}", escape_token(v)))
-                .collect();
-            if let Some(le) = le {
-                parts.push(format!("le={le}"));
-            }
-            if parts.is_empty() {
-                name.to_owned()
-            } else {
-                format!("{name}{{{}}}", parts.join(","))
-            }
-        };
-        for (name, family) in &self.families {
-            for (labels, value) in &family.cells {
-                match value {
-                    CellValue::Counter(v) | CellValue::Gauge(v) => {
-                        out.push((key(name, labels, None), v.to_string()));
-                    }
-                    CellValue::Histogram {
-                        buckets,
-                        sum,
-                        count,
-                    } => {
-                        let n = buckets.len();
-                        let mut cumulative = 0u64;
-                        for (i, bucket) in buckets.iter().enumerate() {
-                            cumulative += bucket;
-                            let le = if i + 1 == n {
-                                "+Inf".to_owned()
-                            } else {
-                                ((1u64 << i) - 1).to_string()
-                            };
-                            out.push((
-                                key(&format!("{name}_bucket"), labels, Some(&le)),
-                                cumulative.to_string(),
-                            ));
-                        }
-                        out.push((key(&format!("{name}_sum"), labels, None), sum.to_string()));
-                        out.push((
-                            key(&format!("{name}_count"), labels, None),
-                            count.to_string(),
                         ));
                     }
                 }
@@ -884,128 +534,8 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_wire_lines_round_trip() {
-        let snap = sample_registry().snapshot();
-        let lines = snap.to_wire_lines();
-        let back = RegistrySnapshot::from_wire_lines(&lines).unwrap();
-        assert_eq!(snap, back);
-        assert_eq!(snap.to_prometheus(), back.to_prometheus());
-    }
-
-    #[test]
     fn snapshot_renders_like_the_live_registry() {
         let r = sample_registry();
         assert_eq!(r.snapshot().to_prometheus(), r.render_prometheus());
-    }
-
-    #[test]
-    fn snapshot_escaping_survives_hostile_label_values() {
-        let r = Registry::new();
-        r.counter_with("mcfs_esc_total", "h", &[("k", "a b,c=d%e\u{e9}")])
-            .inc();
-        let snap = r.snapshot();
-        let back = RegistrySnapshot::from_wire_lines(&snap.to_wire_lines()).unwrap();
-        assert_eq!(snap, back);
-    }
-
-    #[test]
-    fn malformed_snapshot_lines_are_rejected() {
-        for bad in [
-            "cell - 1",                          // cell before family
-            "family mcfs_x widget h",            // unknown kind
-            "bogus record",                      // unknown record
-            "family  counter h",                 // empty name
-            "family mcfs_x counter h\ncell k 1", // label not k=v (via join below)
-        ] {
-            let lines: Vec<&str> = bad.lines().collect();
-            assert!(
-                RegistrySnapshot::from_wire_lines(&lines).is_err(),
-                "accepted {bad:?}"
-            );
-        }
-        // Non-numeric cell value.
-        let lines = ["family mcfs_x counter h", "cell - abc"];
-        assert!(RegistrySnapshot::from_wire_lines(&lines).is_err());
-        // Truncated %-escape in a label.
-        let lines = ["family mcfs_x counter h", "cell k=%2 1"];
-        assert!(RegistrySnapshot::from_wire_lines(&lines).is_err());
-    }
-
-    #[test]
-    fn merge_sums_counters_and_buckets_and_labels_gauges_by_peer() {
-        let a = sample_registry().snapshot();
-        let b = sample_registry().snapshot();
-        let mut cluster = RegistrySnapshot::default();
-        cluster.merge_labeled("p1:1", &a).unwrap();
-        cluster.merge_labeled("p2:2", &b).unwrap();
-
-        let req = &cluster.families["mcfs_req_total"];
-        let agg = vec![("verb".to_owned(), "solve".to_owned())];
-        assert_eq!(req.cells[&agg], CellValue::Counter(6), "counters summed");
-        let mut p1 = agg.clone();
-        p1.push(("peer".to_owned(), "p1:1".to_owned()));
-        assert_eq!(req.cells[&p1], CellValue::Counter(3));
-
-        let depth = &cluster.families["mcfs_depth"];
-        assert!(
-            !depth.cells.contains_key(&Vec::new()),
-            "gauges are per-peer only, never aggregated"
-        );
-        assert_eq!(depth.cells.len(), 2);
-
-        let lat = &cluster.families["mcfs_lat"];
-        match &lat.cells[&Vec::new()] {
-            CellValue::Histogram {
-                buckets,
-                sum,
-                count,
-            } => {
-                assert_eq!(*count, 8);
-                assert_eq!(*sum, 1808);
-                assert_eq!(buckets.iter().sum::<u64>(), 8);
-                // Bucket-for-bucket: each per-peer bucket doubled.
-                match &lat.cells[&vec![("peer".to_owned(), "p1:1".to_owned())]] {
-                    CellValue::Histogram { buckets: pb, .. } => {
-                        for (total, per) in buckets.iter().zip(pb) {
-                            assert_eq!(*total, per * 2);
-                        }
-                    }
-                    other => panic!("unexpected cell {other:?}"),
-                }
-            }
-            other => panic!("unexpected cell {other:?}"),
-        }
-    }
-
-    #[test]
-    fn merge_rejects_kind_clash_and_preexisting_peer_labels() {
-        let mut cluster = Registry::new().snapshot();
-        let mut counter = RegistrySnapshot::default();
-        counter.families.insert(
-            "mcfs_x".to_owned(),
-            FamilySnapshot {
-                kind: "counter".to_owned(),
-                help: "h".to_owned(),
-                cells: BTreeMap::from([(Vec::new(), CellValue::Counter(1))]),
-            },
-        );
-        cluster.merge_labeled("a", &counter).unwrap();
-        let mut gauge = counter.clone();
-        gauge.families.get_mut("mcfs_x").unwrap().kind = "gauge".to_owned();
-        assert!(cluster.merge_labeled("b", &gauge).is_err());
-
-        let mut labeled = RegistrySnapshot::default();
-        labeled.families.insert(
-            "mcfs_y".to_owned(),
-            FamilySnapshot {
-                kind: "counter".to_owned(),
-                help: "h".to_owned(),
-                cells: BTreeMap::from([(
-                    vec![("peer".to_owned(), "smuggled".to_owned())],
-                    CellValue::Counter(1),
-                )]),
-            },
-        );
-        assert!(cluster.merge_labeled("c", &labeled).is_err());
     }
 }

@@ -43,8 +43,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 pub struct SpanRecord {
     /// Trace this span belongs to (never 0).
     pub trace: u64,
-    /// Span id, unique within the process and seeded per-process so
-    /// concurrently tracing processes stay disjoint (never 0).
+    /// Span id, unique within the process (never 0).
     pub id: u64,
     /// Parent span id within the same trace; 0 = a trace root.
     pub parent: u64,
@@ -72,11 +71,6 @@ static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
 static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 static SPANS_DROPPED: AtomicU64 = AtomicU64::new(0);
-
-/// In a spliced multi-process trace, remote threads are shifted into a
-/// per-process lane: `thread = process << PROCESS_SHIFT | original`.
-/// Exporters recover the process index as `thread >> PROCESS_SHIFT`.
-pub const PROCESS_SHIFT: u32 = 32;
 
 fn dropped_counter() -> &'static crate::registry::Counter {
     static COUNTER: OnceLock<crate::registry::Counter> = OnceLock::new();
@@ -132,47 +126,16 @@ pub fn next_trace_id() -> u64 {
     NEXT_TRACE_ID.fetch_add(1, Relaxed)
 }
 
-/// Per-process random base OR-ed into every span id's high 32 bits. Two
-/// processes minting bare counters would both hand out 1, 2, 3, … — and a
-/// propagated `parent=` reference becomes ambiguous in [`splice_remote`]
-/// the moment a peer-internal span id numerically shadows the
-/// coordinator's anchor id (the remap would capture a parent link that
-/// was meant to anchor into the local trace). Seeding the high bits from
-/// wall clock + pid keeps distinct processes' id spaces disjoint in
-/// practice, so a parent id means the same span on every node.
-fn span_id_base() -> u64 {
-    static BASE: OnceLock<u64> = OnceLock::new();
-    *BASE.get_or_init(|| {
-        let t = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_nanos() as u64);
-        let mut z = t ^ ((std::process::id() as u64) << 33);
-        // splitmix64 finalizer: spread the entropy across all bits.
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e9b5);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (z ^ (z >> 31)) << 32
-    })
-}
-
-/// Pre-allocate a span id (never 0: the counter in the low 32 bits starts
-/// at 1) for a later [`record_manual`] call, so children can name their
-/// parent before the parent is recorded. Ids are unique within the
-/// process and, thanks to the seeded high bits, distinct across
-/// concurrently tracing processes with overwhelming probability.
+/// Pre-allocate a span id (never 0: the counter starts at 1) for a later
+/// [`record_manual`] call, so children can name their parent before the
+/// parent is recorded. Ids are unique within the process.
 pub fn alloc_span_id() -> u64 {
-    span_id_base() | NEXT_SPAN_ID.fetch_add(1, Relaxed)
+    NEXT_SPAN_ID.fetch_add(1, Relaxed)
 }
 
 /// The trace id this thread is currently inside (0 = none).
 pub fn current_trace() -> u64 {
     CURRENT_TRACE.with(Cell::get)
-}
-
-/// The span id new spans on this thread would be parented to (0 = root).
-/// This is the id to propagate across the wire so a peer's spans nest under
-/// the caller's innermost open span.
-pub fn current_parent() -> u64 {
-    CURRENT_PARENT.with(Cell::get)
 }
 
 /// Small dense id of the calling thread, assigned on first use.
@@ -393,97 +356,16 @@ impl Drop for Span {
     }
 }
 
-/// Midpoint estimate of a remote process's clock offset from ours, from one
-/// request/reply round trip: `local_before_ns`/`local_after_ns` bracket the
-/// exchange on our clock and `peer_now_ns` is the peer's clock sampled while
-/// it handled the request. Positive means the peer's epoch-relative clock
-/// reads ahead of ours; subtract the offset from peer timestamps to land
-/// them on our timeline (error is bounded by half the round-trip time).
-pub fn clock_offset(local_before_ns: u64, peer_now_ns: u64, local_after_ns: u64) -> i64 {
-    let midpoint = (local_before_ns as i128 + local_after_ns as i128) / 2;
-    (peer_now_ns as i128 - midpoint) as i64
-}
-
-/// Splice one peer's span subtree into a local trace, producing a single
-/// well-nested multi-process trace:
-///
-/// - peer span ids are re-minted from this process's id space (parent links
-///   *within* the peer set follow the remap; parent links pointing outside
-///   it are anchors into `local` — typically the RPC span whose id was
-///   propagated on the wire — and are kept verbatim);
-/// - peer timestamps are shifted by `-offset_ns` (see [`clock_offset`]);
-///   then every span of the merged list is clamped into its parent's
-///   interval, parents first, so nesting holds even though the offset is
-///   only an estimate — and even when `local` already holds raw copies of
-///   peer spans (peers sharing this process's span ring), whose request
-///   span can close after the coordinator's RPC span has read the reply;
-/// - peer thread ids move into process lane `process` (see [`PROCESS_SHIFT`])
-///   so exporters can draw one lane per process.
-///
-/// Peer spans whose anchor is missing from `local` (evicted from the peer of
-/// the caller's ring) become trace roots. Returns the number of spans
-/// spliced; `local` is re-sorted by `(start_ns, id)`.
-pub fn splice_remote(
-    local: &mut Vec<SpanRecord>,
-    trace: u64,
-    remote: &[SpanRecord],
-    offset_ns: i64,
-    process: u64,
-) -> usize {
-    use std::collections::{HashMap, HashSet};
-    let remap: HashMap<u64, u64> = remote.iter().map(|s| (s.id, alloc_span_id())).collect();
-    let anchors: HashSet<u64> = local.iter().map(|s| s.id).collect();
-    // Rebase + remap first; clamp top-down afterwards so a child is clamped
-    // against its parent's already-clamped interval.
-    let spliced: Vec<SpanRecord> = remote
-        .iter()
-        .map(|s| {
-            let start_ns = (s.start_ns as i128 - offset_ns as i128).max(0) as u64;
-            let mut out = s.clone();
-            out.trace = trace;
-            out.id = remap[&s.id];
-            out.parent = match remap.get(&s.parent) {
-                Some(new) => *new,
-                None if anchors.contains(&s.parent) => s.parent,
-                None => 0,
-            };
-            out.thread = (process << PROCESS_SHIFT) | (s.thread & ((1 << PROCESS_SHIFT) - 1));
-            out.start_ns = start_ns;
-            out
-        })
-        .collect();
-    let n = spliced.len();
-    local.extend(spliced);
-    local.sort_by_key(|s| (s.start_ns, s.id));
-    // Spans sorted by start time visit parents before their children on one
-    // clock; the second pass settles children a clamp moved ahead of.
-    let mut bounds: HashMap<u64, (u64, u64)> = HashMap::with_capacity(local.len());
-    for _ in 0..2 {
-        for s in local.iter_mut() {
-            if let Some(&(ps, pe)) = bounds.get(&s.parent) {
-                let start = s.start_ns.clamp(ps, pe);
-                let end = (s.start_ns + s.dur_ns).clamp(start, pe);
-                s.start_ns = start;
-                s.dur_ns = end - start;
-            }
-            bounds.insert(s.id, (s.start_ns, s.start_ns + s.dur_ns));
-        }
-    }
-    local.sort_by_key(|s| (s.start_ns, s.id));
-    n
-}
-
-/// Check that `spans` form well-nested trees: every span id is unique (two
-/// processes minting colliding ids must be remapped before splicing — see
-/// [`splice_remote`]), every non-root parent exists in the set, belongs to
-/// the same trace, and its time interval encloses the child's.
+/// Check that `spans` form well-nested trees: every span id is unique,
+/// every non-root parent exists in the set, belongs to the same trace, and
+/// its time interval encloses the child's.
 pub fn verify_nesting(spans: &[SpanRecord]) -> Result<(), String> {
     use std::collections::HashMap;
     let mut by_id: HashMap<u64, &SpanRecord> = HashMap::with_capacity(spans.len());
     for s in spans {
         if by_id.insert(s.id, s).is_some() {
             return Err(format!(
-                "span id {} ({}) appears more than once — colliding processes?",
+                "span id {} ({}) appears more than once",
                 s.id, s.name
             ));
         }
@@ -628,7 +510,7 @@ mod tests {
         assert!(verify_nesting(&[mk(1, 0, 0, 100), mk(2, 1, 50, 20)]).is_ok());
         assert!(verify_nesting(&[mk(1, 0, 0, 100), mk(2, 1, 90, 20)]).is_err());
         assert!(verify_nesting(&[mk(2, 7, 0, 10)]).is_err());
-        // Multi-process extension: duplicate ids are a structural error.
+        // Duplicate ids are a structural error.
         assert!(verify_nesting(&[mk(1, 0, 0, 100), mk(1, 0, 10, 10)]).is_err());
     }
 
@@ -649,106 +531,5 @@ mod tests {
             dropped_counter().get() >= counter_before + 8,
             "registry counter tracks evictions too"
         );
-    }
-
-    #[test]
-    fn clock_offset_is_a_midpoint_estimate() {
-        // Peer clock reads 1_000 ahead: local [100, 300], peer saw 1_200.
-        assert_eq!(clock_offset(100, 1_200, 300), 1_000);
-        // Peer clock behind ours.
-        assert_eq!(clock_offset(10_000, 2_000, 10_000), -8_000);
-    }
-
-    #[test]
-    fn splice_remote_rebases_remaps_and_clamps() {
-        let mk = |trace, id, parent, start, dur, name: &'static str| SpanRecord {
-            trace,
-            id,
-            parent,
-            thread: 1,
-            start_ns: start,
-            dur_ns: dur,
-            name: Cow::Borrowed(name),
-        };
-        let rpc_id = alloc_span_id();
-        let root_id = alloc_span_id();
-        let mut local = vec![
-            mk(7, root_id, 0, 0, 1_000, "server.request"),
-            mk(7, rpc_id, root_id, 100, 500, "cluster.rpc"),
-        ];
-        // Peer recorded under its own clock (offset +10_000) and id space;
-        // its root is anchored to the coordinator's rpc span id, and its
-        // root's id deliberately collides with a local id.
-        let remote = vec![
-            mk(7, root_id, rpc_id, 10_150, 400, "server.request"),
-            mk(7, 909_090, root_id, 10_200, 100, "peer.solve"),
-        ];
-        let n = splice_remote(&mut local, 7, &remote, 10_000, 1);
-        assert_eq!(n, 2);
-        assert_eq!(local.len(), 4);
-        verify_nesting(&local).expect("spliced trace is well-nested");
-        let peer_spans: Vec<&SpanRecord> = local
-            .iter()
-            .filter(|s| s.thread >> PROCESS_SHIFT == 1)
-            .collect();
-        assert_eq!(peer_spans.len(), 2, "peer spans are in process lane 1");
-        let peer_root = peer_spans
-            .iter()
-            .find(|s| s.name == "server.request")
-            .unwrap();
-        assert_eq!(peer_root.parent, rpc_id, "anchor parent kept verbatim");
-        assert!(
-            peer_root.start_ns >= 100 && peer_root.start_ns + peer_root.dur_ns <= 600,
-            "rebased into the rpc interval"
-        );
-        // Rebased peer spans stay monotone relative to each other.
-        let solve = peer_spans.iter().find(|s| s.name == "peer.solve").unwrap();
-        assert!(solve.start_ns >= peer_root.start_ns);
-    }
-
-    #[test]
-    fn splice_remote_orphans_become_roots() {
-        let mk = |id, parent, start| SpanRecord {
-            trace: 9,
-            id,
-            parent,
-            thread: 3,
-            start_ns: start,
-            dur_ns: 10,
-            name: Cow::Borrowed("orphan"),
-        };
-        let mut local = Vec::new();
-        let remote = vec![mk(1, 424_242, 50)];
-        splice_remote(&mut local, 9, &remote, 0, 2);
-        assert_eq!(local.len(), 1);
-        assert_eq!(local[0].parent, 0, "missing anchor demotes to root");
-        verify_nesting(&local).unwrap();
-    }
-
-    #[test]
-    fn splice_remote_clamps_raw_in_process_peer_spans() {
-        // A peer sharing this process's span ring leaves its own raw
-        // request span in `local`: it closed after the reply was flushed,
-        // 100 ns after the coordinator's RPC span had read that reply.
-        let mk = |id, parent, start, dur| SpanRecord {
-            trace: 5,
-            id,
-            parent,
-            thread: 4,
-            start_ns: start,
-            dur_ns: dur,
-            name: Cow::Borrowed("span"),
-        };
-        let (root, rpc, peer) = (alloc_span_id(), alloc_span_id(), alloc_span_id());
-        let mut local = vec![
-            mk(root, 0, 0, 1_000),
-            mk(rpc, root, 100, 500),
-            mk(peer, rpc, 150, 550),
-        ];
-        assert!(verify_nesting(&local).is_err(), "the raw copy escapes");
-        splice_remote(&mut local, 5, &[], 0, 1);
-        verify_nesting(&local).expect("merged trace is well-nested");
-        let clamped = local.iter().find(|s| s.id == peer).unwrap();
-        assert_eq!((clamped.start_ns, clamped.dur_ns), (150, 450));
     }
 }

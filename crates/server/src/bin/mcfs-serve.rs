@@ -3,13 +3,9 @@
 //! ```text
 //! mcfs-serve [--addr 127.0.0.1:4816] [--workers N] [--queue-limit N]
 //!            [--snapshot-dir PATH] [--restore] [--solver-threads N]
-//!            [--metrics-addr HOST:PORT] [--peer HOST:PORT]...
+//!            [--metrics-addr HOST:PORT] [--no-flight] [--profile-hz N]
+//!            [--no-profile]
 //! ```
-//!
-//! `--peer` (repeatable) names other `mcfs-serve` nodes; with at least one
-//! peer configured, `SOLVE <session> shards=<n>` federates shard solves to
-//! the peers round-robin instead of running them in-process, falling back
-//! to a local re-solve for any shard whose peer fails mid-flight.
 //!
 //! `--metrics-addr` additionally serves the live counters as Prometheus
 //! text on `GET /metrics` at the given address (a scrape endpoint separate
@@ -20,9 +16,8 @@
 //! resumes where the previous shutdown's snapshot drain left off.
 //!
 //! The flight recorder is armed by default — a bounded per-session ring of
-//! the last ~30 seconds of events and spans, dumpable with `DUMP <session>`
-//! and written automatically as `<session>.flight.jsonl` when a federated
-//! solve recovers shards from a dead peer. `--no-flight` disarms it.
+//! the last ~30 seconds of events and spans, dumpable with `DUMP <session>`.
+//! `--no-flight` disarms it.
 //!
 //! The continuous profiler is likewise armed by default, sampling every
 //! thread's open span path at 997 Hz into a bounded folded table; fetch it
@@ -52,7 +47,7 @@ struct Args {
 fn usage() -> String {
     "usage: mcfs-serve [--addr HOST:PORT] [--workers N] [--queue-limit N] \
      [--snapshot-dir PATH] [--restore] [--solver-threads N] \
-     [--metrics-addr HOST:PORT] [--peer HOST:PORT]... [--no-flight] \
+     [--metrics-addr HOST:PORT] [--no-flight] \
      [--profile-hz N] [--no-profile]"
         .to_owned()
 }
@@ -98,7 +93,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--queue-limit" => args.config.queue_limit = num()?.max(1),
             "--snapshot-dir" => args.config.snapshot_dir = Some(PathBuf::from(value)),
             "--metrics-addr" => args.metrics_addr = Some(value.clone()),
-            "--peer" => args.config.peers.push(value.clone()),
             "--solver-threads" => {
                 args.config.solver = args.config.solver.clone().threads(num()?.max(1));
             }

@@ -11,19 +11,11 @@
 //! other polls `METRICS format=prometheus` every refresh to derive p50/p99
 //! request latency from the cumulative histogram buckets. Each refresh
 //! redraws one table: per session the latest state, iteration, covered/total
-//! customers, objective, queue depth, cluster-solve shard progress
-//! (`solved/total` shards, then `+N` boundary customers rewired once
-//! reconciliation reports), and events lost to that watcher.
+//! customers, objective, queue depth, and events lost to that watcher.
 //!
 //! `--once` renders a single frame and exits (the CI smoke path);
 //! `--kick SESSION` fires one `SOLVE` on a third connection right after
 //! subscribing, so even a quiet server shows a live iteration trajectory.
-//!
-//! `--cluster` adds a PEERS pane fed from `METRICS scope=cluster`: one row
-//! per federation peer with its request count, conversation p99, age of the
-//! last successful conversation (rebased onto the coordinator's clock via
-//! the `SPANS` `now=` sample) and how many of its shards were recovered
-//! locally after a failure.
 //!
 //! A HOT pane under the session table shows the server's five hottest span
 //! paths from the continuous profiler (`PROFILE *` on the metrics poll
@@ -36,8 +28,7 @@ use std::process::ExitCode;
 use std::sync::mpsc;
 use std::time::Duration;
 
-use mcfs_obs::{CellValue, RegistrySnapshot};
-use mcfs_server::{Client, EventBody, EventFrame, MetricsFormat, Request, WATCH_ALL};
+use mcfs_server::{Client, EventBody, EventFrame, Request, WATCH_ALL};
 
 struct Args {
     addr: String,
@@ -45,12 +36,11 @@ struct Args {
     interval: Duration,
     once: bool,
     kick: Option<String>,
-    cluster: bool,
 }
 
 fn usage() -> String {
     "usage: mcfs-top [--addr HOST:PORT] [--session NAME|*] [--interval-ms N] \
-     [--once] [--kick SESSION] [--cluster]"
+     [--once] [--kick SESSION]"
         .to_owned()
 }
 
@@ -61,7 +51,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         interval: Duration::from_millis(1000),
         once: false,
         kick: None,
-        cluster: false,
     };
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
@@ -70,10 +59,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
         if flag == "--once" {
             args.once = true;
-            continue;
-        }
-        if flag == "--cluster" {
-            args.cluster = true;
             continue;
         }
         let value = it
@@ -105,28 +90,6 @@ struct SessionRow {
     objective: Option<u64>,
     queue_depth: u64,
     events: u64,
-    /// Shard count of the in-flight (or last) cluster solve; 0 = none seen.
-    shards: u64,
-    /// Shards whose solve phase has ended this cluster solve.
-    shards_done: u64,
-    /// Boundary customers rewired, once reconciliation reported.
-    reconciled_moved: Option<u64>,
-}
-
-impl SessionRow {
-    /// The SHARDS cell: `-` before any cluster solve, `solved/total`
-    /// during one, with `+N` appended once reconciliation reports the
-    /// boundary customers it rewired.
-    fn shard_cell(&self) -> String {
-        if self.shards == 0 {
-            return "-".to_owned();
-        }
-        let mut cell = format!("{}/{}", self.shards_done, self.shards);
-        if let Some(moved) = self.reconciled_moved {
-            cell.push_str(&format!("+{moved}"));
-        }
-        cell
-    }
 }
 
 /// Latency quantiles parsed from the Prometheus histogram exposition.
@@ -207,97 +170,6 @@ impl HotPane {
     }
 }
 
-/// One row of the PEERS pane, distilled from the merged cluster registry.
-#[derive(Default)]
-struct PeerRow {
-    /// Shard conversations attempted against this peer.
-    requests: u64,
-    /// p99 of the conversation wall histogram, printable.
-    p99: String,
-    /// Age of the last successful conversation, printable.
-    last_seen: String,
-    /// Shards recovered locally after this peer failed.
-    recovered: u64,
-}
-
-/// The `to=<addr>` label value of an aggregate (non-`peer=`-labeled) cell.
-fn to_label(labels: &[(String, String)]) -> Option<&str> {
-    if labels.iter().any(|(k, _)| k == "peer") {
-        return None; // per-source copy; the aggregate carries the totals
-    }
-    labels
-        .iter()
-        .find(|(k, _)| k == "to")
-        .map(|(_, v)| v.as_str())
-}
-
-/// p99 upper bound of a log2 histogram cell: bucket `i` holds values in
-/// `[2^(i-1), 2^i)`, the last bucket is the catch-all.
-fn log2_p99(buckets: &[u64], count: u64) -> String {
-    if count == 0 {
-        return "-".to_owned();
-    }
-    let target = (0.99 * count as f64).ceil() as u64;
-    let mut cum = 0u64;
-    for (i, b) in buckets.iter().enumerate() {
-        cum += b;
-        if cum >= target {
-            if i + 1 == buckets.len() {
-                return "+Inf".to_owned();
-            }
-            return format!("<{}us", 1u64 << i);
-        }
-    }
-    "+Inf".to_owned()
-}
-
-/// Distill the PEERS pane from the merged cluster registry. `server_now`
-/// is the coordinator's monotonic clock (from a `SPANS` `now=` sample), so
-/// last-seen gauges — recorded on that same clock — turn into honest ages.
-fn peer_rows(snap: &RegistrySnapshot, server_now: u64) -> BTreeMap<String, PeerRow> {
-    let mut rows: BTreeMap<String, PeerRow> = BTreeMap::new();
-    if let Some(family) = snap.families.get("mcfs_cluster_peer_requests_total") {
-        for (labels, value) in &family.cells {
-            if let (Some(to), CellValue::Counter(v)) = (to_label(labels), value) {
-                rows.entry(to.to_owned()).or_default().requests = *v;
-            }
-        }
-    }
-    if let Some(family) = snap.families.get("mcfs_cluster_peer_recovered_total") {
-        for (labels, value) in &family.cells {
-            if let (Some(to), CellValue::Counter(v)) = (to_label(labels), value) {
-                rows.entry(to.to_owned()).or_default().recovered = *v;
-            }
-        }
-    }
-    if let Some(family) = snap.families.get("mcfs_cluster_peer_rtt_us") {
-        for (labels, value) in &family.cells {
-            if let (Some(to), CellValue::Histogram { buckets, count, .. }) =
-                (to_label(labels), value)
-            {
-                rows.entry(to.to_owned()).or_default().p99 = log2_p99(buckets, *count);
-            }
-        }
-    }
-    if let Some(family) = snap.families.get("mcfs_cluster_peer_last_seen_ns") {
-        // Gauges stay per-source in the merge; take the freshest sample.
-        let mut freshest: BTreeMap<String, u64> = BTreeMap::new();
-        for (labels, value) in &family.cells {
-            if let (Some((_, to)), CellValue::Gauge(v)) =
-                (labels.iter().find(|(k, _)| k == "to"), value)
-            {
-                let slot = freshest.entry(to.clone()).or_insert(0);
-                *slot = (*slot).max(*v);
-            }
-        }
-        for (to, seen) in freshest {
-            let age_ms = server_now.saturating_sub(seen) / 1_000_000;
-            rows.entry(to).or_default().last_seen = format!("{:.1}s", age_ms as f64 / 1000.0);
-        }
-    }
-    rows
-}
-
 fn apply_event(rows: &mut BTreeMap<String, SessionRow>, frame: &EventFrame, dropped: &mut u64) {
     let row = rows.entry(frame.session.clone()).or_default();
     match &frame.body {
@@ -327,35 +199,11 @@ fn apply_event(rows: &mut BTreeMap<String, SessionRow>, frame: &EventFrame, drop
                     row.objective = Some(*objective);
                 }
                 mcfs_obs::Event::QueueDepth { depth } => row.queue_depth = *depth,
-                mcfs_obs::Event::ShardPhase {
-                    shard,
-                    shards,
-                    name,
-                    state,
-                } => {
-                    row.shards = *shards;
-                    if *name == "cluster.partition" && matches!(state, mcfs_obs::PhaseState::Start)
-                    {
-                        // A new cluster solve begins: reset the progress.
-                        row.shards_done = 0;
-                        row.reconciled_moved = None;
-                    }
-                    if *shard < *shards {
-                        // Per-shard stage (shard == shards marks
-                        // cluster-wide stages like partition/reconcile).
-                        if *name == "cluster.solve" && matches!(state, mcfs_obs::PhaseState::End) {
-                            row.shards_done += 1;
-                        }
-                    }
-                    row.state = match state {
-                        mcfs_obs::PhaseState::Start => (*name).to_owned(),
-                        mcfs_obs::PhaseState::End => format!("{name} done"),
-                    };
-                }
-                mcfs_obs::Event::Reconcile { moved, .. } => {
-                    row.reconciled_moved = Some(*moved);
-                }
-                mcfs_obs::Event::Augmentations { .. } => {}
+                // Shard and reconcile events come from in-process cluster
+                // solves, which the server does not run.
+                mcfs_obs::Event::ShardPhase { .. }
+                | mcfs_obs::Event::Reconcile { .. }
+                | mcfs_obs::Event::Augmentations { .. } => {}
             }
         }
     }
@@ -368,7 +216,6 @@ fn render(
     dropped: u64,
     target: &str,
     clear: bool,
-    peers: Option<&BTreeMap<String, PeerRow>>,
 ) {
     if clear {
         // Home + clear-to-end keeps the frame flicker-free on real terminals.
@@ -379,15 +226,15 @@ fn render(
         latency.count, latency.p50, latency.p99
     );
     println!(
-        "{:<16} {:<16} {:>5} {:>9} {:>10} {:>8} {:>6} {:>6} {:>7}",
-        "SESSION", "STATE", "ITER", "COVERED", "OBJECTIVE", "SHARDS", "RECON", "QUEUE", "EVENTS"
+        "{:<16} {:<16} {:>5} {:>9} {:>10} {:>6} {:>7}",
+        "SESSION", "STATE", "ITER", "COVERED", "OBJECTIVE", "QUEUE", "EVENTS"
     );
     if rows.is_empty() {
         println!("(no events yet)");
     }
     for (name, row) in rows {
         println!(
-            "{:<16} {:<16} {:>5} {:>9} {:>10} {:>8} {:>6} {:>6} {:>7}",
+            "{:<16} {:<16} {:>5} {:>9} {:>10} {:>6} {:>7}",
             name,
             if row.state.is_empty() {
                 "-"
@@ -398,9 +245,6 @@ fn render(
             format!("{}/{}", row.covered, row.total),
             row.objective
                 .map_or_else(|| "-".to_owned(), |o| o.to_string()),
-            row.shard_cell(),
-            row.reconciled_moved
-                .map_or_else(|| "-".to_owned(), |m| m.to_string()),
             row.queue_depth,
             row.events,
         );
@@ -416,44 +260,6 @@ fn render(
     if hot.idle > 0 {
         println!("{:<58} {:>8} {:>6}", "(idle)", hot.idle, hot.pct(hot.idle));
     }
-    let Some(peers) = peers else { return };
-    println!();
-    println!(
-        "{:<22} {:>8} {:>10} {:>10} {:>9}",
-        "PEERS", "REQS", "P99", "LAST-SEEN", "RECOVERED"
-    );
-    if peers.is_empty() {
-        println!("(no peer traffic yet)");
-    }
-    for (addr, peer) in peers {
-        println!(
-            "{:<22} {:>8} {:>10} {:>10} {:>9}",
-            addr,
-            peer.requests,
-            if peer.p99.is_empty() { "-" } else { &peer.p99 },
-            if peer.last_seen.is_empty() {
-                "-"
-            } else {
-                &peer.last_seen
-            },
-            peer.recovered,
-        );
-    }
-}
-
-/// One refresh of the PEERS pane: pull the merged cluster registry plus a
-/// server clock sample (`SPANS` is sessionless and replies `now=` even for
-/// a trace with no spans), then distill per-peer rows.
-fn cluster_pane(poller: &mut Client) -> Result<BTreeMap<String, PeerRow>, String> {
-    let reply = poller
-        .metrics_cluster(MetricsFormat::Snapshot)
-        .map_err(|e| format!("METRICS scope=cluster failed: {e}"))?;
-    let snap = RegistrySnapshot::from_wire_lines(reply.payload())
-        .map_err(|e| format!("bad cluster snapshot: {e}"))?;
-    let (server_now, _) = poller
-        .spans_of(1)
-        .map_err(|e| format!("SPANS clock sample failed: {e}"))?;
-    Ok(peer_rows(&snap, server_now))
 }
 
 fn run(args: &Args) -> Result<(), String> {
@@ -485,14 +291,12 @@ fn run(args: &Args) -> Result<(), String> {
         std::thread::spawn(move || {
             let _ = kicker.request(&Request::Solve {
                 session,
-                shards: None,
                 deadline_ms: None,
             });
         });
     }
 
     let mut rows: BTreeMap<String, SessionRow> = BTreeMap::new();
-    let mut peers: Option<BTreeMap<String, PeerRow>> = None;
     let mut hot = HotPane::default();
     let mut dropped = 0u64;
     loop {
@@ -517,29 +321,11 @@ fn run(args: &Args) -> Result<(), String> {
             Err(e) => return Err(format!("METRICS poll failed: {e}")),
         };
         // HOT pane: the profiler's cumulative table. A failed fetch keeps
-        // the last good pane — same forgiveness as the PEERS refresh.
+        // the last good pane.
         if let Ok(snap) = poller.profile_snapshot() {
             hot = HotPane::from_snapshot(&snap);
         }
-        if args.cluster {
-            // A cluster fan-out errors while any peer is down — exactly
-            // when the pane matters most — so a failed refresh keeps the
-            // last good pane instead of tearing down the dashboard.
-            if let Ok(pane) = cluster_pane(&mut poller) {
-                peers = Some(pane);
-            } else if peers.is_none() {
-                peers = Some(BTreeMap::new());
-            }
-        }
-        render(
-            &rows,
-            &latency,
-            &hot,
-            dropped,
-            &args.session,
-            !args.once,
-            peers.as_ref(),
-        );
+        render(&rows, &latency, &hot, dropped, &args.session, !args.once);
         if args.once {
             return Ok(());
         }

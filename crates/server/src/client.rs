@@ -9,8 +9,8 @@ use mcfs::{Edit, McfsInstance, Solution};
 use mcfs_io::{read_solution, write_instance};
 
 use crate::protocol::{
-    EventFrame, Frame, FrameBuf, MetricsFormat, MetricsScope, OpenKind, ProfileFormat, ProtoError,
-    Reply, Request, TracedRequest, DEFAULT_MAX_PAYLOAD_LINES, WATCH_ALL,
+    EventFrame, Frame, FrameBuf, MetricsFormat, OpenKind, ProfileFormat, ProtoError, Reply,
+    Request, TracedRequest, DEFAULT_MAX_PAYLOAD_LINES, WATCH_ALL,
 };
 
 /// Why a client call failed.
@@ -52,7 +52,7 @@ impl From<ProtoError> for ClientError {
     }
 }
 
-/// A connected client speaking `mcfs-wire v1.5`.
+/// A connected client speaking `mcfs-wire v1.6`.
 ///
 /// Once a `WATCH` is active the server interleaves single-line `event`
 /// frames with replies; every read path here goes through
@@ -70,11 +70,6 @@ pub struct Client {
     pending_events: std::collections::VecDeque<EventFrame>,
     /// Reusable line storage for frame reads.
     frame_buf: FrameBuf,
-    /// Persistent trace context: every request sent through this client is
-    /// stamped `trace=<id>` (and `parent=<span>` when set) until cleared.
-    /// This is how a coordinator threads one distributed trace through a
-    /// whole federated conversation without touching each typed helper.
-    ctx: Option<(u64, Option<u64>)>,
 }
 
 impl Client {
@@ -89,7 +84,6 @@ impl Client {
             max_payload: DEFAULT_MAX_PAYLOAD_LINES,
             pending_events: std::collections::VecDeque::new(),
             frame_buf: FrameBuf::new(),
-            ctx: None,
         };
         let mut greeting = String::new();
         client.reader.read_line(&mut greeting)?;
@@ -121,27 +115,9 @@ impl Client {
         }
     }
 
-    /// Set a persistent trace context: until [`Client::clear_context`],
-    /// every request (including the typed helpers) carries `trace=<trace>`
-    /// and, when given, `parent=<span>`. Peers then record their handling
-    /// spans under the caller's trace, parented beneath the caller's RPC
-    /// span — the propagation half of distributed tracing.
-    pub fn set_context(&mut self, trace: u64, parent: Option<u64>) {
-        self.ctx = Some((trace, parent));
-    }
-
-    /// Drop the persistent trace context; later requests go out untraced.
-    pub fn clear_context(&mut self) {
-        self.ctx = None;
-    }
-
     /// Send one request and block for its reply. This is the primitive the
-    /// typed helpers below are built on. A context installed via
-    /// [`Client::set_context`] is stamped onto the frame here.
+    /// typed helpers below are built on.
     pub fn request(&mut self, request: &Request) -> Result<Reply, ClientError> {
-        if let Some((trace, parent)) = self.ctx {
-            return self.request_ctx(request, trace, parent);
-        }
         request.write_to(&mut self.writer)?;
         self.writer.flush()?;
         self.read_reply()
@@ -151,24 +127,9 @@ impl Client {
     /// request's span tree under that id and echoes `trace=<id>` on
     /// structured replies. Mint ids with [`mcfs_obs::next_trace_id`].
     pub fn request_traced(&mut self, request: &Request, trace: u64) -> Result<Reply, ClientError> {
-        self.request_ctx(request, trace, None)
-    }
-
-    /// Send one request stamped with `trace=<id>` and, when `parent` is
-    /// set, `parent=<span-id>` — the cross-process propagation shape: the
-    /// receiving server parents its root `server.request` span under
-    /// `parent`, so a coordinator's RPC span encloses the peer's whole
-    /// handling subtree once spliced by `TRACE remote=1`.
-    pub fn request_ctx(
-        &mut self,
-        request: &Request,
-        trace: u64,
-        parent: Option<u64>,
-    ) -> Result<Reply, ClientError> {
         let framed = TracedRequest {
             request: request.clone(),
             trace: Some(trace),
-            parent,
         };
         framed.write_to(&mut self.writer)?;
         self.writer.flush()?;
@@ -279,46 +240,8 @@ impl Client {
     pub fn solve(&mut self, session: &str) -> Result<Reply, ClientError> {
         self.expect_ok(&Request::Solve {
             session: session.to_owned(),
-            shards: None,
             deadline_ms: None,
         })
-    }
-
-    /// `SOLVE shards=<n>`: a cluster solve — the server partitions the
-    /// instance into up to `shards` shards, solves them concurrently
-    /// (in-process or federated across its peers), and reconciles. Extra
-    /// reply kvs: `shards`, `strategy`, `recovered`, `gap_bound_ppm`.
-    pub fn solve_sharded(&mut self, session: &str, shards: u32) -> Result<Reply, ClientError> {
-        self.expect_ok(&Request::Solve {
-            session: session.to_owned(),
-            shards: Some(shards),
-            deadline_ms: None,
-        })
-    }
-
-    /// `SHARD`: preview how the session's instance would partition into up
-    /// to `shards` shards (server default when `None`), without solving.
-    pub fn shard_preview(
-        &mut self,
-        session: &str,
-        shards: Option<u32>,
-    ) -> Result<Reply, ClientError> {
-        self.expect_ok(&Request::Shard {
-            session: session.to_owned(),
-            shards,
-            deadline_ms: None,
-        })
-    }
-
-    /// `MERGE`: the last cluster solve's reconciliation report as
-    /// `key value` lines (strategy, per-shard objectives, lower bound,
-    /// boundary rewires).
-    pub fn merge_report(&mut self, session: &str) -> Result<Vec<String>, ClientError> {
-        let reply = self.expect_ok(&Request::Merge {
-            session: session.to_owned(),
-            deadline_ms: None,
-        })?;
-        Ok(reply.payload().to_vec())
     }
 
     /// `ASSIGNMENT`: fetch and parse the current solution.
@@ -363,7 +286,6 @@ impl Client {
         let reply = self.request_traced(
             &Request::Solve {
                 session: session.to_owned(),
-                shards: None,
                 deadline_ms: None,
             },
             trace,
@@ -400,7 +322,6 @@ impl Client {
             session: session.to_owned(),
             n,
             back,
-            remote: false,
             deadline_ms: None,
         })?;
         let spans: Option<Vec<_>> = reply
@@ -409,57 +330,6 @@ impl Client {
             .map(|line| mcfs_obs::span_from_wire_line(line))
             .collect();
         spans.ok_or(ClientError::Rejected(reply))
-    }
-
-    /// `TRACE remote=1`: the distributed trace — the coordinator's spans
-    /// plus every configured peer's subtree, clock-rebased and spliced
-    /// into one tree. Returns the spans and the full reply (kvs: `peers`,
-    /// `spliced`, optionally `truncated=1`).
-    pub fn trace_spans_remote(
-        &mut self,
-        session: &str,
-        back: Option<usize>,
-    ) -> Result<(Vec<mcfs_obs::SpanRecord>, Reply), ClientError> {
-        let reply = self.expect_ok(&Request::Trace {
-            session: session.to_owned(),
-            n: None,
-            back,
-            remote: true,
-            deadline_ms: None,
-        })?;
-        let spans: Option<Vec<_>> = reply
-            .payload()
-            .iter()
-            .map(|line| mcfs_obs::span_from_wire_line(line))
-            .collect();
-        match spans {
-            Some(spans) => Ok((spans, reply)),
-            None => Err(ClientError::Rejected(reply)),
-        }
-    }
-
-    /// `SPANS of=<trace>`: this server's retained spans of one trace id,
-    /// plus the server's `now=<ns>` clock sample (its monotonic trace
-    /// clock, sampled while handling the request — the peer half of the
-    /// coordinator's clock-offset handshake).
-    pub fn spans_of(
-        &mut self,
-        trace: u64,
-    ) -> Result<(u64, Vec<mcfs_obs::SpanRecord>), ClientError> {
-        let reply = self.expect_ok(&Request::Spans { of: trace })?;
-        let now = reply
-            .kv("now")
-            .and_then(|v| v.parse::<u64>().ok())
-            .ok_or_else(|| ClientError::Rejected(reply.clone()))?;
-        let spans: Option<Vec<_>> = reply
-            .payload()
-            .iter()
-            .map(|line| mcfs_obs::span_from_wire_line(line))
-            .collect();
-        match spans {
-            Some(spans) => Ok((now, spans)),
-            None => Err(ClientError::Rejected(reply)),
-        }
     }
 
     /// `DUMP`: drain the session's flight-recorder ring as JSONL lines
@@ -477,7 +347,6 @@ impl Client {
     pub fn metrics(&mut self) -> Result<Vec<String>, ClientError> {
         let reply = self.expect_ok(&Request::Metrics {
             format: MetricsFormat::Kv,
-            scope: MetricsScope::Local,
         })?;
         Ok(reply.payload().to_vec())
     }
@@ -487,46 +356,20 @@ impl Client {
     pub fn metrics_prometheus(&mut self) -> Result<String, ClientError> {
         let reply = self.expect_ok(&Request::Metrics {
             format: MetricsFormat::Prometheus,
-            scope: MetricsScope::Local,
         })?;
         let mut text = reply.payload().join("\n");
         text.push('\n');
         Ok(text)
     }
 
-    /// `METRICS scope=cluster`: this server's registry merged with every
-    /// configured peer's, in the requested format. Peer cells carry a
-    /// `peer=<addr>` label (the coordinator itself is `peer=local`);
-    /// counter and histogram cells are additionally folded into unlabeled
-    /// aggregate cells.
-    pub fn metrics_cluster(&mut self, format: MetricsFormat) -> Result<Reply, ClientError> {
-        self.expect_ok(&Request::Metrics {
-            format,
-            scope: MetricsScope::Cluster,
-        })
-    }
-
-    /// `METRICS format=snapshot`: the server's registry as lossless
-    /// [`mcfs_obs::RegistrySnapshot`] wire lines, parsed.
-    pub fn metrics_snapshot(&mut self) -> Result<mcfs_obs::RegistrySnapshot, ClientError> {
-        let reply = self.expect_ok(&Request::Metrics {
-            format: MetricsFormat::Snapshot,
-            scope: MetricsScope::Local,
-        })?;
-        mcfs_obs::RegistrySnapshot::from_wire_lines(reply.payload())
-            .map_err(|_| ClientError::Rejected(reply))
-    }
-
     /// `PROFILE * format=folded`: the server's cumulative span-path
     /// profile, parsed into a [`mcfs_obs::ProfileSnapshot`] (merged table
-    /// only — per-thread detail stays server-side). This is the unit the
-    /// coordinator's `scope=cluster` fan-out merges.
+    /// only — per-thread detail stays server-side).
     pub fn profile_snapshot(&mut self) -> Result<mcfs_obs::ProfileSnapshot, ClientError> {
         let reply = self.expect_ok(&Request::Profile {
             session: WATCH_ALL.to_owned(),
             secs: 0,
             format: ProfileFormat::Folded,
-            scope: MetricsScope::Local,
         })?;
         let kv_u64 = |key: &str| reply.kv(key).and_then(|v| v.parse::<u64>().ok());
         match mcfs_obs::ProfileSnapshot::from_folded_lines(reply.payload()) {
@@ -540,21 +383,19 @@ impl Client {
         }
     }
 
-    /// `PROFILE` with full control over the target, window, format and
-    /// scope; returns the raw reply (payload = folded lines or one
-    /// speedscope JSON document).
+    /// `PROFILE` with full control over the target, window and format;
+    /// returns the raw reply (payload = folded lines or one speedscope JSON
+    /// document).
     pub fn profile(
         &mut self,
         session: &str,
         secs: u64,
         format: ProfileFormat,
-        scope: MetricsScope,
     ) -> Result<Reply, ClientError> {
         self.expect_ok(&Request::Profile {
             session: session.to_owned(),
             secs,
             format,
-            scope,
         })
     }
 }

@@ -1,12 +1,10 @@
 //! A minimal Prometheus scrape endpoint: `GET /metrics` over plain
-//! `std::net`, no HTTP library. `GET /metrics?scope=cluster` fans out to
-//! the server's configured peers and serves the merged cluster registry
-//! (same merge as the `METRICS scope=cluster` wire verb).
+//! `std::net`, no HTTP library.
 //!
 //! The same listener also serves the continuous profiler: `GET /profile`
 //! returns the folded span-path table (`?format=speedscope` for a
-//! speedscope JSON document, `?scope=cluster` for the peer-merged view) —
-//! `curl :PORT/profile | flamegraph.pl` away from a flamegraph.
+//! speedscope JSON document) — `curl :PORT/profile | flamegraph.pl` away
+//! from a flamegraph.
 //!
 //! Scrapers send one small request and read one response, so a
 //! deliberately tiny HTTP/1.0-style server is enough: parse the request
@@ -36,14 +34,9 @@ pub struct MetricsHttpHandle {
 
 impl MetricsHttpHandle {
     /// Bind `addr` and serve `metrics` as Prometheus text on
-    /// `GET /metrics` until shutdown; `?scope=cluster` merges in the
-    /// registries of `peers`. Returns the handle; read the bound address
-    /// (useful with port 0) off it.
-    pub fn serve(
-        metrics: Arc<Metrics>,
-        peers: Vec<String>,
-        addr: &str,
-    ) -> io::Result<MetricsHttpHandle> {
+    /// `GET /metrics` until shutdown. Returns the handle; read the bound
+    /// address (useful with port 0) off it.
+    pub fn serve(metrics: Arc<Metrics>, addr: &str) -> io::Result<MetricsHttpHandle> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -58,7 +51,7 @@ impl MetricsHttpHandle {
                     let Ok(stream) = stream else { continue };
                     // A misbehaving scraper must not wedge the loop.
                     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-                    let _ = answer(stream, &metrics, &peers);
+                    let _ = answer(stream, &metrics);
                 }
             })?;
         Ok(MetricsHttpHandle {
@@ -96,7 +89,7 @@ impl Drop for MetricsHttpHandle {
 }
 
 /// Serve one connection: one request, one response, close.
-fn answer(stream: TcpStream, metrics: &Metrics, peers: &[String]) -> io::Result<()> {
+fn answer(stream: TcpStream, metrics: &Metrics) -> io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
     if reader.read_line(&mut line)? == 0 {
@@ -119,21 +112,13 @@ fn answer(stream: TcpStream, metrics: &Metrics, peers: &[String]) -> io::Result<
         None => (path, ""),
     };
     let (status, content_type, body) = match (method, route, query) {
-        ("GET", "/metrics", "" | "scope=local") => {
-            ("200 OK", CONTENT_TYPE, metrics.to_prometheus())
-        }
-        ("GET", "/metrics", "scope=cluster") => {
-            match crate::metrics::cluster_snapshot(metrics, peers) {
-                Ok(merged) => ("200 OK", CONTENT_TYPE, merged.to_prometheus()),
-                Err(e) => ("502 Bad Gateway", "text/plain", format!("{e}\n")),
-            }
-        }
+        ("GET", "/metrics", "") => ("200 OK", CONTENT_TYPE, metrics.to_prometheus()),
         ("GET", "/metrics", _) => (
             "400 Bad Request",
             "text/plain",
-            "unknown query; try ?scope=local or ?scope=cluster\n".to_owned(),
+            "/metrics takes no query\n".to_owned(),
         ),
-        ("GET", "/profile", q) => match profile_body(q, peers) {
+        ("GET", "/profile", q) => match profile_body(q) {
             Ok((content_type, body)) => ("200 OK", content_type, body),
             Err(msg) => ("400 Bad Request", "text/plain", msg),
         },
@@ -153,27 +138,22 @@ fn answer(stream: TcpStream, metrics: &Metrics, peers: &[String]) -> io::Result<
     stream.flush()
 }
 
-/// Render the `GET /profile` body for a query string. Accepted keys:
-/// `format=folded|speedscope` and `scope=local|cluster`, `&`-joined in any
-/// order. Cumulative table only (windowing is the wire verb's `secs=`).
-fn profile_body(query: &str, peers: &[String]) -> Result<(&'static str, String), String> {
+/// Render the `GET /profile` body for a query string. The one accepted
+/// key is `format=folded|speedscope`. Cumulative table only (windowing is
+/// the wire verb's `secs=`).
+fn profile_body(query: &str) -> Result<(&'static str, String), String> {
     let mut format = "folded";
-    let mut scope = "local";
     for part in query.split('&').filter(|p| !p.is_empty()) {
         match part.split_once('=') {
             Some(("format", v @ ("folded" | "speedscope"))) => format = v,
-            Some(("scope", v @ ("local" | "cluster"))) => scope = v,
             _ => {
                 return Err(format!(
-                    "unknown query {part:?}; try ?format=folded|speedscope&scope=local|cluster\n"
+                    "unknown query {part:?}; try ?format=folded|speedscope\n"
                 ))
             }
         }
     }
-    let snap = match scope {
-        "cluster" => crate::metrics::cluster_profile(peers, 0).0,
-        _ => mcfs_obs::profile::snapshot(),
-    };
+    let snap = mcfs_obs::profile::snapshot();
     Ok(match format {
         "speedscope" => (
             "application/json; charset=utf-8",
@@ -202,8 +182,7 @@ mod tests {
     fn scrape_endpoint_serves_prometheus_text() {
         let metrics = Arc::new(Metrics::new());
         metrics.record_request(Verb::Solve, Outcome::Ok, None);
-        let handle =
-            MetricsHttpHandle::serve(Arc::clone(&metrics), Vec::new(), "127.0.0.1:0").unwrap();
+        let handle = MetricsHttpHandle::serve(Arc::clone(&metrics), "127.0.0.1:0").unwrap();
         let addr = handle.addr();
 
         let response = get(addr, "/metrics");
@@ -211,17 +190,11 @@ mod tests {
         assert!(response.contains("Content-Type: text/plain; version=0.0.4"));
         assert!(response.contains("mcfs_server_requests_total{verb=\"solve\",outcome=\"ok\"} 1\n"));
 
-        // With no peers, the cluster scope is just the local registry
-        // re-labeled `peer="local"`.
-        let cluster = get(addr, "/metrics?scope=cluster");
-        assert!(cluster.starts_with("HTTP/1.0 200 OK\r\n"), "{cluster}");
-        assert!(
-            cluster.contains("peer=\"local\""),
-            "cluster view lacks the local peer label: {cluster}"
-        );
-
-        let bad = get(addr, "/metrics?scope=galaxy");
-        assert!(bad.starts_with("HTTP/1.0 400"), "{bad}");
+        // `/metrics` takes no query.
+        for query in ["scope=cluster", "scope=galaxy"] {
+            let bad = get(addr, &format!("/metrics?{query}"));
+            assert!(bad.starts_with("HTTP/1.0 400"), "{bad}");
+        }
 
         let missing = get(addr, "/nope");
         assert!(missing.starts_with("HTTP/1.0 404"), "{missing}");
@@ -238,13 +211,10 @@ mod tests {
         );
         assert!(speedscope.contains("Content-Type: application/json"));
         assert!(speedscope.contains("speedscope.app/file-format-schema.json"));
-        let cluster_prof = get(addr, "/profile?scope=cluster");
-        assert!(
-            cluster_prof.starts_with("HTTP/1.0 200 OK\r\n"),
-            "{cluster_prof}"
-        );
-        let bad_prof = get(addr, "/profile?format=xml");
-        assert!(bad_prof.starts_with("HTTP/1.0 400"), "{bad_prof}");
+        for query in ["format=xml", "scope=cluster"] {
+            let bad = get(addr, &format!("/profile?{query}"));
+            assert!(bad.starts_with("HTTP/1.0 400"), "{bad}");
+        }
 
         handle.shutdown();
         // The port is released once shutdown returns.

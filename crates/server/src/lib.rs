@@ -50,7 +50,6 @@
 //! ```
 
 pub mod client;
-mod federate;
 pub mod http;
 pub mod metrics;
 pub mod pipe;
@@ -63,9 +62,8 @@ pub use client::{Client, ClientError};
 pub use http::MetricsHttpHandle;
 pub use metrics::{Metrics, Outcome};
 pub use protocol::{
-    ErrorCode, EventBody, EventFrame, Frame, FrameBuf, MetricsFormat, MetricsScope, OpenKind,
-    ProfileFormat, ProtoError, Reply, Request, TracedRequest, Verb, MAX_PROFILE_SECS, WATCH_ALL,
-    WIRE_VERSION,
+    ErrorCode, EventBody, EventFrame, Frame, FrameBuf, MetricsFormat, OpenKind, ProfileFormat,
+    ProtoError, Reply, Request, TracedRequest, Verb, MAX_PROFILE_SECS, WATCH_ALL, WIRE_VERSION,
 };
 pub use server::{ServerConfig, ServerHandle};
 pub use session::Session;

@@ -309,96 +309,6 @@ impl Metrics {
         out.push_str(&Registry::global().render_prometheus());
         out
     }
-
-    /// A mergeable snapshot of everything [`Metrics::to_prometheus`]
-    /// exposes: this server's registry plus the process-global families.
-    /// This is the payload of `METRICS format=snapshot` and the unit
-    /// cluster-scope federation merges.
-    pub fn snapshot(&self) -> mcfs_obs::RegistrySnapshot {
-        let mut snap = self.registry.snapshot();
-        // Family names are disjoint by prefix (`mcfs_server_*` here vs the
-        // solver-side families), so a plain union suffices.
-        for (name, family) in Registry::global().snapshot().families {
-            snap.families.entry(name).or_insert(family);
-        }
-        snap
-    }
-}
-
-/// Fan `METRICS format=snapshot` out to every peer in `peers` and merge the
-/// replies — plus `metrics`' own snapshot, as `peer=local` — into one
-/// cluster-wide registry view. Shared by the `METRICS scope=cluster` wire
-/// path and the `GET /metrics?scope=cluster` scrape endpoint.
-pub(crate) fn cluster_snapshot(
-    metrics: &Metrics,
-    peers: &[String],
-) -> Result<mcfs_obs::RegistrySnapshot, String> {
-    let mut merged = mcfs_obs::RegistrySnapshot::default();
-    merged
-        .merge_labeled("local", &metrics.snapshot())
-        .map_err(|e| format!("merging local registry: {e}"))?;
-    for peer in peers {
-        let snap = crate::client::Client::connect_tcp(peer)
-            .and_then(|mut c| c.metrics_snapshot())
-            .map_err(|e| format!("peer {peer}: {e}"))?;
-        merged
-            .merge_labeled(peer, &snap)
-            .map_err(|e| format!("peer {peer}: {e}"))?;
-    }
-    Ok(merged)
-}
-
-/// Collect a cluster-wide profile: this process's folded table merged with
-/// every reachable peer's under `peer=<addr>` lanes (the coordinator is
-/// `peer=local`). Returns the merged snapshot plus how many peers
-/// contributed.
-///
-/// Unlike [`cluster_snapshot`], an unreachable peer is *skipped*, not an
-/// error — a profile is exactly the tool one reaches for while part of the
-/// cluster is misbehaving, so it degrades like remote trace splicing does.
-///
-/// With `secs > 0` the window is computed per process: each peer's
-/// cumulative table is fetched once before the wait and once after, and
-/// the per-peer difference is merged, so every lane covers the same wall
-/// window regardless of when each peer booted. A peer must answer both
-/// fetches to contribute.
-pub(crate) fn cluster_profile(peers: &[String], secs: u64) -> (mcfs_obs::ProfileSnapshot, usize) {
-    let fetch = |peer: &String| {
-        crate::client::Client::connect_tcp(peer)
-            .and_then(|mut c| c.profile_snapshot())
-            .ok()
-    };
-    let local_before = mcfs_obs::profile::snapshot();
-    let peers_before: Vec<Option<mcfs_obs::ProfileSnapshot>> = peers.iter().map(fetch).collect();
-    let (local, peer_snaps) = if secs == 0 {
-        (local_before, peers_before)
-    } else {
-        std::thread::sleep(Duration::from_secs(secs));
-        let local = mcfs_obs::profile::snapshot().diff(&local_before);
-        let peer_snaps = peers
-            .iter()
-            .zip(peers_before)
-            .map(|(peer, before)| Some(fetch(peer)?.diff(&before?)))
-            .collect();
-        (local, peer_snaps)
-    };
-    let mut merged = mcfs_obs::ProfileSnapshot {
-        rate_hz: local.rate_hz,
-        ..Default::default()
-    };
-    merged
-        .merge_labeled("local", &local)
-        .expect("local profile lanes cannot carry peer= prefixes");
-    let mut peers_ok = 0usize;
-    for (peer, snap) in peers.iter().zip(peer_snaps) {
-        let Some(snap) = snap else { continue };
-        // A peer whose table violates the merge rules (e.g. smuggles a
-        // peer= lane) is treated like an unreachable one.
-        if merged.merge_labeled(peer, &snap).is_ok() {
-            peers_ok += 1;
-        }
-    }
-    (merged, peers_ok)
 }
 
 #[cfg(test)]

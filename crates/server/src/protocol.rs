@@ -1,4 +1,4 @@
-//! The `mcfs-wire v1.5` protocol: a line-oriented, versioned request/reply
+//! The `mcfs-wire v1.6` protocol: a line-oriented, versioned request/reply
 //! format in the style of the `mcfs-io` file formats (plain text, strict
 //! parsing, line-numbered errors).
 //!
@@ -15,24 +15,18 @@
 //! ```text
 //! request  := "OPEN" session ("instance" | "checkpoint") "lines=" n payload
 //!           | "EDIT" session "lines=" n ["deadline_ms=" d] payload
-//!           | "SOLVE" session ["shards=" n] ["deadline_ms=" d]
+//!           | "SOLVE" session ["deadline_ms=" d]
 //!           | "ASSIGNMENT" session
 //!           | "STATS" session
 //!           | "SNAPSHOT" session ["deadline_ms=" d]
 //!           | "CLOSE" session
-//!           | "METRICS" ["format=" ("kv" | "prometheus" | "snapshot")]
-//!                       ["scope=" ("local" | "cluster")]
-//!           | "TRACE" session ["n=" k] ["back=" j] ["remote=" (0|1)]
-//!                     ["deadline_ms=" d]
+//!           | "METRICS" ["format=" ("kv" | "prometheus")]
+//!           | "TRACE" session ["n=" k] ["back=" j] ["deadline_ms=" d]
 //!           | "WATCH" (session | "*") ["buffer=" b]
 //!           | "UNWATCH" (session | "*")
-//!           | "SHARD" session ["shards=" n] ["deadline_ms=" d]
-//!           | "MERGE" session ["deadline_ms=" d]
 //!           | "DUMP" session ["deadline_ms=" d]
-//!           | "SPANS" "of=" t
 //!           | "PROFILE" (session | "*") ["secs=" n]
 //!                       ["format=" ("folded" | "speedscope")]
-//!                       ["scope=" ("local" | "cluster")]
 //!
 //! reply    := "ok" verb {key "=" value} ["lines=" n payload]
 //!           | "busy" {key "=" value}
@@ -62,45 +56,23 @@
 //! `dropped=<n>` marker form reports events lost to the watcher's bounded
 //! buffer (`n` counts losses since the previous marker or the `WATCH`).
 //!
-//! # Cluster verbs (wire v1.2)
+//! # Flight recorder (wire v1.3) and profiling (wire v1.4)
 //!
-//! `SOLVE <session> shards=<n>` asks for a *cluster* solve: the server
-//! partitions the session's instance into up to `n` shards, solves them
-//! concurrently (in-process, or federated across its configured peer
-//! servers), and reconciles — the reply carries the usual solve kvs plus
-//! `shards=` and a certified `gap_bound_ppm=`. `SHARD <session>
-//! [shards=<n>]` previews the partition without solving; `MERGE <session>`
-//! reports the last cluster solve's reconciliation (strategy, per-shard
-//! objectives, lower bound, boundary rewires).
+//! `DUMP <session>` drains the session's flight-recorder ring as JSONL
+//! payload lines. `PROFILE <session|*>` answers inline with the continuous
+//! profiler's folded span-path table: cumulative by default, or only the
+//! samples of a `secs=<n>` window.
 //!
-//! # Cluster observability (wire v1.3)
+//! # Removed verbs and attributes (wire v1.5, v1.6)
 //!
-//! A traced request may also carry `parent=<span-id>`: the server then
-//! parents the request's root span under that id instead of making it a
-//! trace root, which is how a coordinator's federated conversation nests a
-//! peer's spans under its own RPC span. `SPANS of=<t>` returns every span
-//! this process retains for trace `t` (the coordinator's collection path
-//! for `TRACE ... remote=1`), plus a `now=<ns>` sample of the answering
-//! process's trace clock — the reply half of the two-sample clock-offset
-//! handshake. `METRICS scope=cluster` fans out to the server's configured
-//! peers and answers with the merged cluster registry; `format=snapshot`
-//! is the machine-readable registry encoding
-//! ([`mcfs_obs::RegistrySnapshot`] wire lines) that the fan-out itself
-//! travels in. `DUMP <session>` drains the session's flight-recorder ring
-//! as JSONL payload lines.
-//!
-//! # Profiling (wire v1.4)
-//!
-//! `PROFILE <session|*>` answers inline with the continuous profiler's
-//! folded span-path table: cumulative by default, or only the samples of
-//! a `secs=<n>` window; `scope=cluster` merges each peer's table under
-//! `peer=<addr>` lanes.
-//!
-//! # Wire v1.5
-//!
-//! `OPEN` lost its `backend` attribute: every oracle row is filled by the
-//! one arena search, so there is nothing to select, and the key is now an
-//! unknown attribute like any other.
+//! v1.5 removed `OPEN`'s `backend` attribute: every oracle row is filled
+//! by the one arena search, so there is nothing to select. v1.6 removed
+//! the sharded and federated solve path and its cross-process
+//! observability: the `SHARD`, `MERGE` and `SPANS` verbs, the `shards=`,
+//! `remote=`, `of=` and `parent=` attributes, `scope=` on `METRICS` and
+//! `PROFILE`, and `METRICS format=snapshot`. Each is now an unknown verb,
+//! attribute or format like any other: a non-fatal `err proto`, after
+//! which the connection keeps serving.
 //!
 //! `OPEN` payloads are verbatim `mcfs-instance v1` / `mcfs-checkpoint v1`
 //! blocks (the `mcfs-io` formats, reused as-is); `EDIT` payloads are typed
@@ -110,10 +82,12 @@
 //!
 //! Malformed frames yield a structured [`ProtoError`] carrying the
 //! frame-relative line number — never a panic: the server feeds raw client
-//! bytes into this parser. Errors that desynchronize the framing (truncated
-//! payloads, I/O failures) are marked [`ProtoError::fatal`] so the
-//! connection loop knows to hang up instead of misparsing the remainder of
-//! the stream.
+//! bytes into this parser. The payload a verb line announces is consumed
+//! before the verb line is judged, so a rejected frame never leaves its
+//! payload behind to be read as requests. Errors that desynchronize the
+//! framing (truncated payloads, I/O failures) are marked
+//! [`ProtoError::fatal`] so the connection loop knows to hang up instead of
+//! misparsing the remainder of the stream.
 
 use std::io::{self, BufRead, Write};
 
@@ -121,7 +95,7 @@ use mcfs::Edit;
 use mcfs_graph::NodeId;
 
 /// Greeting line the server sends on connect; also the protocol version.
-pub const WIRE_VERSION: &str = "mcfs-wire v1.5";
+pub const WIRE_VERSION: &str = "mcfs-wire v1.6";
 
 /// The `WATCH`/`UNWATCH` target meaning "every session" (`WATCH *`).
 pub const WATCH_ALL: &str = "*";
@@ -134,7 +108,7 @@ pub const MAX_SESSION_NAME: usize = 64;
 /// cannot commit the server to an unbounded allocation.
 pub const DEFAULT_MAX_PAYLOAD_LINES: usize = 1 << 20;
 
-/// The sixteen request verbs.
+/// The thirteen request verbs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Verb {
     /// Create a session from an instance or checkpoint payload.
@@ -159,22 +133,15 @@ pub enum Verb {
     Watch,
     /// Cancel a `WATCH` subscription on this connection.
     Unwatch,
-    /// Preview the cluster partition of a session's instance.
-    Shard,
-    /// Report the last cluster solve's reconciliation.
-    Merge,
     /// Drain a session's flight-recorder ring as JSONL.
     Dump,
-    /// Fetch this process's retained spans of one trace id, with a clock
-    /// sample (the peer half of remote trace collection).
-    Spans,
     /// Fetch the continuous profiler's folded span-path table.
     Profile,
 }
 
 impl Verb {
     /// Every verb, in wire order.
-    pub const ALL: [Verb; 16] = [
+    pub const ALL: [Verb; 13] = [
         Verb::Open,
         Verb::Edit,
         Verb::Solve,
@@ -186,10 +153,7 @@ impl Verb {
         Verb::Trace,
         Verb::Watch,
         Verb::Unwatch,
-        Verb::Shard,
-        Verb::Merge,
         Verb::Dump,
-        Verb::Spans,
         Verb::Profile,
     ];
 
@@ -207,10 +171,7 @@ impl Verb {
             Verb::Trace => "trace",
             Verb::Watch => "watch",
             Verb::Unwatch => "unwatch",
-            Verb::Shard => "shard",
-            Verb::Merge => "merge",
             Verb::Dump => "dump",
-            Verb::Spans => "spans",
             Verb::Profile => "profile",
         }
     }
@@ -229,10 +190,7 @@ impl Verb {
             Verb::Trace => "TRACE",
             Verb::Watch => "WATCH",
             Verb::Unwatch => "UNWATCH",
-            Verb::Shard => "SHARD",
-            Verb::Merge => "MERGE",
             Verb::Dump => "DUMP",
-            Verb::Spans => "SPANS",
             Verb::Profile => "PROFILE",
         }
     }
@@ -286,13 +244,10 @@ pub enum Request {
         /// Queued-request deadline, milliseconds from admission.
         deadline_ms: Option<u64>,
     },
-    /// `SOLVE <session> [shards=<n>] [deadline_ms=<d>]`.
+    /// `SOLVE <session> [deadline_ms=<d>]`.
     Solve {
         /// Target session name.
         session: String,
-        /// Requested shard count for a cluster solve; `None` keeps the
-        /// plain single-instance solve path.
-        shards: Option<u32>,
         /// Queued-request deadline, milliseconds from admission.
         deadline_ms: Option<u64>,
     },
@@ -318,15 +273,12 @@ pub enum Request {
         /// Target session name.
         session: String,
     },
-    /// `METRICS [format=kv|prometheus|snapshot] [scope=local|cluster]`.
+    /// `METRICS [format=kv|prometheus]`.
     Metrics {
         /// Requested exposition format.
         format: MetricsFormat,
-        /// Which registries to expose: this process only, or this process
-        /// merged with every configured peer's.
-        scope: MetricsScope,
     },
-    /// `TRACE <session> [n=<k>] [back=<j>] [remote=0|1] [deadline_ms=<d>]`.
+    /// `TRACE <session> [n=<k>] [back=<j>] [deadline_ms=<d>]`.
     Trace {
         /// Target session name.
         session: String,
@@ -336,10 +288,6 @@ pub enum Request {
         /// Steps back through the session's ring of traced requests;
         /// `None`/`Some(0)` = the most recent.
         back: Option<usize>,
-        /// When true, the coordinator also pulls each configured peer's
-        /// span subtree (`SPANS of=`) and splices it, clock-rebased, into
-        /// one distributed trace.
-        remote: bool,
         /// Queued-request deadline, milliseconds from admission.
         deadline_ms: Option<u64>,
     },
@@ -356,22 +304,6 @@ pub enum Request {
         /// The `WATCH` target to cancel.
         session: String,
     },
-    /// `SHARD <session> [shards=<n>] [deadline_ms=<d>]`.
-    Shard {
-        /// Target session name.
-        session: String,
-        /// Requested shard count; `None` = the server default.
-        shards: Option<u32>,
-        /// Queued-request deadline, milliseconds from admission.
-        deadline_ms: Option<u64>,
-    },
-    /// `MERGE <session> [deadline_ms=<d>]`.
-    Merge {
-        /// Target session name.
-        session: String,
-        /// Queued-request deadline, milliseconds from admission.
-        deadline_ms: Option<u64>,
-    },
     /// `DUMP <session> [deadline_ms=<d>]` — drain the session's
     /// flight-recorder ring as JSONL payload lines.
     Dump {
@@ -380,19 +312,13 @@ pub enum Request {
         /// Queued-request deadline, milliseconds from admission.
         deadline_ms: Option<u64>,
     },
-    /// `SPANS of=<t>` — return this process's retained spans of trace `t`
-    /// plus a `now=<ns>` clock sample. Sessionless; answered inline.
-    Spans {
-        /// The trace id whose retained spans to return.
-        of: u64,
-    },
-    /// `PROFILE <session|*> [secs=<n>] [format=folded|speedscope]
-    /// [scope=local|cluster]` — fetch the continuous profiler's folded
-    /// span-path table. The profiler is process-scoped, so the target only
-    /// selects addressing: `*` asks the process outright, while a session
-    /// name additionally checks that the session exists (typo safety for
-    /// tooling). Answered inline, never queued — a profile must be
-    /// obtainable while every worker is saturated.
+    /// `PROFILE <session|*> [secs=<n>] [format=folded|speedscope]` — fetch
+    /// the continuous profiler's folded span-path table. The profiler is
+    /// process-scoped, so the target only selects addressing: `*` asks the
+    /// process outright, while a session name additionally checks that the
+    /// session exists (typo safety for tooling). Answered inline, never
+    /// queued — a profile must be obtainable while every worker is
+    /// saturated.
     Profile {
         /// Target session name, or [`WATCH_ALL`] for the whole process.
         session: String,
@@ -403,9 +329,6 @@ pub enum Request {
         secs: u64,
         /// Requested output rendering.
         format: ProfileFormat,
-        /// This process only, or merged with every configured peer's
-        /// profile under `peer=<addr>` lanes.
-        scope: MetricsScope,
     },
 }
 
@@ -451,9 +374,6 @@ pub enum MetricsFormat {
     Kv,
     /// Prometheus text exposition (version 0.0.4), one metric per line.
     Prometheus,
-    /// [`mcfs_obs::RegistrySnapshot`] wire lines — lossless, mergeable;
-    /// what cluster-scope fan-out uses between processes.
-    Snapshot,
 }
 
 impl MetricsFormat {
@@ -462,7 +382,6 @@ impl MetricsFormat {
         match self {
             MetricsFormat::Kv => "kv",
             MetricsFormat::Prometheus => "prometheus",
-            MetricsFormat::Snapshot => "snapshot",
         }
     }
 
@@ -470,37 +389,6 @@ impl MetricsFormat {
         match s {
             "kv" => Some(MetricsFormat::Kv),
             "prometheus" => Some(MetricsFormat::Prometheus),
-            "snapshot" => Some(MetricsFormat::Snapshot),
-            _ => None,
-        }
-    }
-}
-
-/// `METRICS` scopes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MetricsScope {
-    /// This process's registries only (the default).
-    #[default]
-    Local,
-    /// This process merged with every configured peer's registry, each
-    /// peer's cells labeled `peer=<addr>` (the coordinator itself appears
-    /// as `peer=local`).
-    Cluster,
-}
-
-impl MetricsScope {
-    /// The wire token used in `scope=<token>`.
-    pub fn token(self) -> &'static str {
-        match self {
-            MetricsScope::Local => "local",
-            MetricsScope::Cluster => "cluster",
-        }
-    }
-
-    fn from_token(s: &str) -> Option<MetricsScope> {
-        match s {
-            "local" => Some(MetricsScope::Local),
-            "cluster" => Some(MetricsScope::Cluster),
             _ => None,
         }
     }
@@ -517,11 +405,6 @@ pub struct TracedRequest {
     pub request: Request,
     /// Client-chosen trace id, if the frame carried `trace=`.
     pub trace: Option<u64>,
-    /// Parent span id for cross-process propagation, if the frame carried
-    /// `parent=`. Only meaningful alongside `trace=`: the server parents
-    /// its root `server.request` span under this id, so a coordinator's
-    /// RPC span encloses the peer's whole handling subtree once spliced.
-    pub parent: Option<u64>,
 }
 
 impl TracedRequest {
@@ -530,14 +413,13 @@ impl TracedRequest {
         Self {
             request,
             trace: None,
-            parent: None,
         }
     }
 
-    /// Serialize the frame, appending ` trace=<id>` (and ` parent=<id>`)
-    /// to the verb line when set.
+    /// Serialize the frame, appending ` trace=<id>` to the verb line when
+    /// set.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        self.request.write_traced(w, self.trace, self.parent)
+        self.request.write_traced(w, self.trace)
     }
 
     /// Read one request frame, retaining any `trace=` attribute.
@@ -786,16 +668,13 @@ impl Request {
             Request::Trace { .. } => Verb::Trace,
             Request::Watch { .. } => Verb::Watch,
             Request::Unwatch { .. } => Verb::Unwatch,
-            Request::Shard { .. } => Verb::Shard,
-            Request::Merge { .. } => Verb::Merge,
             Request::Dump { .. } => Verb::Dump,
-            Request::Spans { .. } => Verb::Spans,
             Request::Profile { .. } => Verb::Profile,
         }
     }
 
-    /// The session the request addresses (`None` for `METRICS`/`SPANS`;
-    /// the [`WATCH_ALL`] token for watch-everything subscriptions).
+    /// The session the request addresses (`None` for `METRICS`; the
+    /// [`WATCH_ALL`] token for watch-everything subscriptions).
     pub fn session(&self) -> Option<&str> {
         match self {
             Request::Open { session, .. }
@@ -808,11 +687,9 @@ impl Request {
             | Request::Trace { session, .. }
             | Request::Watch { session, .. }
             | Request::Unwatch { session }
-            | Request::Shard { session, .. }
-            | Request::Merge { session, .. }
             | Request::Dump { session, .. }
             | Request::Profile { session, .. } => Some(session),
-            Request::Metrics { .. } | Request::Spans { .. } => None,
+            Request::Metrics { .. } => None,
         }
     }
 
@@ -823,8 +700,6 @@ impl Request {
             | Request::Solve { deadline_ms, .. }
             | Request::Snapshot { deadline_ms, .. }
             | Request::Trace { deadline_ms, .. }
-            | Request::Shard { deadline_ms, .. }
-            | Request::Merge { deadline_ms, .. }
             | Request::Dump { deadline_ms, .. } => *deadline_ms,
             _ => None,
         }
@@ -832,23 +707,15 @@ impl Request {
 
     /// Serialize the frame (verb line plus payload).
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        self.write_traced(w, None, None)
+        self.write_traced(w, None)
     }
 
-    /// Serialize the frame, appending ` trace=<id>` / ` parent=<id>` to
-    /// the verb line when set (the [`TracedRequest`] shape).
-    fn write_traced(
-        &self,
-        w: &mut impl Write,
-        trace: Option<u64>,
-        parent: Option<u64>,
-    ) -> io::Result<()> {
+    /// Serialize the frame, appending ` trace=<id>` to the verb line when
+    /// set (the [`TracedRequest`] shape).
+    fn write_traced(&self, w: &mut impl Write, trace: Option<u64>) -> io::Result<()> {
         let end_line = |w: &mut dyn Write| -> io::Result<()> {
             if let Some(t) = trace {
                 write!(w, " trace={t}")?;
-            }
-            if let Some(p) = parent {
-                write!(w, " parent={p}")?;
             }
             writeln!(w)
         };
@@ -881,13 +748,9 @@ impl Request {
             }
             Request::Solve {
                 session,
-                shards,
                 deadline_ms,
             } => {
                 write!(w, "SOLVE {session}")?;
-                if let Some(s) = shards {
-                    write!(w, " shards={s}")?;
-                }
                 if let Some(d) = deadline_ms {
                     write!(w, " deadline_ms={d}")?;
                 }
@@ -915,13 +778,10 @@ impl Request {
                 write!(w, "CLOSE {session}")?;
                 end_line(w)?;
             }
-            Request::Metrics { format, scope } => {
+            Request::Metrics { format } => {
                 write!(w, "METRICS")?;
                 if *format != MetricsFormat::Kv {
                     write!(w, " format={}", format.token())?;
-                }
-                if *scope != MetricsScope::Local {
-                    write!(w, " scope={}", scope.token())?;
                 }
                 end_line(w)?;
             }
@@ -929,7 +789,6 @@ impl Request {
                 session,
                 n,
                 back,
-                remote,
                 deadline_ms,
             } => {
                 write!(w, "TRACE {session}")?;
@@ -938,9 +797,6 @@ impl Request {
                 }
                 if let Some(b) = back {
                     write!(w, " back={b}")?;
-                }
-                if *remote {
-                    write!(w, " remote=1")?;
                 }
                 if let Some(d) = deadline_ms {
                     write!(w, " deadline_ms={d}")?;
@@ -958,30 +814,6 @@ impl Request {
                 write!(w, "UNWATCH {session}")?;
                 end_line(w)?;
             }
-            Request::Shard {
-                session,
-                shards,
-                deadline_ms,
-            } => {
-                write!(w, "SHARD {session}")?;
-                if let Some(s) = shards {
-                    write!(w, " shards={s}")?;
-                }
-                if let Some(d) = deadline_ms {
-                    write!(w, " deadline_ms={d}")?;
-                }
-                end_line(w)?;
-            }
-            Request::Merge {
-                session,
-                deadline_ms,
-            } => {
-                write!(w, "MERGE {session}")?;
-                if let Some(d) = deadline_ms {
-                    write!(w, " deadline_ms={d}")?;
-                }
-                end_line(w)?;
-            }
             Request::Dump {
                 session,
                 deadline_ms,
@@ -992,15 +824,10 @@ impl Request {
                 }
                 end_line(w)?;
             }
-            Request::Spans { of } => {
-                write!(w, "SPANS of={of}")?;
-                end_line(w)?;
-            }
             Request::Profile {
                 session,
                 secs,
                 format,
-                scope,
             } => {
                 write!(w, "PROFILE {session}")?;
                 if *secs != 0 {
@@ -1008,9 +835,6 @@ impl Request {
                 }
                 if *format != ProfileFormat::Folded {
                     write!(w, " format={}", format.token())?;
-                }
-                if *scope != MetricsScope::Local {
-                    write!(w, " scope={}", scope.token())?;
                 }
                 end_line(w)?;
             }
@@ -1044,6 +868,33 @@ pub(crate) fn read_traced_frame(
         return Ok(None);
     };
     let parse_start_ns = mcfs_obs::now_ns();
+    // Consume the announced payload before judging the verb line, so a
+    // frame rejected for any reason cannot leave its payload behind to be
+    // parsed as the next requests.
+    let payload = read_payload(r, announced_lines(line, max_payload), &mut buf.payload_line)?;
+    Ok(Some((
+        parse_request(line, payload, max_payload)?,
+        parse_start_ns,
+    )))
+}
+
+/// The payload length a verb line announces: its last `lines=` token when
+/// that count parses within `max_payload`, else 0 (the verb-line parse then
+/// reports the bad count, and nothing past the verb line is read).
+fn announced_lines(line: &str, max_payload: usize) -> usize {
+    line.split_whitespace()
+        .filter_map(|t| t.strip_prefix("lines="))
+        .next_back()
+        .and_then(|v| parse_payload_count(v, max_payload).ok())
+        .unwrap_or(0)
+}
+
+/// Parse a verb line whose announced `payload` has already been read.
+fn parse_request(
+    line: &str,
+    payload: Vec<String>,
+    max_payload: usize,
+) -> Result<TracedRequest, ProtoError> {
     let tokens: Vec<&str> = line.split_whitespace().collect();
     let Some((&head, rest)) = tokens.split_first() else {
         return Err(ProtoError::new(1, "empty request line"));
@@ -1051,51 +902,19 @@ pub(crate) fn read_traced_frame(
     let verb = Verb::from_token(head)
         .ok_or_else(|| ProtoError::new(1, format!("unknown verb {head:?}")))?;
 
-    // METRICS and SPANS address the server, not a session: no name token.
+    // METRICS addresses the server, not a session: no name token.
     if verb == Verb::Metrics {
         let kvs = parse_frame_kvs(rest, max_payload)?;
-        kvs.check(
-            head,
-            &[
-                FrameKey::Format,
-                FrameKey::Scope,
-                FrameKey::Trace,
-                FrameKey::Parent,
-            ],
-        )?;
-        let (trace, parent) = kvs.trace_ctx(head)?;
+        kvs.check(head, &[FrameKey::Format, FrameKey::Trace])?;
         let format = match kvs.format.as_deref() {
             None => MetricsFormat::default(),
             Some(t) => MetricsFormat::from_token(t)
                 .ok_or_else(|| ProtoError::new(1, format!("unknown metrics format {t:?}")))?,
         };
-        return Ok(Some((
-            TracedRequest {
-                request: Request::Metrics {
-                    format,
-                    scope: kvs.scope.unwrap_or_default(),
-                },
-                trace,
-                parent,
-            },
-            parse_start_ns,
-        )));
-    }
-    if verb == Verb::Spans {
-        let kvs = parse_frame_kvs(rest, max_payload)?;
-        kvs.check(head, &[FrameKey::Of, FrameKey::Trace, FrameKey::Parent])?;
-        let Some(of) = kvs.of else {
-            return Err(ProtoError::new(1, "SPANS needs of=<trace-id>"));
-        };
-        let (trace, parent) = kvs.trace_ctx(head)?;
-        return Ok(Some((
-            TracedRequest {
-                request: Request::Spans { of },
-                trace,
-                parent,
-            },
-            parse_start_ns,
-        )));
+        return Ok(TracedRequest {
+            request: Request::Metrics { format },
+            trace: kvs.trace,
+        });
     }
 
     let Some((&session, rest)) = rest.split_first() else {
@@ -1132,52 +951,27 @@ pub(crate) fn read_traced_frame(
 
     let kvs = parse_frame_kvs(rest, max_payload)?;
     let allowed: &[FrameKey] = match verb {
-        Verb::Open => &[FrameKey::Lines, FrameKey::Trace, FrameKey::Parent],
-        Verb::Edit => &[
-            FrameKey::Lines,
-            FrameKey::Deadline,
-            FrameKey::Trace,
-            FrameKey::Parent,
-        ],
-        Verb::Solve | Verb::Shard => &[
-            FrameKey::Shards,
-            FrameKey::Deadline,
-            FrameKey::Trace,
-            FrameKey::Parent,
-        ],
-        Verb::Snapshot | Verb::Merge | Verb::Dump => {
-            &[FrameKey::Deadline, FrameKey::Trace, FrameKey::Parent]
-        }
-        Verb::Assignment | Verb::Stats | Verb::Close | Verb::Unwatch => {
-            &[FrameKey::Trace, FrameKey::Parent]
-        }
+        Verb::Open => &[FrameKey::Lines, FrameKey::Trace],
+        Verb::Edit => &[FrameKey::Lines, FrameKey::Deadline, FrameKey::Trace],
+        Verb::Solve | Verb::Snapshot | Verb::Dump => &[FrameKey::Deadline, FrameKey::Trace],
+        Verb::Assignment | Verb::Stats | Verb::Close | Verb::Unwatch => &[FrameKey::Trace],
         Verb::Trace => &[
             FrameKey::Count,
             FrameKey::Back,
-            FrameKey::Remote,
             FrameKey::Deadline,
             FrameKey::Trace,
-            FrameKey::Parent,
         ],
-        Verb::Watch => &[FrameKey::Buffer, FrameKey::Trace, FrameKey::Parent],
-        Verb::Profile => &[
-            FrameKey::Secs,
-            FrameKey::Format,
-            FrameKey::Scope,
-            FrameKey::Trace,
-            FrameKey::Parent,
-        ],
-        Verb::Metrics | Verb::Spans => unreachable!("handled above"),
+        Verb::Watch => &[FrameKey::Buffer, FrameKey::Trace],
+        Verb::Profile => &[FrameKey::Secs, FrameKey::Format, FrameKey::Trace],
+        Verb::Metrics => unreachable!("handled above"),
     };
     kvs.check(head, allowed)?;
-    let (trace, parent) = kvs.trace_ctx(head)?;
     let wants_payload = matches!(verb, Verb::Open | Verb::Edit);
     if wants_payload && kvs.lines.is_none() {
         return Err(ProtoError::new(1, format!("{head} needs lines=<n>")));
     }
 
     let deadline_ms = kvs.deadline_ms;
-    let payload = read_payload(r, kvs.lines.unwrap_or(0), &mut buf.payload_line)?;
     let request = match verb {
         Verb::Open => Request::Open {
             session,
@@ -1197,7 +991,6 @@ pub(crate) fn read_traced_frame(
         }
         Verb::Solve => Request::Solve {
             session,
-            shards: kvs.shards,
             deadline_ms,
         },
         Verb::Assignment => Request::Assignment { session },
@@ -1211,7 +1004,6 @@ pub(crate) fn read_traced_frame(
             session,
             n: kvs.count,
             back: kvs.back,
-            remote: kvs.remote.unwrap_or(false),
             deadline_ms,
         },
         Verb::Watch => Request::Watch {
@@ -1219,15 +1011,6 @@ pub(crate) fn read_traced_frame(
             buffer: kvs.buffer,
         },
         Verb::Unwatch => Request::Unwatch { session },
-        Verb::Shard => Request::Shard {
-            session,
-            shards: kvs.shards,
-            deadline_ms,
-        },
-        Verb::Merge => Request::Merge {
-            session,
-            deadline_ms,
-        },
         Verb::Dump => Request::Dump {
             session,
             deadline_ms,
@@ -1240,18 +1023,13 @@ pub(crate) fn read_traced_frame(
                 Some(t) => ProfileFormat::from_token(t)
                     .ok_or_else(|| ProtoError::new(1, format!("unknown profile format {t:?}")))?,
             },
-            scope: kvs.scope.unwrap_or_default(),
         },
-        Verb::Metrics | Verb::Spans => unreachable!("handled above"),
+        Verb::Metrics => unreachable!("handled above"),
     };
-    Ok(Some((
-        TracedRequest {
-            request,
-            trace,
-            parent,
-        },
-        parse_start_ns,
-    )))
+    Ok(TracedRequest {
+        request,
+        trace: kvs.trace,
+    })
 }
 
 impl Reply {
@@ -1565,15 +1343,10 @@ enum FrameKey {
     Lines,
     Deadline,
     Trace,
-    Parent,
     Format,
-    Scope,
     Count,
     Back,
-    Remote,
-    Of,
     Buffer,
-    Shards,
     Secs,
 }
 
@@ -1583,15 +1356,10 @@ impl FrameKey {
             FrameKey::Lines => "lines",
             FrameKey::Deadline => "deadline_ms",
             FrameKey::Trace => "trace",
-            FrameKey::Parent => "parent",
             FrameKey::Format => "format",
-            FrameKey::Scope => "scope",
             FrameKey::Count => "n",
             FrameKey::Back => "back",
-            FrameKey::Remote => "remote",
-            FrameKey::Of => "of",
             FrameKey::Buffer => "buffer",
-            FrameKey::Shards => "shards",
             FrameKey::Secs => "secs",
         }
     }
@@ -1604,18 +1372,13 @@ struct FrameKvs {
     lines: Option<usize>,
     deadline_ms: Option<u64>,
     trace: Option<u64>,
-    parent: Option<u64>,
     /// The raw `format=` token: `METRICS` and `PROFILE` accept disjoint
     /// format vocabularies, so the value is validated at the verb site
     /// (where the error can name the right vocabulary), not here.
     format: Option<String>,
-    scope: Option<MetricsScope>,
     count: Option<usize>,
     back: Option<usize>,
-    remote: Option<bool>,
-    of: Option<u64>,
     buffer: Option<usize>,
-    shards: Option<u32>,
     secs: Option<u64>,
 }
 
@@ -1625,15 +1388,10 @@ impl FrameKvs {
             (FrameKey::Lines, self.lines.is_some()),
             (FrameKey::Deadline, self.deadline_ms.is_some()),
             (FrameKey::Trace, self.trace.is_some()),
-            (FrameKey::Parent, self.parent.is_some()),
             (FrameKey::Format, self.format.is_some()),
-            (FrameKey::Scope, self.scope.is_some()),
             (FrameKey::Count, self.count.is_some()),
             (FrameKey::Back, self.back.is_some()),
-            (FrameKey::Remote, self.remote.is_some()),
-            (FrameKey::Of, self.of.is_some()),
             (FrameKey::Buffer, self.buffer.is_some()),
-            (FrameKey::Shards, self.shards.is_some()),
             (FrameKey::Secs, self.secs.is_some()),
         ];
         for (key, set) in present {
@@ -1645,18 +1403,6 @@ impl FrameKvs {
             }
         }
         Ok(())
-    }
-
-    /// The frame's trace context. `parent=` is propagation *within* a
-    /// trace, so carrying it without `trace=` is a protocol error.
-    fn trace_ctx(&self, head: &str) -> Result<(Option<u64>, Option<u64>), ProtoError> {
-        if self.parent.is_some() && self.trace.is_none() {
-            return Err(ProtoError::new(
-                1,
-                format!("{head} parent= requires trace="),
-            ));
-        }
-        Ok((self.trace, self.parent))
     }
 }
 
@@ -1682,38 +1428,7 @@ fn parse_frame_kvs(tokens: &[&str], max_payload: usize) -> Result<FrameKvs, Prot
                 }
                 kvs.trace = Some(id);
             }
-            "parent" => {
-                let id = v
-                    .parse::<u64>()
-                    .map_err(|_| ProtoError::new(1, format!("bad parent span id {v:?}")))?;
-                if id == 0 {
-                    return Err(ProtoError::new(1, "parent span id must be nonzero"));
-                }
-                kvs.parent = Some(id);
-            }
             "format" => kvs.format = Some(v.to_owned()),
-            "scope" => {
-                kvs.scope =
-                    Some(MetricsScope::from_token(v).ok_or_else(|| {
-                        ProtoError::new(1, format!("unknown metrics scope {v:?}"))
-                    })?)
-            }
-            "remote" => {
-                kvs.remote = Some(match v {
-                    "0" => false,
-                    "1" => true,
-                    _ => return Err(ProtoError::new(1, format!("bad remote flag {v:?}"))),
-                })
-            }
-            "of" => {
-                let id = v
-                    .parse::<u64>()
-                    .map_err(|_| ProtoError::new(1, format!("bad trace id {v:?}")))?;
-                if id == 0 {
-                    return Err(ProtoError::new(1, "of= trace id must be nonzero"));
-                }
-                kvs.of = Some(id);
-            }
             "n" => {
                 kvs.count = Some(
                     v.parse::<usize>()
@@ -1734,15 +1449,6 @@ fn parse_frame_kvs(tokens: &[&str], max_payload: usize) -> Result<FrameKvs, Prot
                     return Err(ProtoError::new(1, "buffer must be at least 1"));
                 }
                 kvs.buffer = Some(b);
-            }
-            "shards" => {
-                let s = v
-                    .parse::<u32>()
-                    .map_err(|_| ProtoError::new(1, format!("bad shard count {v:?}")))?;
-                if s == 0 {
-                    return Err(ProtoError::new(1, "shards must be at least 1"));
-                }
-                kvs.shards = Some(s);
             }
             "secs" => {
                 let s = v
@@ -1893,12 +1599,10 @@ mod tests {
         });
         rt_request(Request::Solve {
             session: "a.b-c_d".into(),
-            shards: None,
             deadline_ms: None,
         });
         rt_request(Request::Solve {
             session: "s".into(),
-            shards: Some(4),
             deadline_ms: Some(900),
         });
         rt_request(Request::Assignment {
@@ -1916,36 +1620,20 @@ mod tests {
         });
         rt_request(Request::Metrics {
             format: MetricsFormat::Kv,
-            scope: MetricsScope::Local,
         });
         rt_request(Request::Metrics {
             format: MetricsFormat::Prometheus,
-            scope: MetricsScope::Local,
-        });
-        rt_request(Request::Metrics {
-            format: MetricsFormat::Snapshot,
-            scope: MetricsScope::Local,
-        });
-        rt_request(Request::Metrics {
-            format: MetricsFormat::Kv,
-            scope: MetricsScope::Cluster,
-        });
-        rt_request(Request::Metrics {
-            format: MetricsFormat::Prometheus,
-            scope: MetricsScope::Cluster,
         });
         rt_request(Request::Trace {
             session: "s".into(),
             n: Some(32),
             back: Some(3),
-            remote: false,
             deadline_ms: Some(100),
         });
         rt_request(Request::Trace {
             session: "s".into(),
             n: None,
             back: None,
-            remote: true,
             deadline_ms: None,
         });
         rt_request(Request::Dump {
@@ -1956,8 +1644,6 @@ mod tests {
             session: "s".into(),
             deadline_ms: Some(40),
         });
-        rt_request(Request::Spans { of: 77 });
-        rt_request(Request::Spans { of: u64::MAX });
         rt_request(Request::Watch {
             session: "s".into(),
             buffer: Some(16),
@@ -1972,41 +1658,20 @@ mod tests {
         rt_request(Request::Unwatch {
             session: WATCH_ALL.into(),
         });
-        rt_request(Request::Shard {
-            session: "s".into(),
-            shards: None,
-            deadline_ms: None,
-        });
-        rt_request(Request::Shard {
-            session: "s".into(),
-            shards: Some(8),
-            deadline_ms: Some(50),
-        });
-        rt_request(Request::Merge {
-            session: "s".into(),
-            deadline_ms: None,
-        });
-        rt_request(Request::Merge {
-            session: "s".into(),
-            deadline_ms: Some(10),
-        });
         rt_request(Request::Profile {
             session: "s".into(),
             secs: 0,
             format: ProfileFormat::Folded,
-            scope: MetricsScope::Local,
         });
         rt_request(Request::Profile {
             session: WATCH_ALL.into(),
             secs: 5,
             format: ProfileFormat::Speedscope,
-            scope: MetricsScope::Cluster,
         });
         rt_request(Request::Profile {
             session: WATCH_ALL.into(),
             secs: MAX_PROFILE_SECS,
             format: ProfileFormat::Folded,
-            scope: MetricsScope::Cluster,
         });
     }
 
@@ -2088,20 +1753,13 @@ mod tests {
 
     #[test]
     fn traced_requests_round_trip_and_plain_reads_ignore_trace() {
-        for (trace, parent) in [
-            (None, None),
-            (Some(7u64), None),
-            (Some(u64::MAX), None),
-            (Some(7u64), Some(9u64)),
-        ] {
+        for trace in [None, Some(7u64), Some(u64::MAX)] {
             let req = TracedRequest {
                 request: Request::Solve {
                     session: "s".into(),
-                    shards: None,
                     deadline_ms: Some(9),
                 },
                 trace,
-                parent,
             };
             let mut buf = Vec::new();
             req.write_to(&mut buf).unwrap();
@@ -2125,15 +1783,11 @@ mod tests {
                 deadline_ms: None,
             },
             trace: Some(42),
-            parent: Some(1000),
         };
         let mut buf = Vec::new();
         req.write_to(&mut buf).unwrap();
         let text = String::from_utf8(buf.clone()).unwrap();
-        assert!(
-            text.starts_with("EDIT s lines=1 trace=42 parent=1000\n"),
-            "{text:?}"
-        );
+        assert!(text.starts_with("EDIT s lines=1 trace=42\n"), "{text:?}");
         let back = TracedRequest::read_from(&mut BufReader::new(buf.as_slice()), 1 << 20)
             .unwrap()
             .unwrap();
@@ -2214,28 +1868,23 @@ mod tests {
             ("WATCH s lines=1\nx\n", "takes no lines=", false),
             ("UNWATCH s buffer=4\n", "takes no buffer=", false),
             ("UNWATCH\n", "needs a session", false),
-            ("SOLVE s shards=0\n", "shards must be at least 1", false),
-            ("SOLVE s shards=many\n", "bad shard count", false),
-            ("SHARD s shards=0\n", "shards must be at least 1", false),
-            ("SHARD\n", "needs a session", false),
-            ("SHARD s format=kv\n", "takes no format=", false),
-            ("MERGE s shards=2\n", "takes no shards=", false),
-            ("MERGE s lines=1\nx\n", "takes no lines=", false),
-            ("SNAPSHOT s shards=2\n", "takes no shards=", false),
-            ("SOLVE s parent=3\n", "parent= requires trace=", false),
+            ("SOLVE s shards=2\n", "unknown attribute \"shards\"", false),
+            ("SHARD s\n", "unknown verb", false),
+            ("MERGE s lines=1\nx\n", "unknown verb", false),
+            ("SNAPSHOT s shards=2\n", "unknown attribute", false),
             (
-                "SOLVE s trace=1 parent=0\n",
-                "parent span id must be nonzero",
+                "SOLVE s trace=1 parent=9\n",
+                "unknown attribute \"parent\"",
                 false,
             ),
-            ("SOLVE s trace=1 parent=pa\n", "bad parent span id", false),
-            ("METRICS scope=galaxy\n", "unknown metrics scope", false),
-            ("TRACE s remote=2\n", "bad remote flag", false),
-            ("SOLVE s remote=1\n", "takes no remote=", false),
-            ("SPANS\n", "needs of=", false),
-            ("SPANS of=0\n", "of= trace id must be nonzero", false),
-            ("SPANS of=zz\n", "bad", false),
-            ("SPANS of=7 n=2\n", "takes no n=", false),
+            (
+                "METRICS scope=local\n",
+                "unknown attribute \"scope\"",
+                false,
+            ),
+            ("METRICS format=snapshot\n", "unknown metrics format", false),
+            ("TRACE s remote=1\n", "unknown attribute \"remote\"", false),
+            ("SPANS of=7\n", "unknown verb", false),
             ("DUMP\n", "needs a session", false),
             ("DUMP s format=kv\n", "takes no format=", false),
             ("PROFILE\n", "needs a session", false),
@@ -2248,7 +1897,11 @@ mod tests {
             ("PROFILE s secs=999999999\n", "secs too large", false),
             ("PROFILE s n=3\n", "takes no n=", false),
             ("PROFILE s lines=1\nx\n", "takes no lines=", false),
-            ("PROFILE s scope=galaxy\n", "unknown metrics scope", false),
+            (
+                "PROFILE * scope=cluster\n",
+                "unknown attribute \"scope\"",
+                false,
+            ),
             ("SOLVE s secs=1\n", "takes no secs=", false),
             (
                 "OPEN s instance lines=99999999999\n",

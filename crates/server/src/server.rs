@@ -25,8 +25,8 @@ use crate::metrics::{Metrics, Outcome};
 use crate::pipe::pipe;
 use crate::protocol::{
     read_traced_frame, valid_session_name, ErrorCode, EventBody, EventFrame, FrameBuf,
-    MetricsFormat, MetricsScope, ProfileFormat, Reply, Request, Verb, DEFAULT_MAX_PAYLOAD_LINES,
-    WATCH_ALL, WIRE_VERSION,
+    MetricsFormat, ProfileFormat, Reply, Request, Verb, DEFAULT_MAX_PAYLOAD_LINES, WATCH_ALL,
+    WIRE_VERSION,
 };
 use crate::worker::{run_worker, Job, TraceCtx};
 
@@ -47,11 +47,6 @@ pub struct ServerConfig {
     /// Solver template cloned into every session. Leave the oracle unset —
     /// each session's graph gets its own.
     pub solver: Wma,
-    /// Peer `mcfs-serve` addresses (`host:port`) for federated cluster
-    /// solves. Empty = `SOLVE shards=<n>` runs all shards in-process;
-    /// non-empty = shards are delegated round-robin to these peers, with a
-    /// local re-solve of any shard whose peer fails mid-request.
-    pub peers: Vec<String>,
 }
 
 impl Default for ServerConfig {
@@ -64,7 +59,6 @@ impl Default for ServerConfig {
             // Sessions already run on parallel workers; keep each solve
             // single-threaded so concurrent sessions do not oversubscribe.
             solver: Wma::new().threads(1),
-            peers: Vec::new(),
         }
     }
 }
@@ -144,13 +138,6 @@ impl ServerCore {
         (reply, handoff_ns)
     }
 
-    /// Fan `METRICS format=snapshot` out to every configured peer and merge
-    /// the replies (plus this server's own snapshot, as `peer=local`) into
-    /// one cluster-wide registry view.
-    fn cluster_metrics(&self) -> Result<mcfs_obs::RegistrySnapshot, String> {
-        crate::metrics::cluster_snapshot(&self.metrics, &self.config.peers)
-    }
-
     fn submit_inner(
         &self,
         request: Request,
@@ -158,67 +145,23 @@ impl ServerCore {
         handoff_ns: &mut Option<u64>,
     ) -> Reply {
         let verb = request.verb();
-        if let Request::Metrics { format, scope } = &request {
+        if let Request::Metrics { format } = &request {
             // Snapshot first, then count ourselves: the reported counters
             // describe the requests *before* this one, so a client can
             // reconcile a script exactly without racing its own METRICS.
-            let (kvs, payload) = match scope {
-                MetricsScope::Local => {
-                    let payload = match format {
-                        MetricsFormat::Kv => self.metrics.to_kv_lines(),
-                        MetricsFormat::Prometheus => self
-                            .metrics
-                            .to_prometheus()
-                            .lines()
-                            .map(str::to_owned)
-                            .collect(),
-                        MetricsFormat::Snapshot => self.metrics.snapshot().to_wire_lines(),
-                    };
-                    (vec![], payload)
-                }
-                MetricsScope::Cluster => {
-                    let merged = match self.cluster_metrics() {
-                        Ok(merged) => merged,
-                        Err(e) => return self.reject(verb, ErrorCode::Io, e),
-                    };
-                    let payload = match format {
-                        MetricsFormat::Kv => merged
-                            .to_kv_lines()
-                            .into_iter()
-                            .map(|(k, v)| format!("{k} {v}"))
-                            .collect(),
-                        MetricsFormat::Prometheus => {
-                            merged.to_prometheus().lines().map(str::to_owned).collect()
-                        }
-                        MetricsFormat::Snapshot => merged.to_wire_lines(),
-                    };
-                    let kvs = vec![
-                        ("scope".to_owned(), "cluster".to_owned()),
-                        ("peers".to_owned(), self.config.peers.len().to_string()),
-                    ];
-                    (kvs, payload)
-                }
+            let payload = match format {
+                MetricsFormat::Kv => self.metrics.to_kv_lines(),
+                MetricsFormat::Prometheus => self
+                    .metrics
+                    .to_prometheus()
+                    .lines()
+                    .map(str::to_owned)
+                    .collect(),
             };
-            self.metrics.record_request(verb, Outcome::Ok, None);
-            return Reply::Ok { verb, kvs, payload };
-        }
-        // SPANS is the peer half of distributed trace collection: answered
-        // inline (workers may be busy solving the very shards being traced)
-        // with a clock sample taken mid-handling, which the coordinator
-        // brackets to estimate this process's trace-clock offset.
-        if let Request::Spans { of } = &request {
-            let now = mcfs_obs::now_ns();
-            let payload: Vec<String> = mcfs_obs::spans_for(*of)
-                .iter()
-                .map(mcfs_obs::span_to_wire_line)
-                .collect();
             self.metrics.record_request(verb, Outcome::Ok, None);
             return Reply::Ok {
                 verb,
-                kvs: vec![
-                    ("of".to_owned(), of.to_string()),
-                    ("now".to_owned(), now.to_string()),
-                ],
+                kvs: vec![],
                 payload,
             };
         }
@@ -229,7 +172,6 @@ impl ServerCore {
             session,
             secs,
             format,
-            scope,
         } = &request
         {
             // The profiler is process-scoped; a named target only guards
@@ -243,27 +185,12 @@ impl ServerCore {
                     format!("no session {session:?}"),
                 );
             }
-            let (snap, scope_kvs) = match scope {
-                MetricsScope::Local => {
-                    let snap = if *secs == 0 {
-                        mcfs_obs::profile::snapshot()
-                    } else {
-                        let before = mcfs_obs::profile::snapshot();
-                        std::thread::sleep(Duration::from_secs(*secs));
-                        mcfs_obs::profile::snapshot().diff(&before)
-                    };
-                    (snap, vec![])
-                }
-                MetricsScope::Cluster => {
-                    let (snap, peers_ok) =
-                        crate::metrics::cluster_profile(&self.config.peers, *secs);
-                    let kvs = vec![
-                        ("scope".to_owned(), "cluster".to_owned()),
-                        ("peers".to_owned(), self.config.peers.len().to_string()),
-                        ("peers_ok".to_owned(), peers_ok.to_string()),
-                    ];
-                    (snap, kvs)
-                }
+            let snap = if *secs == 0 {
+                mcfs_obs::profile::snapshot()
+            } else {
+                let before = mcfs_obs::profile::snapshot();
+                std::thread::sleep(Duration::from_secs(*secs));
+                mcfs_obs::profile::snapshot().diff(&before)
             };
             let payload = match format {
                 ProfileFormat::Folded => snap.to_folded().lines().map(str::to_owned).collect(),
@@ -271,14 +198,13 @@ impl ServerCore {
                     vec![mcfs_obs::to_speedscope(&snap, "mcfs-profile")]
                 }
             };
-            let mut kvs = vec![
+            let kvs = vec![
                 ("rate_hz".to_owned(), snap.rate_hz.to_string()),
                 ("samples".to_owned(), snap.total_samples().to_string()),
                 ("threads".to_owned(), snap.threads.len().to_string()),
                 ("idle".to_owned(), snap.idle_samples.to_string()),
                 ("dropped".to_owned(), snap.dropped_samples.to_string()),
             ];
-            kvs.extend(scope_kvs);
             self.metrics.record_request(verb, Outcome::Ok, None);
             return Reply::Ok { verb, kvs, payload };
         }
@@ -670,10 +596,6 @@ pub(crate) fn handle_connection<W: Write + Send + 'static>(
         match read_traced_frame(&mut reader, core.config.max_payload_lines, &mut frame_buf) {
             Ok(None) => break, // clean EOF
             Ok(Some((traced, parse_start_ns))) => {
-                // Cross-process propagation: a coordinator's `parent=` makes
-                // this request's root span a child of the coordinator's RPC
-                // span, so the spliced distributed trace stays well-nested.
-                let propagated_parent = traced.parent.unwrap_or(0);
                 let ctx = traced.trace.map(|trace| {
                     let root = mcfs_obs::alloc_span_id();
                     mcfs_obs::record_manual(
@@ -704,9 +626,8 @@ pub(crate) fn handle_connection<W: Write + Send + 'static>(
                     let mut w = writer.lock().unwrap();
                     let written = reply.write_to(&mut *w);
                     // Record the reply and root spans before the flush hands
-                    // the reply over: a client holding the reply (or a
-                    // coordinator reading an in-process peer's spans from
-                    // the shared ring) then always finds the trace's root.
+                    // the reply over: a client holding the reply then always
+                    // finds the trace's root.
                     if let (Some(ctx), Some(start_ns)) = (ctx, reply_start_ns) {
                         let end_ns = mcfs_obs::now_ns();
                         mcfs_obs::record_manual(
@@ -723,7 +644,7 @@ pub(crate) fn handle_connection<W: Write + Send + 'static>(
                         mcfs_obs::record_manual(
                             ctx.trace,
                             "server.request",
-                            propagated_parent,
+                            0,
                             Some(ctx.root),
                             parse_start_ns,
                             end_ns,
@@ -818,8 +739,7 @@ impl ServerHandle {
     /// (a scrape endpoint independent of the wire port). Returns the bound
     /// address; the listener shuts down with the server.
     pub fn serve_metrics_http(&mut self, addr: &str) -> std::io::Result<SocketAddr> {
-        let handle =
-            MetricsHttpHandle::serve(self.metrics(), self.core.config.peers.clone(), addr)?;
+        let handle = MetricsHttpHandle::serve(self.metrics(), addr)?;
         let local = handle.addr();
         self.metrics_http = Some(handle);
         Ok(local)

@@ -22,8 +22,7 @@
 
 use std::time::Instant;
 
-use mcfs::{Edit, EditError, McfsInstance, ReSolveRun, ReSolver, Solution, SolveError, Wma};
-use mcfs_cluster::ClusterOutcome;
+use mcfs::{Edit, EditError, ReSolveRun, ReSolver, Solution, SolveError, Wma};
 use mcfs_graph::Graph;
 use mcfs_io::{write_checkpoint, OwnedInstance};
 
@@ -53,14 +52,8 @@ pub struct Session {
     // Field order matters: `resolver` borrows from `graph` and must drop
     // first (fields drop in declaration order).
     resolver: ReSolver<'static>,
-    /// Solver template the session was opened with; cluster solves clone
-    /// it for their shard solvers.
-    solver: Wma,
     /// The last completed run, if any.
     last: Option<ReSolveRun>,
-    /// `key value` report of the last cluster solve (the `MERGE` payload),
-    /// if the session has cluster-solved.
-    cluster_report: Option<Vec<String>>,
     /// Edits applied since the last solve (the last solution no longer
     /// describes the current instance).
     edited_since_solve: bool,
@@ -121,15 +114,11 @@ impl Session {
             .build()
             .map_err(OpenError::Instance)?;
         let resolver = match &solution {
-            Some(sol) => {
-                ReSolver::from_solved(&inst, wma.clone(), sol).map_err(OpenError::Restore)?
-            }
-            None => ReSolver::new(&inst, wma.clone()),
+            Some(sol) => ReSolver::from_solved(&inst, wma, sol).map_err(OpenError::Restore)?,
+            None => ReSolver::new(&inst, wma),
         };
         Ok(Session {
             resolver,
-            solver: wma,
-            cluster_report: None,
             last: solution.map(|sol| ReSolveRun {
                 solution: sol,
                 solve_stats: mcfs::SolveStats::default(),
@@ -166,42 +155,6 @@ impl Session {
     /// The live selection budget.
     pub fn k(&self) -> usize {
         self.resolver.k()
-    }
-
-    /// The solver template this session was opened with.
-    pub fn solver_template(&self) -> &Wma {
-        &self.solver
-    }
-
-    /// Materialize the current (edited) instance, e.g. for a cluster
-    /// partition or solve. The borrow ties the instance to the session.
-    pub fn instance(&self) -> McfsInstance<'_> {
-        self.resolver.instance()
-    }
-
-    /// Record a completed cluster solve: the reconciled solution becomes
-    /// the session's current run (so `ASSIGNMENT`/`STATS` serve it) and
-    /// the outcome report becomes the `MERGE` payload.
-    pub fn store_cluster(&mut self, outcome: &ClusterOutcome, wall: std::time::Duration) {
-        self.cluster_report = Some(outcome.to_kv_lines());
-        self.last = Some(ReSolveRun {
-            solution: outcome.solution.clone(),
-            solve_stats: outcome.stats.clone(),
-            warm: false,
-        });
-        self.last_solve_wall = Some(wall);
-        self.edited_since_solve = false;
-        self.dirty = true;
-    }
-
-    /// The last cluster solve's `key value` report, if it still describes
-    /// the current instance (edits invalidate it, like `current_run`).
-    pub fn cluster_report(&self) -> Option<&[String]> {
-        if self.edited_since_solve {
-            None
-        } else {
-            self.cluster_report.as_deref()
-        }
     }
 
     /// Trace id of the last traced request served against this session.

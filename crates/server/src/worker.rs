@@ -183,11 +183,7 @@ fn execute(sessions: &mut HashMap<String, Session>, request: &Request, core: &Se
                 Err(e) => err(ErrorCode::Edit, e.to_string()),
             })
         }
-        Request::Solve {
-            session,
-            shards: None,
-            ..
-        } => with_session(sessions, session, |s| match s.solve() {
+        Request::Solve { session, .. } => with_session(sessions, session, |s| match s.solve() {
             Ok(run) => {
                 core.metrics.record_solve(run.warm, &run.solve_stats);
                 Reply::Ok {
@@ -206,33 +202,6 @@ fn execute(sessions: &mut HashMap<String, Session>, request: &Request, core: &Se
             }
             Err(e) => solve_err(e),
         }),
-        Request::Solve {
-            session,
-            shards: Some(n),
-            ..
-        } => {
-            let reply = with_session(sessions, session, |s| cluster_solve(s, *n as usize, core));
-            maybe_flight_artifact(session, &reply, core);
-            reply
-        }
-        Request::Shard {
-            session, shards, ..
-        } => with_session(sessions, session, |s| {
-            shard_preview(s, shards.map(|n| n as usize))
-        }),
-        Request::Merge { session, .. } => {
-            with_session(sessions, session, |s| match s.cluster_report() {
-                Some(lines) => Reply::Ok {
-                    verb: Verb::Merge,
-                    kvs: vec![],
-                    payload: lines.to_vec(),
-                },
-                None => err(
-                    ErrorCode::State,
-                    "no cluster solve for the current instance (SOLVE shards=<n> first)",
-                ),
-            })
-        }
         Request::Assignment { session } => {
             with_session(sessions, session, |s| match s.current_run() {
                 Some(run) => {
@@ -298,11 +267,7 @@ fn execute(sessions: &mut HashMap<String, Session>, request: &Request, core: &Se
             None => err(ErrorCode::NoSession, format!("no session {session:?}")),
         },
         Request::Trace {
-            session,
-            n,
-            back,
-            remote,
-            ..
+            session, n, back, ..
         } => {
             let back = back.unwrap_or(0);
             with_session(sessions, session, |s| match s.trace_at(back) {
@@ -316,12 +281,6 @@ fn execute(sessions: &mut HashMap<String, Session>, request: &Request, core: &Se
                         ("of".into(), trace.to_string()),
                         ("back".into(), back.to_string()),
                     ];
-                    if *remote {
-                        let (peers_ok, spliced) =
-                            splice_peer_spans(&mut spans, trace, &core.config.peers);
-                        kvs.push(("peers".into(), peers_ok.to_string()));
-                        kvs.push(("spliced".into(), spliced.to_string()));
-                    }
                     if let Some(n) = *n {
                         // Keep the *most recent* n spans (tail of the
                         // start-ordered list).
@@ -363,148 +322,15 @@ fn execute(sessions: &mut HashMap<String, Session>, request: &Request, core: &Se
                 payload,
             }
         }),
-        // METRICS, SPANS and PROFILE are answered inline by the connection
-        // layer; a worker never sees them. WATCH/UNWATCH bind to a
-        // connection, not a session queue, and are likewise handled there.
+        // METRICS and PROFILE are answered inline by the connection layer;
+        // a worker never sees them. WATCH/UNWATCH bind to a connection, not
+        // a session queue, and are likewise handled there.
         Request::Metrics { .. } => err(ErrorCode::Proto, "METRICS is not a queued verb"),
-        Request::Spans { .. } => err(ErrorCode::Proto, "SPANS is not a queued verb"),
         Request::Profile { .. } => err(ErrorCode::Proto, "PROFILE is not a queued verb"),
         Request::Watch { .. } | Request::Unwatch { .. } => err(
             ErrorCode::Proto,
             "WATCH/UNWATCH bind to a connection, not a session queue",
         ),
-    }
-}
-
-/// Pull each peer's retained spans of `trace` and splice them into the
-/// coordinator's span list as that peer's process lane.
-///
-/// Each pull is one `SPANS of=<trace>` round trip that doubles as the
-/// clock handshake: the coordinator brackets the peer's `now=<ns>` sample
-/// with two local clock reads and rebases the peer's spans by the midpoint
-/// offset estimate ([`mcfs_obs::clock_offset`]); `splice_remote` then
-/// clamps the rebased subtree into its propagated anchor span, so the
-/// distributed tree stays exactly well-nested despite estimate error.
-/// Unreachable peers are skipped — a dead peer must not take trace
-/// introspection down with it. Returns `(peers answering, spans spliced)`.
-fn splice_peer_spans(
-    spans: &mut Vec<mcfs_obs::SpanRecord>,
-    trace: u64,
-    peers: &[String],
-) -> (usize, usize) {
-    let mut peers_ok = 0usize;
-    let mut spliced = 0usize;
-    for (idx, peer) in peers.iter().enumerate() {
-        let t0 = mcfs_obs::now_ns();
-        let fetched = crate::client::Client::connect_tcp(peer).and_then(|mut c| c.spans_of(trace));
-        let t1 = mcfs_obs::now_ns();
-        if let Ok((peer_now, remote_spans)) = fetched {
-            let offset = mcfs_obs::clock_offset(t0, peer_now, t1);
-            spliced +=
-                mcfs_obs::splice_remote(spans, trace, &remote_spans, offset, (idx + 1) as u64);
-            peers_ok += 1;
-        }
-    }
-    (peers_ok, spliced)
-}
-
-/// Execute `SOLVE <session> shards=<n>`: partition-and-merge, in-process
-/// when no peers are configured, federated across the peer list otherwise.
-/// The reconciled solution becomes the session's current run.
-fn cluster_solve(s: &mut Session, shards: usize, core: &ServerCore) -> Reply {
-    let t0 = Instant::now();
-    let solved = {
-        let inst = s.instance();
-        if core.config.peers.is_empty() {
-            mcfs_cluster::ClusterSolver::new(shards)
-                .solver(s.solver_template().clone())
-                .solve(&inst)
-        } else {
-            crate::federate::federated_solve(&inst, shards, &core.config.peers, s.solver_template())
-        }
-    };
-    match solved {
-        Ok(outcome) => {
-            s.store_cluster(&outcome, t0.elapsed());
-            core.metrics.record_solve(false, &outcome.stats);
-            let mut kvs = vec![
-                ("objective".into(), outcome.solution.objective.to_string()),
-                ("warm".into(), "0".into()),
-                (
-                    "selected".into(),
-                    outcome.solution.facilities.len().to_string(),
-                ),
-                (
-                    "wall_us".into(),
-                    outcome.stats.total_wall().as_micros().to_string(),
-                ),
-                ("shards".into(), outcome.shards.to_string()),
-                ("strategy".into(), outcome.strategy.token().into()),
-                ("recovered".into(), outcome.recovered_shards.to_string()),
-            ];
-            if let Some(ppm) = outcome.gap_bound_ppm() {
-                kvs.push(("gap_bound_ppm".into(), ppm.to_string()));
-            }
-            Reply::Ok {
-                verb: Verb::Solve,
-                kvs,
-                payload: vec![],
-            }
-        }
-        Err(e) => solve_err(e),
-    }
-}
-
-/// Post-fail-over artifact: when a federated solve recovered shards from a
-/// dead peer (`recovered=` nonzero on the reply), write the session's
-/// flight-recorder ring next to its snapshots as
-/// `<session>.flight.jsonl`, so the seconds leading up to the failure
-/// survive for postmortem even if nobody sends `DUMP` in time.
-fn maybe_flight_artifact(session: &str, reply: &Reply, core: &ServerCore) {
-    let Reply::Ok { kvs, .. } = reply else { return };
-    let recovered = kvs.iter().any(|(k, v)| k == "recovered" && v != "0");
-    if !recovered || !mcfs_obs::flight::armed() {
-        return;
-    }
-    let Some(dir) = &core.config.snapshot_dir else {
-        return;
-    };
-    let entries = mcfs_obs::flight::dump(core.scope_of(session).unwrap_or(0));
-    if entries.is_empty() {
-        return;
-    }
-    let path = dir.join(format!("{session}.flight.jsonl"));
-    if let Err(e) = std::fs::write(&path, mcfs_obs::flight::to_jsonl(&entries)) {
-        eprintln!(
-            "mcfs-server: flight artifact for {session:?} failed: {e} ({})",
-            path.display()
-        );
-    }
-}
-
-/// Execute `SHARD <session> [shards=<n>]`: a stateless partition preview.
-/// Nothing is solved and no session state changes.
-fn shard_preview(s: &mut Session, shards: Option<usize>) -> Reply {
-    let want = shards.unwrap_or(2);
-    let inst = s.instance();
-    let part = mcfs_cluster::partition(&inst, want);
-    let mut payload = Vec::new();
-    for (i, shard) in part.shards.iter().enumerate() {
-        payload.push(format!("shard.{i}.nodes {}", shard.nodes.len()));
-        payload.push(format!("shard.{i}.customers {}", shard.num_customers()));
-        payload.push(format!("shard.{i}.facilities {}", shard.num_facilities()));
-        payload.push(format!("shard.{i}.min {}", shard.min_facilities));
-        payload.push(format!("shard.{i}.cut {}", shard.cut_edges));
-    }
-    Reply::Ok {
-        verb: Verb::Shard,
-        kvs: vec![
-            ("strategy".into(), part.strategy.token().into()),
-            ("requested".into(), part.requested.to_string()),
-            ("shards".into(), part.num_shards().to_string()),
-            ("boundary".into(), part.boundary.len().to_string()),
-        ],
-        payload,
     }
 }
 

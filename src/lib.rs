@@ -17,9 +17,10 @@
 //! * [`io`] — plain-text persistence for instances and solutions.
 //! * [`server`] — multi-session service: wire protocol, worker pool,
 //!   admission control and live metrics (`mcfs-serve`).
-//! * [`cluster`] — partition-and-merge cluster solving: balanced graph
+//! * [`cluster`] — in-process partition-and-merge solving: balanced graph
 //!   sharding, concurrent shard solves, Lagrangian budget split and a
-//!   certified optimality-gap bound.
+//!   certified optimality-gap bound (a library only; the server does not
+//!   shard).
 //! * [`loadgen`] — sustained-traffic load generation against the server,
 //!   fault injection, and SLO gating (`mcfs-loadgen`).
 //! * [`obs`] — the observability substrate: metrics registry with

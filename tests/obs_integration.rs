@@ -1,15 +1,16 @@
 //! End-to-end observability: traced requests through the real server stack
 //! (wire protocol → queue → worker → resolver → matcher → oracle), the
-//! `TRACE` verb, Chrome-trace export, and exact reconciliation between the
-//! `METRICS` kv grid and its Prometheus exposition.
+//! `TRACE` verb, Chrome-trace export, the flight recorder's `DUMP` verb,
+//! and exact reconciliation between the `METRICS` kv grid and its
+//! Prometheus exposition.
 
 use std::collections::{BTreeMap, HashSet};
 
 use mcfs_repro::core::{Edit, McfsInstance, WmaPhase};
 use mcfs_repro::graph::GraphBuilder;
 use mcfs_repro::io::write_instance;
-use mcfs_repro::obs::{next_trace_id, to_chrome_trace, verify_nesting, SpanRecord};
-use mcfs_repro::server::{Client, OpenKind, ServerConfig, ServerHandle};
+use mcfs_repro::obs::{flight, next_trace_id, to_chrome_trace, verify_nesting, SpanRecord};
+use mcfs_repro::server::{Client, OpenKind, Request, ServerConfig, ServerHandle};
 
 /// A tiny instance that solves in microseconds.
 fn small_instance_text() -> String {
@@ -178,6 +179,86 @@ fn concurrent_traced_sessions_produce_disjoint_trace_trees() {
     let ids_b: HashSet<u64> = spans_b.iter().map(|s| s.id).collect();
     assert!(ids_a.is_disjoint(&ids_b), "span trees share ids");
 
+    server.shutdown();
+}
+
+/// Whether `line` is exactly one JSON object: it opens with `{`, and the
+/// brace that closes that object is its last character.
+fn one_json_object(line: &str) -> bool {
+    let (mut depth, mut in_string, mut escaped) = (0usize, false, false);
+    for (i, c) in line.char_indices() {
+        if in_string {
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '{' => depth += 1,
+            '}' if depth == 0 => return false,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return i + 1 == line.len();
+                }
+            }
+            _ if depth == 0 => return false,
+            _ => {}
+        }
+    }
+    false
+}
+
+/// `DUMP` over the wire: with the flight recorder armed, a traced SOLVE
+/// leaves its events and spans in the session's ring, and `DUMP` returns
+/// that ring as one JSON object per payload line.
+#[test]
+fn dump_returns_the_session_flight_ring_as_jsonl() {
+    flight::enable(
+        flight::DEFAULT_FLIGHT_CAPACITY,
+        flight::DEFAULT_FLIGHT_WINDOW_NS,
+    );
+    let server = ServerHandle::start(ServerConfig::default());
+    let mut client = server.connect().unwrap();
+    open_instance(&mut client, "d");
+    let trace = next_trace_id();
+    client.solve_traced("d", trace).unwrap();
+
+    let reply = client
+        .request(&Request::Dump {
+            session: "d".into(),
+            deadline_ms: None,
+        })
+        .unwrap();
+    assert!(reply.is_ok(), "DUMP rejected: {reply:?}");
+    assert_eq!(reply.kv("armed"), Some("1"));
+    let entries: usize = reply.kv("entries").unwrap().parse().unwrap();
+    assert_eq!(
+        entries,
+        reply.payload().len(),
+        "entries= counts the payload"
+    );
+    let trace_field = format!("\"trace\":{trace},");
+    let mut traced_spans = 0;
+    for line in reply.payload() {
+        assert!(one_json_object(line), "not one JSON object: {line}");
+        let span = line.starts_with("{\"type\":\"span\",");
+        let event = line.starts_with("{\"type\":\"event\",");
+        assert!(span || event, "neither an event nor a span: {line}");
+        if span && line.contains(&trace_field) {
+            traced_spans += 1;
+        }
+    }
+    assert!(
+        traced_spans > 0,
+        "the traced SOLVE left no span in the ring"
+    );
+
+    flight::disable();
     server.shutdown();
 }
 

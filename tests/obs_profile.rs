@@ -1,9 +1,8 @@
 //! End-to-end checks for the continuous span-path profiler
 //! (`mcfs_obs::profile`): sampling a real solve attributes ≥90% of
 //! non-idle samples to fully named span paths, the per-thread fold is
-//! deterministic under hand-driven ticks, `PROFILE scope=cluster` carries
-//! one lane per live peer, and `PROFILE` interleaves with an active
-//! `WATCH` stream without tearing either.
+//! deterministic under hand-driven ticks, and `PROFILE` interleaves with an
+//! active `WATCH` stream without tearing either.
 //!
 //! The profiler's table, slot registry, and armed bit are process-global,
 //! so every test here serializes on [`TESTS`] and restores the default
@@ -20,8 +19,8 @@ use mcfs_repro::io::read_checkpoint;
 use mcfs_repro::obs::profile;
 use mcfs_repro::obs::ProfileSnapshot;
 use mcfs_repro::server::{
-    Client, EventBody, MetricsScope, OpenKind, ProfileFormat, Reply, Request, ServerConfig,
-    ServerHandle, Verb, WATCH_ALL,
+    Client, EventBody, OpenKind, ProfileFormat, Reply, Request, ServerConfig, ServerHandle, Verb,
+    WATCH_ALL,
 };
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/bikes_small.ckpt");
@@ -230,78 +229,6 @@ fn hand_driven_ticks_fold_deterministically() {
     assert_eq!(back.merged, window.merged, "folded round-trip lost paths");
 }
 
-/// `PROFILE scope=cluster` against a coordinator with two live peers
-/// returns one folded table with a `peer=local` lane plus one
-/// `peer=<addr>` lane per configured peer — nothing missing, nothing
-/// smuggled.
-#[test]
-fn cluster_profile_carries_every_live_peer_lane() {
-    let _serial = TESTS.lock().unwrap_or_else(|e| e.into_inner());
-    let _reset = ProfilerReset;
-
-    profile::set_auto_sample(true);
-    profile::enable(4001);
-
-    let text = world_text();
-    let mut peer_a = ServerHandle::start(ServerConfig::default());
-    let addr_a = peer_a.serve_tcp("127.0.0.1:0").expect("peer a bind");
-    let mut peer_b = ServerHandle::start(ServerConfig::default());
-    let addr_b = peer_b.serve_tcp("127.0.0.1:0").expect("peer b bind");
-    let mut coord = ServerHandle::start(ServerConfig {
-        peers: vec![addr_a.to_string(), addr_b.to_string()],
-        ..ServerConfig::default()
-    });
-    let coord_addr = coord.serve_tcp("127.0.0.1:0").expect("coordinator bind");
-
-    let mut client = Client::connect_tcp(&coord_addr.to_string()).expect("connect");
-    client
-        .open_text("w", OpenKind::Instance, &text)
-        .expect("open");
-
-    // Federated solves until the shared table has samples to report (the
-    // peers are in-process, so one process-global table backs all three
-    // lanes; the lanes still prove the fan-out and merge paths).
-    let start = Instant::now();
-    while profile::snapshot().total_samples() == 0 {
-        assert!(
-            start.elapsed() < Duration::from_secs(20),
-            "no profile samples after 20s of federated solving"
-        );
-        client.solve_sharded("w", 4).expect("federated solve");
-    }
-
-    let reply = client
-        .profile(WATCH_ALL, 0, ProfileFormat::Folded, MetricsScope::Cluster)
-        .expect("PROFILE scope=cluster");
-    assert_eq!(reply.kv("scope"), Some("cluster"));
-    assert_eq!(reply.kv("peers"), Some("2"));
-    assert_eq!(reply.kv("peers_ok"), Some("2"), "both peers are live");
-
-    let merged = ProfileSnapshot::from_folded_lines(reply.payload()).expect("parse folded reply");
-    for lane in ["local".to_owned(), addr_a.to_string(), addr_b.to_string()] {
-        let prefix = format!("peer={lane};");
-        assert!(
-            merged.merged.keys().any(|p| p.starts_with(&prefix)),
-            "lane {prefix:?} missing from cluster profile:\n{}",
-            merged.to_folded()
-        );
-    }
-    // Every path carries exactly one lane — a peer's reply can never
-    // smuggle a second `peer=` segment past the merge.
-    for path in merged.merged.keys() {
-        assert!(path.starts_with("peer="), "unlaned path {path:?}");
-        assert_eq!(
-            path.matches("peer=").count(),
-            1,
-            "nested peer lane in {path:?}"
-        );
-    }
-
-    coord.shutdown();
-    peer_a.shutdown();
-    peer_b.shutdown();
-}
-
 /// `PROFILE` on a connection with an active `WATCH` subscription, while
 /// another connection hammers `SOLVE`: every reply parses whole (folded
 /// and speedscope alike), and the event stream's sequence numbers never
@@ -342,7 +269,6 @@ fn profile_during_active_watch_never_tears() {
                 session: WATCH_ALL.to_owned(),
                 secs: 0,
                 format,
-                scope: MetricsScope::Local,
             };
             let reply = watcher.request(&req).expect("reply must parse whole");
             let Reply::Ok { verb, payload, .. } = reply else {

@@ -187,7 +187,6 @@ fn flood_beyond_queue_bound_is_shed_with_busy() {
         let shed = c3
             .request(&Request::Solve {
                 session: "big".into(),
-                shards: None,
                 deadline_ms: None,
             })
             .unwrap();
@@ -222,7 +221,6 @@ fn expired_deadline_times_out_queued_work_and_session_survives() {
     let reply = client
         .request(&Request::Solve {
             session: "s".into(),
-            shards: None,
             deadline_ms: Some(0),
         })
         .unwrap();

@@ -4,10 +4,8 @@
 //! panic, never misframe.
 
 use mcfs_repro::core::Edit;
-use mcfs_repro::obs::RegistrySnapshot;
 use mcfs_repro::server::{
-    ErrorCode, MetricsFormat, MetricsScope, OpenKind, ProfileFormat, Reply, Request, Verb,
-    MAX_PROFILE_SECS,
+    ErrorCode, MetricsFormat, OpenKind, ProfileFormat, Reply, Request, Verb, MAX_PROFILE_SECS,
 };
 use proptest::prelude::*;
 
@@ -68,9 +66,6 @@ fn build_request(
         },
         2 => Request::Solve {
             session,
-            // Odd deadlines double as shard-count entropy so the cluster
-            // form of SOLVE round-trips too.
-            shards: deadline_ms.and_then(|d| (d % 2 == 1).then_some((d % 8 + 1) as u32)),
             deadline_ms,
         },
         3 => Request::Assignment { session },
@@ -81,22 +76,16 @@ fn build_request(
         },
         6 => Request::Close { session },
         7 => Request::Metrics {
-            format: match deadline_ms.unwrap_or(0) % 3 {
-                0 => MetricsFormat::Kv,
-                1 => MetricsFormat::Prometheus,
-                _ => MetricsFormat::Snapshot,
-            },
-            scope: if deadline_ms.unwrap_or(0).is_multiple_of(2) {
-                MetricsScope::Local
+            format: if deadline_ms.unwrap_or(0).is_multiple_of(2) {
+                MetricsFormat::Kv
             } else {
-                MetricsScope::Cluster
+                MetricsFormat::Prometheus
             },
         },
         8 => Request::Trace {
             session,
             n: deadline_ms.map(|d| (d % 64) as usize),
             back: deadline_ms.map(|d| (d % 8) as usize),
-            remote: deadline_ms.unwrap_or(0) % 2 == 1,
             deadline_ms,
         },
         9 => Request::Watch {
@@ -109,21 +98,9 @@ fn build_request(
             buffer: deadline_ms.map(|d| (d % 1000 + 1) as usize),
         },
         10 => Request::Unwatch { session },
-        11 => Request::Shard {
-            session,
-            shards: deadline_ms.map(|d| (d % 8 + 1) as u32),
-            deadline_ms,
-        },
-        12 => Request::Merge {
+        11 => Request::Dump {
             session,
             deadline_ms,
-        },
-        13 => Request::Dump {
-            session,
-            deadline_ms,
-        },
-        14 => Request::Spans {
-            of: deadline_ms.unwrap_or(0).wrapping_mul(0x9e37).max(1),
         },
         _ => Request::Profile {
             // `*` (whole process) is the common target; named sessions
@@ -138,11 +115,6 @@ fn build_request(
                 ProfileFormat::Speedscope
             } else {
                 ProfileFormat::Folded
-            },
-            scope: if deadline_ms.unwrap_or(0).is_multiple_of(4) {
-                MetricsScope::Cluster
-            } else {
-                MetricsScope::Local
             },
         },
     }
@@ -345,15 +317,14 @@ proptest! {
             });
             for &step in &schedule {
                 let req = match step {
-                    0 => Request::Solve { session: "tort".into(), shards: None, deadline_ms: None },
+                    0 => Request::Solve { session: "tort".into(), deadline_ms: None },
                     1 => Request::Stats { session: "tort".into() },
-                    2 => Request::Metrics { format: MetricsFormat::Kv, scope: MetricsScope::Local },
+                    2 => Request::Metrics { format: MetricsFormat::Kv },
                     3 => Request::Snapshot { session: "tort".into(), deadline_ms: None },
                     _ => Request::Profile {
                         session: "tort".into(),
                         secs: 0,
                         format: ProfileFormat::Folded,
-                        scope: MetricsScope::Local,
                     },
                 };
                 let reply = a.request(&req).expect("reply must parse whole");
@@ -434,85 +405,70 @@ fn malformed_frames_report_structured_errors() {
         assert_eq!(err.line, line, "error line for {frame:?}: {err}");
         assert_eq!(err.fatal, fatal, "fatality for {frame:?}: {err}");
     }
-    // OPEN's `backend` attribute was removed in wire v1.5 and is now an
-    // unknown attribute like any other: a non-fatal error that names it,
-    // after which the next frame on the same stream still parses.
-    let removed = "backend";
-    let frames = format!("OPEN s instance lines=0 {removed}=bucket\nSTATS s\n");
-    let mut reader = frames.as_bytes();
-    let err = Request::read_from(&mut reader, 64).unwrap_err();
-    assert_eq!((err.line, err.fatal), (1, false), "{err}");
-    assert!(
-        err.message
-            .contains(&format!("unknown attribute {removed:?}")),
-        "{err}"
-    );
-    assert_eq!(
-        Request::read_from(&mut reader, 64).unwrap(),
-        Some(Request::Stats {
-            session: "s".into()
-        })
-    );
-}
-
-/// Federated-metrics payloads: structurally malformed peer snapshots are
-/// rejected with a message — never a panic, never a silently-wrong merge.
-#[test]
-fn malformed_peer_snapshot_payloads_are_rejected() {
-    let cases: &[&[&str]] = &[
-        &["cell - 3"],                            // cell before any family
-        &["frob x y"],                            // unknown record type
-        &["family m widget h"],                   // unknown family kind
-        &["family m counter h", "cell - x"],      // non-numeric value
-        &["family m counter h", "cell -"],        // missing value field
-        &["family m counter h", "cell broken 3"], // label set not k=v
-        &["family m counter h", "cell =v 3"],     // empty label name
-        &["family m counter h", "cell a=%zz 3"],  // bad escape sequence
-        &["family h histogram h", "cell - 1 2"],  // histogram too short
-        &["family m gauge h", "cell - 1 2 3 4"],  // scalar with histogram shape
-    ];
-    for lines in cases {
-        assert!(
-            RegistrySnapshot::from_wire_lines(lines).is_err(),
-            "{lines:?} should not parse"
+    // Verbs and attributes removed from the wire (OPEN's `backend` in
+    // v1.5; the sharded, federated and cross-process observability surface
+    // in v1.6) are unknown ones like any other: a non-fatal error on the
+    // verb line, after which the next frame on the same stream still
+    // parses.
+    for (removed, needle) in [
+        (
+            "OPEN s instance lines=0 backend=bucket",
+            "unknown attribute \"backend\"",
+        ),
+        ("SHARD s", "unknown verb \"SHARD\""),
+        ("MERGE s", "unknown verb \"MERGE\""),
+        ("SPANS of=1", "unknown verb \"SPANS\""),
+        ("SOLVE s shards=2", "unknown attribute \"shards\""),
+        ("TRACE s remote=1", "unknown attribute \"remote\""),
+        ("SOLVE s trace=1 parent=9", "unknown attribute \"parent\""),
+        ("METRICS scope=cluster", "unknown attribute \"scope\""),
+        (
+            "METRICS format=snapshot",
+            "unknown metrics format \"snapshot\"",
+        ),
+        ("PROFILE * scope=cluster", "unknown attribute \"scope\""),
+    ] {
+        let frames = format!("{removed}\nSTATS s\n");
+        let mut reader = frames.as_bytes();
+        let err = Request::read_from(&mut reader, 64).unwrap_err();
+        assert_eq!((err.line, err.fatal), (1, false), "{removed:?}: {err}");
+        assert!(err.message.contains(needle), "{removed:?}: {err}");
+        assert_eq!(
+            Request::read_from(&mut reader, 64).unwrap(),
+            Some(Request::Stats {
+                session: "s".into()
+            }),
+            "the frame after {removed:?}"
         );
     }
 }
 
-/// The cluster merge rejects peers that smuggle a `peer=` label (which
-/// would let one node impersonate another in the merged view) and peers
-/// that redeclare a family under a different kind.
+/// A rejected frame never leaves its payload behind: the lines its verb
+/// line announced are consumed with it, so the next request parsed is the
+/// frame after the payload — not a payload line executed as a request.
 #[test]
-fn cluster_merge_rejects_smuggled_labels_and_kind_clashes() {
-    let base = RegistrySnapshot::from_wire_lines(&["family m counter help", "cell - 3"]).unwrap();
-    let mut merged = RegistrySnapshot::default();
-    merged.merge_labeled("p1", &base).unwrap();
-    merged.merge_labeled("p2", &base).unwrap();
-    // Counters fold into the unlabeled aggregate: 3 + 3.
-    let agg = &merged.families["m"].cells[&Vec::new()];
-    assert_eq!(format!("{agg:?}"), "Counter(6)");
-
-    let clash = RegistrySnapshot::from_wire_lines(&["family m gauge help", "cell - 3"]).unwrap();
-    assert!(merged.merge_labeled("p3", &clash).is_err());
-
-    let smuggle =
-        RegistrySnapshot::from_wire_lines(&["family m counter help", "cell peer=evil 3"]).unwrap();
-    assert!(merged.merge_labeled("p4", &smuggle).is_err());
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Arbitrary text lines never panic the snapshot parser — the verbatim
-    /// bytes a hostile peer could return to `METRICS scope=cluster` fan-out.
-    #[test]
-    fn arbitrary_snapshot_lines_never_panic(
-        line_specs in proptest::collection::vec(
-            proptest::collection::vec(0usize..64, 0..24), 0..8),
-    ) {
-        const SNAP_CHARS: &[u8] = b"family cel%=,-019 hz";
-        let lines: Vec<String> =
-            line_specs.iter().map(|p| pick_string(SNAP_CHARS, p)).collect();
-        let _ = RegistrySnapshot::from_wire_lines(&lines);
+fn rejected_frames_consume_their_announced_payload() {
+    for frame in [
+        // A payload on a verb that takes none.
+        "SOLVE s lines=1\nCLOSE s\n",
+        "STATS s lines=2\nCLOSE s\nCLOSE t\n",
+        // A payload behind an unknown verb or attribute, or a bad name.
+        "FROB s lines=1\nCLOSE s\n",
+        "SOLVE s shards=2 lines=1\nCLOSE s\n",
+        "EDIT bad!name lines=1\nCLOSE s\n",
+        // A bad edit line: the rest of the script is consumed too.
+        "EDIT s lines=2\nfrob 1\nCLOSE s\n",
+    ] {
+        let stream = format!("{frame}STATS s\n");
+        let mut reader = stream.as_bytes();
+        let err = Request::read_from(&mut reader, 64).unwrap_err();
+        assert!(!err.fatal, "{frame:?}: {err}");
+        assert_eq!(
+            Request::read_from(&mut reader, 64).unwrap(),
+            Some(Request::Stats {
+                session: "s".into()
+            }),
+            "the request after {frame:?}"
+        );
     }
 }
