@@ -53,11 +53,6 @@ impl Target<'_> {
 /// width, so the layout follows the protocol when it grows verbs.
 pub const VERBS: usize = Verb::ALL.len();
 
-/// Index of a verb in [`Verb::ALL`] (the layout of the count matrices).
-pub fn verb_index(v: Verb) -> usize {
-    Verb::ALL.iter().position(|&x| x == v).expect("verb in ALL")
-}
-
 /// Client-observed counters for one connection (or, merged, for a run).
 #[derive(Clone, Debug)]
 pub struct ClientStats {
@@ -114,29 +109,16 @@ impl ClientStats {
 
     /// Total for one outcome across all verbs.
     pub fn outcome_total(&self, o: Outcome) -> u64 {
-        let oi = Outcome::ALL.iter().position(|&x| x == o).unwrap();
-        self.counts.iter().map(|row| row[oi]).sum()
+        self.counts.iter().map(|row| row[o.index()]).sum()
     }
 
     fn record(&mut self, verb: Verb, reply: &mcfs_server::Reply, us: u64) {
-        use mcfs_server::Reply;
-        let oi = match reply {
-            Reply::Ok { .. } => 0,
-            Reply::Busy { .. } => 1,
-            Reply::Timeout { .. } => 2,
-            Reply::Err { .. } => 3,
-        };
-        let vi = verb_index(verb);
-        self.counts[vi][oi] += 1;
-        self.hists[vi].observe(us);
+        let outcome = Outcome::of(reply);
+        self.counts[verb.index()][outcome.index()] += 1;
+        self.hists[verb.index()].observe(us);
         // The server's histogram only times queued work: admission-path
-        // `busy` records no latency, and the inline verbs (METRICS /
-        // PROFILE / WATCH / UNWATCH) never enter a queue.
-        let queued = !matches!(
-            verb,
-            Verb::Metrics | Verb::Profile | Verb::Watch | Verb::Unwatch
-        );
-        if queued && (oi == 0 || oi == 2) {
+        // `busy` records no latency, and inline verbs never enter a queue.
+        if verb.row().queued && matches!(outcome, Outcome::Ok | Outcome::Timeout) {
             self.reconcile.observe(us);
         }
     }
@@ -187,37 +169,31 @@ impl Connection<'_> {
     /// server actually applied it (`Reply::Ok`) — a shed (`busy`) or
     /// rejected request changed no session state, and callers tracking a
     /// model of that state must not advance it.
-    fn issue(&mut self, verb: Verb, req: &Request) -> Result<bool, String> {
+    fn issue(&mut self, req: &Request) -> Result<bool, String> {
         let t0 = Instant::now();
         let reply = self
             .client
             .request(req)
-            .map_err(|e| format!("{} failed: {e}", verb.token()))?;
+            .map_err(|e| format!("{} failed: {e}", req.verb().token()))?;
         let us = t0.elapsed().as_micros() as u64;
-        self.stats.record(verb, &reply, us);
+        self.stats.record(req.verb(), &reply, us);
         Ok(matches!(reply, mcfs_server::Reply::Ok { .. }))
     }
 
     fn open_owned(&mut self, instance_text: &str) -> Result<(), String> {
         for &si in &self.owned.clone() {
             let session = self.all_sessions[si].clone();
-            self.issue(
-                Verb::Open,
-                &Request::Open {
-                    session: session.clone(),
-                    kind: OpenKind::Instance,
-                    payload: mcfs_server::protocol::text_to_lines(instance_text),
-                },
-            )?;
+            self.issue(&Request::Open {
+                session: session.clone(),
+                kind: OpenKind::Instance,
+                payload: mcfs_server::protocol::text_to_lines(instance_text),
+            })?;
             // Warmup: every session holds a current solution before the
             // measured loop starts, so STATS can never race a fresh OPEN.
-            self.issue(
-                Verb::Solve,
-                &Request::Solve {
-                    session,
-                    deadline_ms: None,
-                },
-            )?;
+            self.issue(&Request::Solve {
+                session,
+                deadline_ms: None,
+            })?;
         }
         Ok(())
     }
@@ -245,14 +221,11 @@ impl Connection<'_> {
                         index: base + self.added[slot] - 1,
                     }
                 };
-                let applied = self.issue(
-                    Verb::Edit,
-                    &Request::Edit {
-                        session: session.clone(),
-                        edits: vec![edit],
-                        deadline_ms: None,
-                    },
-                )?;
+                let applied = self.issue(&Request::Edit {
+                    session: session.clone(),
+                    edits: vec![edit],
+                    deadline_ms: None,
+                })?;
                 // Track the session's real customer count: an edit that
                 // was shed (`busy`) changed nothing, and advancing the
                 // model anyway would aim a later RemoveCustomer past the
@@ -265,62 +238,47 @@ impl Connection<'_> {
                     }
                 }
                 self.measured += 1;
-                self.issue(
-                    Verb::Solve,
-                    &Request::Solve {
-                        session,
-                        deadline_ms: None,
-                    },
-                )?;
+                self.issue(&Request::Solve {
+                    session,
+                    deadline_ms: None,
+                })?;
                 self.measured += 1;
             }
             OpKind::Solve => {
                 let session = self.random_session();
-                self.issue(
-                    Verb::Solve,
-                    &Request::Solve {
-                        session,
-                        deadline_ms: None,
-                    },
-                )?;
+                self.issue(&Request::Solve {
+                    session,
+                    deadline_ms: None,
+                })?;
                 self.measured += 1;
             }
             OpKind::Stats => {
                 let slot = self.rng.random_range(0..self.owned.len());
                 let session = self.all_sessions[self.owned[slot]].clone();
-                self.issue(Verb::Stats, &Request::Stats { session })?;
+                self.issue(&Request::Stats { session })?;
                 self.measured += 1;
             }
             OpKind::Snapshot => {
                 let session = self.random_session();
-                self.issue(
-                    Verb::Snapshot,
-                    &Request::Snapshot {
-                        session,
-                        deadline_ms: None,
-                    },
-                )?;
+                self.issue(&Request::Snapshot {
+                    session,
+                    deadline_ms: None,
+                })?;
                 self.measured += 1;
             }
             OpKind::Watch => {
                 let session = self.random_session();
-                self.issue(
-                    Verb::Watch,
-                    &Request::Watch {
-                        session: session.clone(),
-                        buffer: Some(self.profile.watch_buffer),
-                    },
-                )?;
+                self.issue(&Request::Watch {
+                    session: session.clone(),
+                    buffer: Some(self.profile.watch_buffer),
+                })?;
                 self.measured += 1;
-                self.issue(
-                    Verb::Solve,
-                    &Request::Solve {
-                        session: session.clone(),
-                        deadline_ms: None,
-                    },
-                )?;
+                self.issue(&Request::Solve {
+                    session: session.clone(),
+                    deadline_ms: None,
+                })?;
                 self.measured += 1;
-                self.issue(Verb::Unwatch, &Request::Unwatch { session })?;
+                self.issue(&Request::Unwatch { session })?;
                 self.measured += 1;
                 for frame in self.client.take_events() {
                     match frame.body {
@@ -432,7 +390,7 @@ pub fn run(profile: &LoadProfile, target: &Target<'_>) -> Result<RunOutput, Stri
     // reconciliation would diverge on the profile row. The *after* fetch
     // lands past the read-back snapshot, so — like the final METRICS
     // itself — it is invisible to the numbers and must not be mirrored.
-    merged.counts[verb_index(Verb::Profile)][0] += profile_before.is_some() as u64;
+    merged.counts[Verb::Profile.index()][Outcome::Ok.index()] += profile_before.is_some() as u64;
     let profile_window = match (profile_before, profile_after) {
         (Some(before), Some(after)) => Some(after.diff(&before)),
         _ => None,

@@ -5,7 +5,7 @@
 use mcfs_server::protocol::Verb;
 use mcfs_server::Outcome;
 
-use crate::driver::{verb_index, RunOutput, VERBS};
+use crate::driver::{RunOutput, VERBS};
 use crate::histogram::{Log2Hist, BUCKETS};
 
 /// The server-side counters a run cares about, parsed from `METRICS` kv
@@ -423,9 +423,4 @@ impl LoadReport {
         out.push_str("}\n");
         out
     }
-}
-
-/// Index of `verb` row in the report matrices (re-exported convenience).
-pub fn verb_row(verb: Verb) -> usize {
-    verb_index(verb)
 }

@@ -4,13 +4,15 @@
 //! ([`mcfs::ReSolver`]) into a long-running service: many named sessions,
 //! each owning a live instance and its warm solver state, served by a
 //! fixed pool of worker threads behind a versioned line-oriented wire
-//! protocol (`mcfs-wire v1`).
+//! protocol (`mcfs-wire v1.6`).
 //!
 //! Layout:
 //!
-//! - [`protocol`] — the wire grammar: request/reply framing, typed edit
-//!   scripts, structured error codes. Payload blocks reuse the `mcfs-io`
-//!   formats verbatim, so anything a file can hold a connection can carry.
+//! - [`protocol`] — the wire grammar: one table row per request verb
+//!   ([`protocol::GRAMMAR`]) read by one generic parser and writer,
+//!   request/reply framing, typed edit scripts, structured error codes.
+//!   Payload blocks reuse the `mcfs-io` formats verbatim, so anything a
+//!   file can hold a connection can carry.
 //! - [`session`] — one served session: heap-pinned graph + borrowing
 //!   resolver, dirty tracking, checkpoint serialization.
 //! - `worker` — the pool: sessions are pinned to a worker at `OPEN`, which
@@ -31,8 +33,9 @@
 //! `server.execute` → solver/matcher/oracle spans → `server.handoff` →
 //! `server.reply`) into
 //! the process-wide `mcfs-obs` span ring and echoes `trace=<id>` on the
-//! reply. The `TRACE` verb retrieves a session's most recent traced
-//! request as positional span lines, convertible to Chrome trace JSON via
+//! reply. The `TRACE` verb retrieves one of a session's recently traced
+//! requests (the most recent, or `back=<j>` steps behind it) as positional
+//! span lines, convertible to Chrome trace JSON via
 //! [`mcfs_obs::to_chrome_trace`].
 //!
 //! ```no_run

@@ -20,7 +20,7 @@ use std::time::Duration;
 use mcfs::SolveStats;
 use mcfs_obs::{Counter, Gauge, Histogram, Registry};
 
-use crate::protocol::Verb;
+use crate::protocol::{Reply, Verb};
 
 /// Reply outcomes, mirroring the four reply statuses on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -49,12 +49,18 @@ impl Outcome {
         }
     }
 
-    fn index(self) -> usize {
-        match self {
-            Outcome::Ok => 0,
-            Outcome::Busy => 1,
-            Outcome::Timeout => 2,
-            Outcome::Err => 3,
+    /// The outcome's position in [`Outcome::ALL`].
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// The outcome a reply reports.
+    pub fn of(reply: &Reply) -> Outcome {
+        match reply {
+            Reply::Ok { .. } => Outcome::Ok,
+            Reply::Busy { .. } => Outcome::Busy,
+            Reply::Timeout { .. } => Outcome::Timeout,
+            Reply::Err { .. } => Outcome::Err,
         }
     }
 }
@@ -66,13 +72,6 @@ const OUTCOMES: usize = Outcome::ALL.len();
 /// requests whose wall time was in `[2^(i-1), 2^i)` microseconds (bucket 0
 /// is `< 1µs`); the last bucket is the catch-all.
 pub const LATENCY_BUCKETS: usize = 28;
-
-fn verb_index(v: Verb) -> usize {
-    Verb::ALL
-        .iter()
-        .position(|&x| x == v)
-        .expect("Verb::ALL is exhaustive")
-}
 
 /// The shared, live counter set — a view over this server's registry.
 #[derive(Debug)]
@@ -183,7 +182,7 @@ impl Metrics {
     /// Record one reply. `latency` is admission-to-reply wall time where it
     /// is meaningful (queued requests); inline replies pass `None`.
     pub fn record_request(&self, verb: Verb, outcome: Outcome, latency: Option<Duration>) {
-        self.requests[verb_index(verb) * OUTCOMES + outcome.index()].inc();
+        self.requests[verb.index() * OUTCOMES + outcome.index()].inc();
         if let Some(lat) = latency {
             let us = lat.as_micros().min(u64::MAX as u128) as u64;
             self.latency.observe(us);
@@ -256,7 +255,7 @@ impl Metrics {
                     "requests.{}.{} {}",
                     verb.name(),
                     outcome.name(),
-                    self.requests[verb_index(verb) * OUTCOMES + outcome.index()].get()
+                    self.requests[verb.index() * OUTCOMES + outcome.index()].get()
                 ));
             }
         }

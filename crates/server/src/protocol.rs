@@ -12,21 +12,25 @@
 //! trivial and makes truncation detectable (`n` lines promised, EOF
 //! delivered).
 //!
+//! Requests are declared once, in two tables: [`GRAMMAR`] has one row per
+//! verb and [`KEYS`] one row per attribute. One generic parser and one
+//! generic writer read them, and a test renders the `request` production
+//! below from them (`n` stands for a number) and fails when the two differ.
+//!
 //! ```text
 //! request  := "OPEN" session ("instance" | "checkpoint") "lines=" n payload
-//!           | "EDIT" session "lines=" n ["deadline_ms=" d] payload
-//!           | "SOLVE" session ["deadline_ms=" d]
+//!           | "EDIT" session "lines=" n ["deadline_ms=" n] payload
+//!           | "SOLVE" session ["deadline_ms=" n]
 //!           | "ASSIGNMENT" session
 //!           | "STATS" session
-//!           | "SNAPSHOT" session ["deadline_ms=" d]
+//!           | "SNAPSHOT" session ["deadline_ms=" n]
 //!           | "CLOSE" session
 //!           | "METRICS" ["format=" ("kv" | "prometheus")]
-//!           | "TRACE" session ["n=" k] ["back=" j] ["deadline_ms=" d]
-//!           | "WATCH" (session | "*") ["buffer=" b]
+//!           | "TRACE" session ["n=" n] ["back=" n] ["deadline_ms=" n]
+//!           | "WATCH" (session | "*") ["buffer=" n]
 //!           | "UNWATCH" (session | "*")
-//!           | "DUMP" session ["deadline_ms=" d]
-//!           | "PROFILE" (session | "*") ["secs=" n]
-//!                       ["format=" ("folded" | "speedscope")]
+//!           | "DUMP" session ["deadline_ms=" n]
+//!           | "PROFILE" (session | "*") ["secs=" n] ["format=" ("folded" | "speedscope")]
 //!
 //! reply    := "ok" verb {key "=" value} ["lines=" n payload]
 //!           | "busy" {key "=" value}
@@ -85,9 +89,9 @@
 //! bytes into this parser. The payload a verb line announces is consumed
 //! before the verb line is judged, so a rejected frame never leaves its
 //! payload behind to be read as requests. Errors that desynchronize the
-//! framing (truncated payloads, I/O failures) are marked
-//! [`ProtoError::fatal`] so the connection loop knows to hang up instead of
-//! misparsing the remainder of the stream.
+//! framing (truncated payloads, I/O failures) set [`ProtoError`]'s `fatal`
+//! flag so the connection loop knows to hang up instead of misparsing the
+//! remainder of the stream.
 
 use std::io::{self, BufRead, Write};
 
@@ -108,7 +112,7 @@ pub const MAX_SESSION_NAME: usize = 64;
 /// cannot commit the server to an unbounded allocation.
 pub const DEFAULT_MAX_PAYLOAD_LINES: usize = 1 << 20;
 
-/// The thirteen request verbs.
+/// The thirteen request verbs, in [`GRAMMAR`] order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Verb {
     /// Create a session from an instance or checkpoint payload.
@@ -141,68 +145,239 @@ pub enum Verb {
 
 impl Verb {
     /// Every verb, in wire order.
-    pub const ALL: [Verb; 13] = [
-        Verb::Open,
-        Verb::Edit,
-        Verb::Solve,
-        Verb::Assignment,
-        Verb::Stats,
-        Verb::Snapshot,
-        Verb::Close,
-        Verb::Metrics,
-        Verb::Trace,
-        Verb::Watch,
-        Verb::Unwatch,
-        Verb::Dump,
-        Verb::Profile,
-    ];
+    pub const ALL: [Verb; GRAMMAR.len()] = {
+        let mut all = [Verb::Open; GRAMMAR.len()];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = GRAMMAR[i].verb;
+            assert!(all[i] as usize == i, "GRAMMAR rows follow Verb's order");
+            i += 1;
+        }
+        all
+    };
+
+    /// The verb's row of [`GRAMMAR`].
+    pub fn row(self) -> &'static VerbRow {
+        &GRAMMAR[self as usize]
+    }
+
+    /// The verb's position in [`Verb::ALL`] (the layout of per-verb
+    /// counter grids).
+    pub fn index(self) -> usize {
+        self as usize
+    }
 
     /// The lowercase wire name (used in replies and metrics keys).
     pub fn name(self) -> &'static str {
-        match self {
-            Verb::Open => "open",
-            Verb::Edit => "edit",
-            Verb::Solve => "solve",
-            Verb::Assignment => "assignment",
-            Verb::Stats => "stats",
-            Verb::Snapshot => "snapshot",
-            Verb::Close => "close",
-            Verb::Metrics => "metrics",
-            Verb::Trace => "trace",
-            Verb::Watch => "watch",
-            Verb::Unwatch => "unwatch",
-            Verb::Dump => "dump",
-            Verb::Profile => "profile",
-        }
+        self.row().name
     }
 
     /// The uppercase request token.
     pub fn token(self) -> &'static str {
-        match self {
-            Verb::Open => "OPEN",
-            Verb::Edit => "EDIT",
-            Verb::Solve => "SOLVE",
-            Verb::Assignment => "ASSIGNMENT",
-            Verb::Stats => "STATS",
-            Verb::Snapshot => "SNAPSHOT",
-            Verb::Close => "CLOSE",
-            Verb::Metrics => "METRICS",
-            Verb::Trace => "TRACE",
-            Verb::Watch => "WATCH",
-            Verb::Unwatch => "UNWATCH",
-            Verb::Dump => "DUMP",
-            Verb::Profile => "PROFILE",
-        }
+        self.row().token
     }
 
     fn from_name(s: &str) -> Option<Verb> {
-        Verb::ALL.into_iter().find(|v| v.name() == s)
-    }
-
-    fn from_token(s: &str) -> Option<Verb> {
-        Verb::ALL.into_iter().find(|v| v.token() == s)
+        GRAMMAR.iter().find(|row| row.name == s).map(|row| row.verb)
     }
 }
+
+/// What a verb line names after its token.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Target {
+    /// Nothing: the verb addresses the server.
+    Server,
+    /// A session name.
+    Session,
+    /// A session name, or [`WATCH_ALL`] for every session (on `PROFILE`,
+    /// the whole process).
+    SessionOrAll,
+}
+
+/// One verb of the request grammar: a row of [`GRAMMAR`].
+#[derive(Debug)]
+pub struct VerbRow {
+    /// The verb the row declares.
+    pub verb: Verb,
+    /// The uppercase request token.
+    pub token: &'static str,
+    /// The lowercase name that replies and metrics keys carry.
+    pub name: &'static str,
+    /// What the verb line names after the token.
+    pub target: Target,
+    /// The words of a positional token required after the target, in
+    /// [`OpenKind`] order; empty when the verb takes none.
+    pub kinds: &'static [&'static str],
+    /// The attributes the verb takes besides `trace=` (every verb takes
+    /// it), in written order, each with its words: the default first, and
+    /// none for a number.
+    pub attrs: &'static [(Key, &'static [&'static str])],
+    /// Whether a payload follows the verb line; it then needs `lines=`.
+    pub payload: bool,
+    /// Whether the request enters its session's queue. The server answers
+    /// the others inline, and its latency histogram times queued ones only.
+    pub queued: bool,
+}
+
+const DEADLINE: (Key, &[&str]) = (Key::DeadlineMs, &[]);
+
+/// The request grammar: one row per verb, in [`Verb`] order.
+#[rustfmt::skip]
+pub const GRAMMAR: [VerbRow; 13] = [
+    VerbRow::new(Verb::Open, "OPEN", "open", Target::Session).kinds(&["instance", "checkpoint"]).payload(),
+    VerbRow::new(Verb::Edit, "EDIT", "edit", Target::Session).attrs(&[DEADLINE]).payload(),
+    VerbRow::new(Verb::Solve, "SOLVE", "solve", Target::Session).attrs(&[DEADLINE]),
+    VerbRow::new(Verb::Assignment, "ASSIGNMENT", "assignment", Target::Session),
+    VerbRow::new(Verb::Stats, "STATS", "stats", Target::Session),
+    VerbRow::new(Verb::Snapshot, "SNAPSHOT", "snapshot", Target::Session).attrs(&[DEADLINE]),
+    VerbRow::new(Verb::Close, "CLOSE", "close", Target::Session),
+    VerbRow::new(Verb::Metrics, "METRICS", "metrics", Target::Server)
+        .attrs(&[(Key::Format, &["kv", "prometheus"])]).inline(),
+    VerbRow::new(Verb::Trace, "TRACE", "trace", Target::Session)
+        .attrs(&[(Key::N, &[]), (Key::Back, &[]), DEADLINE]),
+    VerbRow::new(Verb::Watch, "WATCH", "watch", Target::SessionOrAll).attrs(&[(Key::Buffer, &[])]).inline(),
+    VerbRow::new(Verb::Unwatch, "UNWATCH", "unwatch", Target::SessionOrAll).inline(),
+    VerbRow::new(Verb::Dump, "DUMP", "dump", Target::Session).attrs(&[DEADLINE]),
+    VerbRow::new(Verb::Profile, "PROFILE", "profile", Target::SessionOrAll)
+        .attrs(&[(Key::Secs, &[]), (Key::Format, &["folded", "speedscope"])]).inline(),
+];
+
+impl VerbRow {
+    /// A queued verb that takes no kind, payload or attribute but `trace=`.
+    const fn new(verb: Verb, token: &'static str, name: &'static str, target: Target) -> Self {
+        VerbRow {
+            verb,
+            token,
+            name,
+            target,
+            kinds: &[],
+            attrs: &[],
+            payload: false,
+            queued: true,
+        }
+    }
+
+    const fn kinds(self, kinds: &'static [&'static str]) -> Self {
+        VerbRow { kinds, ..self }
+    }
+
+    const fn attrs(self, attrs: &'static [(Key, &'static [&'static str])]) -> Self {
+        VerbRow { attrs, ..self }
+    }
+
+    const fn payload(mut self) -> Self {
+        self.payload = true;
+        self
+    }
+
+    const fn inline(mut self) -> Self {
+        self.queued = false;
+        self
+    }
+
+    /// The words `key` takes on this verb (empty for a number), if it is
+    /// one of the verb's `attrs`.
+    pub fn attr(&self, key: Key) -> Option<&'static [&'static str]> {
+        self.attrs.iter().find(|a| a.0 == key).map(|a| a.1)
+    }
+
+    /// Whether the verb line may carry `key`.
+    pub fn takes(&self, key: Key) -> bool {
+        match key {
+            Key::Trace => true,
+            Key::Lines => self.payload,
+            _ => self.attr(key).is_some(),
+        }
+    }
+}
+
+/// A verb-line attribute key; its row of [`KEYS`] names it and says how
+/// its value is read.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Key {
+    Lines,
+    DeadlineMs,
+    Trace,
+    Format,
+    N,
+    Back,
+    Buffer,
+    Secs,
+}
+
+/// How an attribute's value is read.
+#[derive(Clone, Copy, Debug)]
+pub enum Value {
+    /// A payload line count, within the reader's payload bound.
+    Count,
+    /// An unsigned integer `(what, min, max, limit)`: `what` names it when
+    /// it does not parse, and `limit` is the error outside `min..=max`.
+    Int(&'static str, u64, u64, &'static str),
+    /// A word of the verb's vocabulary for the key, checked once the keys
+    /// are.
+    Word,
+}
+
+impl Value {
+    /// Any unsigned integer, named `what` when it does not parse.
+    const fn any(what: &'static str) -> Value {
+        Value::Int(what, 0, u64::MAX, "")
+    }
+
+    fn read(self, v: &str, max_payload: usize) -> Result<Val<'_>, ProtoError> {
+        match self {
+            Value::Count => parse_payload_count(v, max_payload).map(|n| Val::Num(n as u64)),
+            Value::Int(what, min, max, limit) => match v.parse::<u64>() {
+                Ok(n) if (min..=max).contains(&n) => Ok(Val::Num(n)),
+                Ok(_) => Err(ProtoError::new(1, limit)),
+                Err(_) => Err(ProtoError::new(1, format!("bad {what} {v:?}"))),
+            },
+            Value::Word => Ok(Val::Word(v)),
+        }
+    }
+}
+
+/// One value of an attribute as read off a verb line: a number, or a word
+/// that the verb's vocabulary has yet to resolve.
+#[derive(Clone, Copy)]
+enum Val<'a> {
+    Num(u64),
+    Word(&'a str),
+}
+
+/// One attribute key of the request grammar: a row of [`KEYS`].
+#[derive(Debug)]
+pub struct KeyRow {
+    /// The key the row declares.
+    pub key: Key,
+    /// The key as written before the `=`.
+    pub name: &'static str,
+    /// How the key's value is read.
+    pub value: Value,
+}
+
+/// Every attribute key, in [`Key`] order: the order in which the keys a
+/// verb does not take are reported.
+#[rustfmt::skip]
+pub const KEYS: [KeyRow; 8] = [
+    KeyRow { key: Key::Lines, name: "lines", value: Value::Count },
+    KeyRow { key: Key::DeadlineMs, name: "deadline_ms", value: Value::any("deadline_ms") },
+    KeyRow { key: Key::Trace, name: "trace", value: Value::Int("trace id", 1, u64::MAX, "trace id must be nonzero") },
+    KeyRow { key: Key::Format, name: "format", value: Value::Word },
+    KeyRow { key: Key::N, name: "n", value: Value::any("span count") },
+    KeyRow { key: Key::Back, name: "back", value: Value::any("back offset") },
+    KeyRow { key: Key::Buffer, name: "buffer", value: Value::Int("buffer size", 1, u64::MAX, "buffer must be at least 1") },
+    KeyRow { key: Key::Secs, name: "secs", value: Value::Int("secs", 0, MAX_PROFILE_SECS, "secs too large (max 60)") },
+];
+
+const _: () = {
+    let mut i = 0;
+    while i < KEYS.len() {
+        assert!(KEYS[i].key as usize == i, "KEYS rows follow Key's order");
+        i += 1;
+    }
+    assert!(MAX_PROFILE_SECS == 60, "the secs= limit message names 60");
+};
 
 /// What an `OPEN` payload contains.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -214,19 +389,10 @@ pub enum OpenKind {
     Checkpoint,
 }
 
-impl OpenKind {
-    fn token(self) -> &'static str {
-        match self {
-            OpenKind::Instance => "instance",
-            OpenKind::Checkpoint => "checkpoint",
-        }
-    }
-}
-
-/// A parsed client request.
+/// A parsed client request. [`GRAMMAR`] declares each verb's wire form.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
-    /// `OPEN <session> <kind> lines=<n>` + payload.
+    /// Create a session from an `mcfs-io` block.
     Open {
         /// Target session name.
         session: String,
@@ -235,7 +401,7 @@ pub enum Request {
         /// The raw `mcfs-io` block, one entry per line.
         payload: Vec<String>,
     },
-    /// `EDIT <session> lines=<n> [deadline_ms=<d>]` + edit lines.
+    /// Apply an edit script.
     Edit {
         /// Target session name.
         session: String,
@@ -244,41 +410,41 @@ pub enum Request {
         /// Queued-request deadline, milliseconds from admission.
         deadline_ms: Option<u64>,
     },
-    /// `SOLVE <session> [deadline_ms=<d>]`.
+    /// Re-solve the session.
     Solve {
         /// Target session name.
         session: String,
         /// Queued-request deadline, milliseconds from admission.
         deadline_ms: Option<u64>,
     },
-    /// `ASSIGNMENT <session>`.
+    /// Fetch the last solution.
     Assignment {
         /// Target session name.
         session: String,
     },
-    /// `STATS <session>`.
+    /// Fetch the last solve's statistics.
     Stats {
         /// Target session name.
         session: String,
     },
-    /// `SNAPSHOT <session> [deadline_ms=<d>]`.
+    /// Checkpoint the session.
     Snapshot {
         /// Target session name.
         session: String,
         /// Queued-request deadline, milliseconds from admission.
         deadline_ms: Option<u64>,
     },
-    /// `CLOSE <session>`.
+    /// Tear the session down.
     Close {
         /// Target session name.
         session: String,
     },
-    /// `METRICS [format=kv|prometheus]`.
+    /// Fetch the server's counters.
     Metrics {
         /// Requested exposition format.
         format: MetricsFormat,
     },
-    /// `TRACE <session> [n=<k>] [back=<j>] [deadline_ms=<d>]`.
+    /// Fetch a traced request's spans.
     Trace {
         /// Target session name.
         session: String,
@@ -291,7 +457,7 @@ pub enum Request {
         /// Queued-request deadline, milliseconds from admission.
         deadline_ms: Option<u64>,
     },
-    /// `WATCH <session|*> [buffer=<b>]`.
+    /// Subscribe this connection to live events.
     Watch {
         /// Target session name, or [`WATCH_ALL`] for every session.
         session: String,
@@ -299,26 +465,24 @@ pub enum Request {
         /// server default ([`mcfs_obs::DEFAULT_SUBSCRIBER_CAPACITY`]).
         buffer: Option<usize>,
     },
-    /// `UNWATCH <session|*>`.
+    /// Cancel a `WATCH`.
     Unwatch {
         /// The `WATCH` target to cancel.
         session: String,
     },
-    /// `DUMP <session> [deadline_ms=<d>]` — drain the session's
-    /// flight-recorder ring as JSONL payload lines.
+    /// Drain the session's flight-recorder ring as JSONL payload lines.
     Dump {
         /// Target session name.
         session: String,
         /// Queued-request deadline, milliseconds from admission.
         deadline_ms: Option<u64>,
     },
-    /// `PROFILE <session|*> [secs=<n>] [format=folded|speedscope]` — fetch
-    /// the continuous profiler's folded span-path table. The profiler is
-    /// process-scoped, so the target only selects addressing: `*` asks the
-    /// process outright, while a session name additionally checks that the
-    /// session exists (typo safety for tooling). Answered inline, never
-    /// queued — a profile must be obtainable while every worker is
-    /// saturated.
+    /// Fetch the continuous profiler's folded span-path table. The
+    /// profiler is process-scoped, so the target only selects addressing:
+    /// `*` asks the process outright, while a session name additionally
+    /// checks that the session exists (typo safety for tooling). Answered
+    /// inline, never queued — a profile must be obtainable while every
+    /// worker is saturated.
     Profile {
         /// Target session name, or [`WATCH_ALL`] for the whole process.
         session: String,
@@ -337,7 +501,8 @@ pub enum Request {
 /// parking a connection thread indefinitely.
 pub const MAX_PROFILE_SECS: u64 = 60;
 
-/// `PROFILE` output formats.
+/// `PROFILE` output formats, in the order of the `format=` words of its
+/// [`GRAMMAR`] row.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ProfileFormat {
     /// Collapsed-stack lines `lane;name;name <samples>` (the default);
@@ -348,25 +513,8 @@ pub enum ProfileFormat {
     Speedscope,
 }
 
-impl ProfileFormat {
-    /// The wire token used in `format=<token>`.
-    pub fn token(self) -> &'static str {
-        match self {
-            ProfileFormat::Folded => "folded",
-            ProfileFormat::Speedscope => "speedscope",
-        }
-    }
-
-    fn from_token(s: &str) -> Option<ProfileFormat> {
-        match s {
-            "folded" => Some(ProfileFormat::Folded),
-            "speedscope" => Some(ProfileFormat::Speedscope),
-            _ => None,
-        }
-    }
-}
-
-/// `METRICS` exposition formats.
+/// `METRICS` exposition formats, in the order of the `format=` words of
+/// its [`GRAMMAR`] row.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MetricsFormat {
     /// Legacy `key value` lines (the default).
@@ -376,21 +524,70 @@ pub enum MetricsFormat {
     Prometheus,
 }
 
-impl MetricsFormat {
-    /// The wire token used in `format=<token>`.
-    pub fn token(self) -> &'static str {
-        match self {
-            MetricsFormat::Kv => "kv",
-            MetricsFormat::Prometheus => "prometheus",
+/// A request taken apart along its [`GRAMMAR`] row: what the generic
+/// writer renders and the generic parser builds.
+struct Parts<'a> {
+    verb: Verb,
+    /// The target; `None` when the verb addresses the server.
+    session: Option<&'a str>,
+    /// The positional token, as its index in the row's `kinds`.
+    kind: Option<usize>,
+    /// Attribute values, by [`Key`].
+    vals: [Option<Val<'a>>; KEYS.len()],
+    /// The payload to write: raw lines, or typed edits.
+    lines: &'a [String],
+    edits: &'a [Edit],
+}
+
+impl<'a> Parts<'a> {
+    fn new(verb: Verb, session: Option<&'a str>) -> Self {
+        Parts {
+            verb,
+            session,
+            kind: None,
+            vals: [None; KEYS.len()],
+            lines: &[],
+            edits: &[],
         }
     }
 
-    fn from_token(s: &str) -> Option<MetricsFormat> {
-        match s {
-            "kv" => Some(MetricsFormat::Kv),
-            "prometheus" => Some(MetricsFormat::Prometheus),
+    fn at(verb: Verb, session: &'a str) -> Self {
+        Parts::new(verb, Some(session))
+    }
+
+    fn num(mut self, key: Key, value: Option<u64>) -> Self {
+        self.vals[key as usize] = value.map(Val::Num);
+        self
+    }
+
+    /// Set a word by its index in the verb's vocabulary; the default (the
+    /// first word) is left unwritten.
+    fn word(mut self, key: Key, index: usize) -> Self {
+        if index != 0 {
+            let words = self.verb.row().attr(key).unwrap_or_default();
+            self.vals[key as usize] = Some(Val::Word(words[index]));
+        }
+        self
+    }
+
+    fn get(&self, key: Key) -> Option<u64> {
+        match self.vals[key as usize] {
+            Some(Val::Num(n)) => Some(n),
             _ => None,
         }
+    }
+
+    /// A word's index in the verb's vocabulary, the default when absent.
+    fn word_at(&self, key: Key) -> Result<usize, ProtoError> {
+        let Some(Val::Word(word)) = self.vals[key as usize] else {
+            return Ok(0);
+        };
+        let row = self.verb.row();
+        let words = row.attr(key).unwrap_or_default();
+        words.iter().position(|&w| w == word).ok_or_else(|| {
+            let name = KEYS[key as usize].name;
+            ProtoError::new(1, format!("unknown {} {name} {word:?}", row.name))
+        })
     }
 }
 
@@ -408,14 +605,6 @@ pub struct TracedRequest {
 }
 
 impl TracedRequest {
-    /// An untraced frame.
-    pub fn untraced(request: Request) -> Self {
-        Self {
-            request,
-            trace: None,
-        }
-    }
-
     /// Serialize the frame, appending ` trace=<id>` to the verb line when
     /// set.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
@@ -656,53 +845,141 @@ pub fn text_to_lines(text: &str) -> Vec<String> {
 impl Request {
     /// The request's verb.
     pub fn verb(&self) -> Verb {
-        match self {
-            Request::Open { .. } => Verb::Open,
-            Request::Edit { .. } => Verb::Edit,
-            Request::Solve { .. } => Verb::Solve,
-            Request::Assignment { .. } => Verb::Assignment,
-            Request::Stats { .. } => Verb::Stats,
-            Request::Snapshot { .. } => Verb::Snapshot,
-            Request::Close { .. } => Verb::Close,
-            Request::Metrics { .. } => Verb::Metrics,
-            Request::Trace { .. } => Verb::Trace,
-            Request::Watch { .. } => Verb::Watch,
-            Request::Unwatch { .. } => Verb::Unwatch,
-            Request::Dump { .. } => Verb::Dump,
-            Request::Profile { .. } => Verb::Profile,
-        }
+        self.parts().verb
     }
 
     /// The session the request addresses (`None` for `METRICS`; the
     /// [`WATCH_ALL`] token for watch-everything subscriptions).
     pub fn session(&self) -> Option<&str> {
-        match self {
-            Request::Open { session, .. }
-            | Request::Edit { session, .. }
-            | Request::Solve { session, .. }
-            | Request::Assignment { session }
-            | Request::Stats { session }
-            | Request::Snapshot { session, .. }
-            | Request::Close { session }
-            | Request::Trace { session, .. }
-            | Request::Watch { session, .. }
-            | Request::Unwatch { session }
-            | Request::Dump { session, .. }
-            | Request::Profile { session, .. } => Some(session),
-            Request::Metrics { .. } => None,
-        }
+        self.parts().session
     }
 
     /// The request's queued-work deadline, if any.
     pub fn deadline_ms(&self) -> Option<u64> {
+        self.parts().get(Key::DeadlineMs)
+    }
+
+    /// The one per-verb match that takes a request apart.
+    fn parts(&self) -> Parts<'_> {
         match self {
-            Request::Edit { deadline_ms, .. }
-            | Request::Solve { deadline_ms, .. }
-            | Request::Snapshot { deadline_ms, .. }
-            | Request::Trace { deadline_ms, .. }
-            | Request::Dump { deadline_ms, .. } => *deadline_ms,
-            _ => None,
+            Request::Open {
+                session,
+                kind,
+                payload,
+            } => Parts {
+                kind: Some(*kind as usize),
+                lines: payload,
+                ..Parts::at(Verb::Open, session)
+            },
+            Request::Edit {
+                session,
+                edits,
+                deadline_ms,
+            } => Parts {
+                edits,
+                ..Parts::at(Verb::Edit, session).num(Key::DeadlineMs, *deadline_ms)
+            },
+            Request::Solve {
+                session,
+                deadline_ms,
+            } => Parts::at(Verb::Solve, session).num(Key::DeadlineMs, *deadline_ms),
+            Request::Assignment { session } => Parts::at(Verb::Assignment, session),
+            Request::Stats { session } => Parts::at(Verb::Stats, session),
+            Request::Snapshot {
+                session,
+                deadline_ms,
+            } => Parts::at(Verb::Snapshot, session).num(Key::DeadlineMs, *deadline_ms),
+            Request::Close { session } => Parts::at(Verb::Close, session),
+            Request::Metrics { format } => {
+                Parts::new(Verb::Metrics, None).word(Key::Format, *format as usize)
+            }
+            Request::Trace {
+                session,
+                n,
+                back,
+                deadline_ms,
+            } => Parts::at(Verb::Trace, session)
+                .num(Key::N, n.map(|n| n as u64))
+                .num(Key::Back, back.map(|b| b as u64))
+                .num(Key::DeadlineMs, *deadline_ms),
+            Request::Watch { session, buffer } => {
+                Parts::at(Verb::Watch, session).num(Key::Buffer, buffer.map(|b| b as u64))
+            }
+            Request::Unwatch { session } => Parts::at(Verb::Unwatch, session),
+            Request::Dump {
+                session,
+                deadline_ms,
+            } => Parts::at(Verb::Dump, session).num(Key::DeadlineMs, *deadline_ms),
+            Request::Profile {
+                session,
+                secs,
+                format,
+            } => Parts::at(Verb::Profile, session)
+                .num(Key::Secs, (*secs != 0).then_some(*secs))
+                .word(Key::Format, *format as usize),
         }
+    }
+
+    /// The one per-verb match that puts a request together from its parsed
+    /// parts and payload. `EDIT`'s payload lines are parsed here, and an
+    /// error names the line's place in the frame.
+    fn from_parts(p: Parts<'_>, payload: Vec<String>) -> Result<Request, ProtoError> {
+        let session = p.session.unwrap_or_default().to_owned();
+        let deadline_ms = p.get(Key::DeadlineMs);
+        // Counts are 64-bit on the wire.
+        let count = |key| p.get(key).map(|v| v as usize);
+        Ok(match p.verb {
+            Verb::Open => Request::Open {
+                session,
+                kind: [OpenKind::Instance, OpenKind::Checkpoint]
+                    [p.kind.expect("the OPEN row requires a kind")],
+                payload,
+            },
+            Verb::Edit => Request::Edit {
+                session,
+                edits: payload
+                    .iter()
+                    .enumerate()
+                    .map(|(i, line)| parse_edit(line).map_err(|m| ProtoError::new(i + 2, m)))
+                    .collect::<Result<_, _>>()?,
+                deadline_ms,
+            },
+            Verb::Solve => Request::Solve {
+                session,
+                deadline_ms,
+            },
+            Verb::Assignment => Request::Assignment { session },
+            Verb::Stats => Request::Stats { session },
+            Verb::Snapshot => Request::Snapshot {
+                session,
+                deadline_ms,
+            },
+            Verb::Close => Request::Close { session },
+            Verb::Metrics => Request::Metrics {
+                format: [MetricsFormat::Kv, MetricsFormat::Prometheus][p.word_at(Key::Format)?],
+            },
+            Verb::Trace => Request::Trace {
+                session,
+                n: count(Key::N),
+                back: count(Key::Back),
+                deadline_ms,
+            },
+            Verb::Watch => Request::Watch {
+                session,
+                buffer: count(Key::Buffer),
+            },
+            Verb::Unwatch => Request::Unwatch { session },
+            Verb::Dump => Request::Dump {
+                session,
+                deadline_ms,
+            },
+            Verb::Profile => Request::Profile {
+                session,
+                secs: p.get(Key::Secs).unwrap_or(0),
+                format: [ProfileFormat::Folded, ProfileFormat::Speedscope]
+                    [p.word_at(Key::Format)?],
+            },
+        })
     }
 
     /// Serialize the frame (verb line plus payload).
@@ -711,133 +988,40 @@ impl Request {
     }
 
     /// Serialize the frame, appending ` trace=<id>` to the verb line when
-    /// set (the [`TracedRequest`] shape).
+    /// set (the [`TracedRequest`] shape): the one generic writer of
+    /// [`GRAMMAR`]. Attributes follow the row's order; an absent value, or
+    /// a default word, is not written.
     fn write_traced(&self, w: &mut impl Write, trace: Option<u64>) -> io::Result<()> {
-        let end_line = |w: &mut dyn Write| -> io::Result<()> {
-            if let Some(t) = trace {
-                write!(w, " trace={t}")?;
+        let p = self.parts();
+        let row = p.verb.row();
+        write!(w, "{}", row.token)?;
+        if let Some(session) = p.session {
+            write!(w, " {session}")?;
+        }
+        if let Some(kind) = p.kind {
+            write!(w, " {}", row.kinds[kind])?;
+        }
+        if row.payload {
+            write!(w, " lines={}", p.lines.len() + p.edits.len())?;
+        }
+        for &(key, _) in row.attrs {
+            let name = KEYS[key as usize].name;
+            match p.vals[key as usize] {
+                None => {}
+                Some(Val::Num(n)) => write!(w, " {name}={n}")?,
+                Some(Val::Word(word)) => write!(w, " {name}={word}")?,
             }
-            writeln!(w)
-        };
-        match self {
-            Request::Open {
-                session,
-                kind,
-                payload,
-            } => {
-                write!(w, "OPEN {session} {} lines={}", kind.token(), payload.len())?;
-                end_line(w)?;
-                for line in payload {
-                    check_payload_line(line)?;
-                    writeln!(w, "{line}")?;
-                }
-            }
-            Request::Edit {
-                session,
-                edits,
-                deadline_ms,
-            } => {
-                write!(w, "EDIT {session} lines={}", edits.len())?;
-                if let Some(d) = deadline_ms {
-                    write!(w, " deadline_ms={d}")?;
-                }
-                end_line(w)?;
-                for e in edits {
-                    writeln!(w, "{}", render_edit(e))?;
-                }
-            }
-            Request::Solve {
-                session,
-                deadline_ms,
-            } => {
-                write!(w, "SOLVE {session}")?;
-                if let Some(d) = deadline_ms {
-                    write!(w, " deadline_ms={d}")?;
-                }
-                end_line(w)?;
-            }
-            Request::Assignment { session } => {
-                write!(w, "ASSIGNMENT {session}")?;
-                end_line(w)?;
-            }
-            Request::Stats { session } => {
-                write!(w, "STATS {session}")?;
-                end_line(w)?;
-            }
-            Request::Snapshot {
-                session,
-                deadline_ms,
-            } => {
-                write!(w, "SNAPSHOT {session}")?;
-                if let Some(d) = deadline_ms {
-                    write!(w, " deadline_ms={d}")?;
-                }
-                end_line(w)?;
-            }
-            Request::Close { session } => {
-                write!(w, "CLOSE {session}")?;
-                end_line(w)?;
-            }
-            Request::Metrics { format } => {
-                write!(w, "METRICS")?;
-                if *format != MetricsFormat::Kv {
-                    write!(w, " format={}", format.token())?;
-                }
-                end_line(w)?;
-            }
-            Request::Trace {
-                session,
-                n,
-                back,
-                deadline_ms,
-            } => {
-                write!(w, "TRACE {session}")?;
-                if let Some(n) = n {
-                    write!(w, " n={n}")?;
-                }
-                if let Some(b) = back {
-                    write!(w, " back={b}")?;
-                }
-                if let Some(d) = deadline_ms {
-                    write!(w, " deadline_ms={d}")?;
-                }
-                end_line(w)?;
-            }
-            Request::Watch { session, buffer } => {
-                write!(w, "WATCH {session}")?;
-                if let Some(b) = buffer {
-                    write!(w, " buffer={b}")?;
-                }
-                end_line(w)?;
-            }
-            Request::Unwatch { session } => {
-                write!(w, "UNWATCH {session}")?;
-                end_line(w)?;
-            }
-            Request::Dump {
-                session,
-                deadline_ms,
-            } => {
-                write!(w, "DUMP {session}")?;
-                if let Some(d) = deadline_ms {
-                    write!(w, " deadline_ms={d}")?;
-                }
-                end_line(w)?;
-            }
-            Request::Profile {
-                session,
-                secs,
-                format,
-            } => {
-                write!(w, "PROFILE {session}")?;
-                if *secs != 0 {
-                    write!(w, " secs={secs}")?;
-                }
-                if *format != ProfileFormat::Folded {
-                    write!(w, " format={}", format.token())?;
-                }
-                end_line(w)?;
-            }
+        }
+        if let Some(t) = trace {
+            write!(w, " trace={t}")?;
+        }
+        writeln!(w)?;
+        for line in p.lines {
+            check_payload_line(line)?;
+            writeln!(w, "{line}")?;
+        }
+        for edit in p.edits {
+            writeln!(w, "{}", render_edit(edit))?;
         }
         Ok(())
     }
@@ -889,146 +1073,77 @@ fn announced_lines(line: &str, max_payload: usize) -> usize {
         .unwrap_or(0)
 }
 
-/// Parse a verb line whose announced `payload` has already been read.
+/// Parse a verb line whose announced `payload` has already been read: the
+/// one generic reader of [`GRAMMAR`].
+///
+/// The line is judged in a fixed order: the verb, its target, the
+/// positional kind, then every attribute in token order (an unknown key or
+/// a bad value is reported there, and a repeated key's last value wins).
+/// Only then come the keys the verb does not take (in [`KEYS`] order), a
+/// missing `lines=`, a word outside the verb's vocabulary, and last the
+/// payload's own lines.
 fn parse_request(
     line: &str,
     payload: Vec<String>,
     max_payload: usize,
 ) -> Result<TracedRequest, ProtoError> {
-    let tokens: Vec<&str> = line.split_whitespace().collect();
-    let Some((&head, rest)) = tokens.split_first() else {
-        return Err(ProtoError::new(1, "empty request line"));
-    };
-    let verb = Verb::from_token(head)
+    let mut tokens = line.split_whitespace();
+    let head = tokens
+        .next()
+        .ok_or_else(|| ProtoError::new(1, "empty request line"))?;
+    let row = GRAMMAR
+        .iter()
+        .find(|row| row.token == head)
         .ok_or_else(|| ProtoError::new(1, format!("unknown verb {head:?}")))?;
-
-    // METRICS addresses the server, not a session: no name token.
-    if verb == Verb::Metrics {
-        let kvs = parse_frame_kvs(rest, max_payload)?;
-        kvs.check(head, &[FrameKey::Format, FrameKey::Trace])?;
-        let format = match kvs.format.as_deref() {
-            None => MetricsFormat::default(),
-            Some(t) => MetricsFormat::from_token(t)
-                .ok_or_else(|| ProtoError::new(1, format!("unknown metrics format {t:?}")))?,
-        };
-        return Ok(TracedRequest {
-            request: Request::Metrics { format },
-            trace: kvs.trace,
-        });
-    }
-
-    let Some((&session, rest)) = rest.split_first() else {
-        return Err(ProtoError::new(1, format!("{head} needs a session name")));
-    };
-    // WATCH/UNWATCH accept the `*` watch-everything target; PROFILE
-    // accepts it as the whole-process target.
-    let watch_all =
-        matches!(verb, Verb::Watch | Verb::Unwatch | Verb::Profile) && session == WATCH_ALL;
-    if !watch_all && !valid_session_name(session) {
-        return Err(ProtoError::new(1, format!("bad session name {session:?}")));
-    }
-    let session = session.to_owned();
-
-    // OPEN has a positional payload-kind token before its kvs.
-    let (kind, rest) = if verb == Verb::Open {
-        let Some((&k, rest)) = rest.split_first() else {
-            return Err(ProtoError::new(1, "OPEN needs `instance` or `checkpoint`"));
-        };
-        let kind = match k {
-            "instance" => OpenKind::Instance,
-            "checkpoint" => OpenKind::Checkpoint,
-            other => {
-                return Err(ProtoError::new(
-                    1,
-                    format!("bad OPEN payload kind {other:?}"),
-                ))
+    let session = match row.target {
+        Target::Server => None,
+        target => {
+            let session = tokens
+                .next()
+                .ok_or_else(|| ProtoError::new(1, format!("{head} needs a session name")))?;
+            let all = target == Target::SessionOrAll && session == WATCH_ALL;
+            if !all && !valid_session_name(session) {
+                return Err(ProtoError::new(1, format!("bad session name {session:?}")));
             }
-        };
-        (Some(kind), rest)
-    } else {
-        (None, rest)
+            Some(session)
+        }
+    };
+    let kind = match row.kinds {
+        [] => None,
+        kinds => {
+            let needs = || ProtoError::new(1, format!("{head} needs `{}`", kinds.join("` or `")));
+            let word = tokens.next().ok_or_else(needs)?;
+            let bad = || ProtoError::new(1, format!("bad {head} payload kind {word:?}"));
+            Some(kinds.iter().position(|&k| k == word).ok_or_else(bad)?)
+        }
     };
 
-    let kvs = parse_frame_kvs(rest, max_payload)?;
-    let allowed: &[FrameKey] = match verb {
-        Verb::Open => &[FrameKey::Lines, FrameKey::Trace],
-        Verb::Edit => &[FrameKey::Lines, FrameKey::Deadline, FrameKey::Trace],
-        Verb::Solve | Verb::Snapshot | Verb::Dump => &[FrameKey::Deadline, FrameKey::Trace],
-        Verb::Assignment | Verb::Stats | Verb::Close | Verb::Unwatch => &[FrameKey::Trace],
-        Verb::Trace => &[
-            FrameKey::Count,
-            FrameKey::Back,
-            FrameKey::Deadline,
-            FrameKey::Trace,
-        ],
-        Verb::Watch => &[FrameKey::Buffer, FrameKey::Trace],
-        Verb::Profile => &[FrameKey::Secs, FrameKey::Format, FrameKey::Trace],
-        Verb::Metrics => unreachable!("handled above"),
-    };
-    kvs.check(head, allowed)?;
-    let wants_payload = matches!(verb, Verb::Open | Verb::Edit);
-    if wants_payload && kvs.lines.is_none() {
+    let mut vals = [None; KEYS.len()];
+    for token in tokens {
+        let (k, v) = split_kv(token)?;
+        let key = KEYS
+            .iter()
+            .find(|key| key.name == k)
+            .ok_or_else(|| ProtoError::new(1, format!("unknown attribute {k:?}")))?;
+        vals[key.key as usize] = Some(key.value.read(v, max_payload)?);
+    }
+    for (key, value) in KEYS.iter().zip(&vals) {
+        if value.is_some() && !row.takes(key.key) {
+            return Err(ProtoError::new(1, format!("{head} takes no {}=", key.name)));
+        }
+    }
+    if row.payload && vals[Key::Lines as usize].is_none() {
         return Err(ProtoError::new(1, format!("{head} needs lines=<n>")));
     }
-
-    let deadline_ms = kvs.deadline_ms;
-    let request = match verb {
-        Verb::Open => Request::Open {
-            session,
-            kind: kind.expect("set above for OPEN"),
-            payload,
-        },
-        Verb::Edit => {
-            let mut edits = Vec::with_capacity(payload.len());
-            for (i, line) in payload.iter().enumerate() {
-                edits.push(parse_edit(line).map_err(|m| ProtoError::new(i + 2, m))?);
-            }
-            Request::Edit {
-                session,
-                edits,
-                deadline_ms,
-            }
-        }
-        Verb::Solve => Request::Solve {
-            session,
-            deadline_ms,
-        },
-        Verb::Assignment => Request::Assignment { session },
-        Verb::Stats => Request::Stats { session },
-        Verb::Snapshot => Request::Snapshot {
-            session,
-            deadline_ms,
-        },
-        Verb::Close => Request::Close { session },
-        Verb::Trace => Request::Trace {
-            session,
-            n: kvs.count,
-            back: kvs.back,
-            deadline_ms,
-        },
-        Verb::Watch => Request::Watch {
-            session,
-            buffer: kvs.buffer,
-        },
-        Verb::Unwatch => Request::Unwatch { session },
-        Verb::Dump => Request::Dump {
-            session,
-            deadline_ms,
-        },
-        Verb::Profile => Request::Profile {
-            session,
-            secs: kvs.secs.unwrap_or(0),
-            format: match kvs.format.as_deref() {
-                None => ProfileFormat::default(),
-                Some(t) => ProfileFormat::from_token(t)
-                    .ok_or_else(|| ProtoError::new(1, format!("unknown profile format {t:?}")))?,
-            },
-        },
-        Verb::Metrics => unreachable!("handled above"),
+    let parts = Parts {
+        kind,
+        vals,
+        ..Parts::new(row.verb, session)
     };
+    let trace = parts.get(Key::Trace);
     Ok(TracedRequest {
-        request,
-        trace: kvs.trace,
+        request: Request::from_parts(parts, payload)?,
+        trace,
     })
 }
 
@@ -1337,137 +1452,6 @@ fn write_kvs(w: &mut impl Write, kvs: &[(String, String)]) -> io::Result<()> {
     Ok(())
 }
 
-/// The attributes a request verb line may carry.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FrameKey {
-    Lines,
-    Deadline,
-    Trace,
-    Format,
-    Count,
-    Back,
-    Buffer,
-    Secs,
-}
-
-impl FrameKey {
-    fn name(self) -> &'static str {
-        match self {
-            FrameKey::Lines => "lines",
-            FrameKey::Deadline => "deadline_ms",
-            FrameKey::Trace => "trace",
-            FrameKey::Format => "format",
-            FrameKey::Count => "n",
-            FrameKey::Back => "back",
-            FrameKey::Buffer => "buffer",
-            FrameKey::Secs => "secs",
-        }
-    }
-}
-
-/// Parsed request-line attributes; which are *allowed* is per-verb
-/// ([`FrameKvs::check`]).
-#[derive(Debug, Default)]
-struct FrameKvs {
-    lines: Option<usize>,
-    deadline_ms: Option<u64>,
-    trace: Option<u64>,
-    /// The raw `format=` token: `METRICS` and `PROFILE` accept disjoint
-    /// format vocabularies, so the value is validated at the verb site
-    /// (where the error can name the right vocabulary), not here.
-    format: Option<String>,
-    count: Option<usize>,
-    back: Option<usize>,
-    buffer: Option<usize>,
-    secs: Option<u64>,
-}
-
-impl FrameKvs {
-    fn check(&self, head: &str, allowed: &[FrameKey]) -> Result<(), ProtoError> {
-        let present = [
-            (FrameKey::Lines, self.lines.is_some()),
-            (FrameKey::Deadline, self.deadline_ms.is_some()),
-            (FrameKey::Trace, self.trace.is_some()),
-            (FrameKey::Format, self.format.is_some()),
-            (FrameKey::Count, self.count.is_some()),
-            (FrameKey::Back, self.back.is_some()),
-            (FrameKey::Buffer, self.buffer.is_some()),
-            (FrameKey::Secs, self.secs.is_some()),
-        ];
-        for (key, set) in present {
-            if set && !allowed.contains(&key) {
-                return Err(ProtoError::new(
-                    1,
-                    format!("{head} takes no {}=", key.name()),
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// Parse trailing request tokens as the attribute kv set.
-fn parse_frame_kvs(tokens: &[&str], max_payload: usize) -> Result<FrameKvs, ProtoError> {
-    let mut kvs = FrameKvs::default();
-    for t in tokens {
-        let (k, v) = split_kv(t)?;
-        match k {
-            "lines" => kvs.lines = Some(parse_payload_count(v, max_payload)?),
-            "deadline_ms" => {
-                kvs.deadline_ms = Some(
-                    v.parse::<u64>()
-                        .map_err(|_| ProtoError::new(1, format!("bad deadline_ms {v:?}")))?,
-                )
-            }
-            "trace" => {
-                let id = v
-                    .parse::<u64>()
-                    .map_err(|_| ProtoError::new(1, format!("bad trace id {v:?}")))?;
-                if id == 0 {
-                    return Err(ProtoError::new(1, "trace id must be nonzero"));
-                }
-                kvs.trace = Some(id);
-            }
-            "format" => kvs.format = Some(v.to_owned()),
-            "n" => {
-                kvs.count = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| ProtoError::new(1, format!("bad span count {v:?}")))?,
-                )
-            }
-            "back" => {
-                kvs.back = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| ProtoError::new(1, format!("bad back offset {v:?}")))?,
-                )
-            }
-            "buffer" => {
-                let b = v
-                    .parse::<usize>()
-                    .map_err(|_| ProtoError::new(1, format!("bad buffer size {v:?}")))?;
-                if b == 0 {
-                    return Err(ProtoError::new(1, "buffer must be at least 1"));
-                }
-                kvs.buffer = Some(b);
-            }
-            "secs" => {
-                let s = v
-                    .parse::<u64>()
-                    .map_err(|_| ProtoError::new(1, format!("bad secs {v:?}")))?;
-                if s > MAX_PROFILE_SECS {
-                    return Err(ProtoError::new(
-                        1,
-                        format!("secs too large (max {MAX_PROFILE_SECS})"),
-                    ));
-                }
-                kvs.secs = Some(s);
-            }
-            other => return Err(ProtoError::new(1, format!("unknown attribute {other:?}"))),
-        }
-    }
-    Ok(kvs)
-}
-
 /// Parse trailing reply tokens as free-form kvs plus an optional `lines=`.
 fn parse_reply_kvs(
     tokens: &[&str],
@@ -1556,124 +1540,6 @@ fn read_payload(
 mod tests {
     use super::*;
     use std::io::BufReader;
-
-    fn rt_request(req: Request) {
-        let mut buf = Vec::new();
-        req.write_to(&mut buf).unwrap();
-        let mut r = BufReader::new(buf.as_slice());
-        let back = Request::read_from(&mut r, DEFAULT_MAX_PAYLOAD_LINES)
-            .unwrap()
-            .unwrap();
-        assert_eq!(back, req);
-        // Exactly one frame: the stream must now be at EOF.
-        assert_eq!(
-            Request::read_from(&mut r, DEFAULT_MAX_PAYLOAD_LINES).unwrap(),
-            None
-        );
-    }
-
-    #[test]
-    fn request_round_trips() {
-        rt_request(Request::Open {
-            session: "bikes-1".into(),
-            kind: OpenKind::Instance,
-            payload: vec!["mcfs-instance v1".into(), "nodes 2".into(), "end".into()],
-        });
-        rt_request(Request::Edit {
-            session: "s".into(),
-            edits: vec![
-                Edit::AddCustomer { node: 7 },
-                Edit::RemoveCustomer { index: 0 },
-                Edit::AddFacility {
-                    node: 3,
-                    capacity: 9,
-                },
-                Edit::RemoveFacility { index: 2 },
-                Edit::SetCapacity {
-                    index: 1,
-                    capacity: 4,
-                },
-                Edit::SetBudget { k: 5 },
-            ],
-            deadline_ms: Some(250),
-        });
-        rt_request(Request::Solve {
-            session: "a.b-c_d".into(),
-            deadline_ms: None,
-        });
-        rt_request(Request::Solve {
-            session: "s".into(),
-            deadline_ms: Some(900),
-        });
-        rt_request(Request::Assignment {
-            session: "s".into(),
-        });
-        rt_request(Request::Stats {
-            session: "s".into(),
-        });
-        rt_request(Request::Snapshot {
-            session: "s".into(),
-            deadline_ms: Some(0),
-        });
-        rt_request(Request::Close {
-            session: "s".into(),
-        });
-        rt_request(Request::Metrics {
-            format: MetricsFormat::Kv,
-        });
-        rt_request(Request::Metrics {
-            format: MetricsFormat::Prometheus,
-        });
-        rt_request(Request::Trace {
-            session: "s".into(),
-            n: Some(32),
-            back: Some(3),
-            deadline_ms: Some(100),
-        });
-        rt_request(Request::Trace {
-            session: "s".into(),
-            n: None,
-            back: None,
-            deadline_ms: None,
-        });
-        rt_request(Request::Dump {
-            session: "s".into(),
-            deadline_ms: None,
-        });
-        rt_request(Request::Dump {
-            session: "s".into(),
-            deadline_ms: Some(40),
-        });
-        rt_request(Request::Watch {
-            session: "s".into(),
-            buffer: Some(16),
-        });
-        rt_request(Request::Watch {
-            session: WATCH_ALL.into(),
-            buffer: None,
-        });
-        rt_request(Request::Unwatch {
-            session: "s".into(),
-        });
-        rt_request(Request::Unwatch {
-            session: WATCH_ALL.into(),
-        });
-        rt_request(Request::Profile {
-            session: "s".into(),
-            secs: 0,
-            format: ProfileFormat::Folded,
-        });
-        rt_request(Request::Profile {
-            session: WATCH_ALL.into(),
-            secs: 5,
-            format: ProfileFormat::Speedscope,
-        });
-        rt_request(Request::Profile {
-            session: WATCH_ALL.into(),
-            secs: MAX_PROFILE_SECS,
-            format: ProfileFormat::Folded,
-        });
-    }
 
     #[test]
     fn event_frames_round_trip_as_frames() {
@@ -1792,141 +1658,6 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(back, req);
-    }
-
-    fn rt_reply(reply: Reply) {
-        let mut buf = Vec::new();
-        reply.write_to(&mut buf).unwrap();
-        let mut r = BufReader::new(buf.as_slice());
-        let back = Reply::read_from(&mut r, DEFAULT_MAX_PAYLOAD_LINES).unwrap();
-        assert_eq!(back, reply);
-    }
-
-    #[test]
-    fn reply_round_trips() {
-        rt_reply(Reply::Ok {
-            verb: Verb::Solve,
-            kvs: vec![
-                ("objective".into(), "1234".into()),
-                ("warm".into(), "1".into()),
-            ],
-            payload: vec![],
-        });
-        rt_reply(Reply::Ok {
-            verb: Verb::Stats,
-            kvs: vec![],
-            payload: vec!["warm 1".into(), "objective 12".into()],
-        });
-        rt_reply(Reply::Busy {
-            kvs: vec![
-                ("session".into(), "s".into()),
-                ("depth".into(), "4".into()),
-                ("limit".into(), "4".into()),
-            ],
-        });
-        rt_reply(Reply::Timeout {
-            kvs: vec![("waited_ms".into(), "31".into())],
-        });
-        rt_reply(Reply::Err {
-            code: ErrorCode::NoSession,
-            message: "no session \"x\"".into(),
-        });
-        rt_reply(Reply::Err {
-            code: ErrorCode::ShuttingDown,
-            message: String::new(),
-        });
-    }
-
-    #[test]
-    fn malformed_frames_are_structured_errors() {
-        for (text, needle, fatal) in [
-            ("WAT s\n", "unknown verb", false),
-            ("OPEN\n", "needs a session", false),
-            ("OPEN s wat lines=0\n", "payload kind", false),
-            ("OPEN bad name instance lines=0\n", "payload kind", false),
-            ("OPEN s/s instance lines=0\n", "bad session name", false),
-            ("SOLVE s lines=3\nx\ny\nz\n", "takes no lines=", false),
-            ("EDIT s\n", "needs lines=", false),
-            ("EDIT s lines=2\nadd-customer 1\n", "truncated", true),
-            ("EDIT s lines=1\nwarp-customer 1\n", "unknown edit", false),
-            ("SOLVE s deadline_ms=abc\n", "bad deadline_ms", false),
-            ("ASSIGNMENT s deadline_ms=1\n", "takes no deadline", false),
-            ("METRICS now\n", "expected key=value", false),
-            ("METRICS format=xml\n", "unknown metrics format", false),
-            ("METRICS n=3\n", "takes no n=", false),
-            ("SOLVE s trace=0\n", "trace id must be nonzero", false),
-            ("SOLVE s trace=yes\n", "bad trace id", false),
-            ("TRACE s n=abc\n", "bad span count", false),
-            ("TRACE s format=kv\n", "takes no format=", false),
-            ("TRACE\n", "needs a session", false),
-            ("TRACE s back=no\n", "bad back offset", false),
-            ("SOLVE s back=1\n", "takes no back=", false),
-            ("SOLVE * \n", "bad session name", false),
-            ("WATCH s buffer=0\n", "buffer must be at least 1", false),
-            ("WATCH s buffer=x\n", "bad buffer size", false),
-            ("WATCH s deadline_ms=5\n", "takes no deadline_ms=", false),
-            ("WATCH s lines=1\nx\n", "takes no lines=", false),
-            ("UNWATCH s buffer=4\n", "takes no buffer=", false),
-            ("UNWATCH\n", "needs a session", false),
-            ("SOLVE s shards=2\n", "unknown attribute \"shards\"", false),
-            ("SHARD s\n", "unknown verb", false),
-            ("MERGE s lines=1\nx\n", "unknown verb", false),
-            ("SNAPSHOT s shards=2\n", "unknown attribute", false),
-            (
-                "SOLVE s trace=1 parent=9\n",
-                "unknown attribute \"parent\"",
-                false,
-            ),
-            (
-                "METRICS scope=local\n",
-                "unknown attribute \"scope\"",
-                false,
-            ),
-            ("METRICS format=snapshot\n", "unknown metrics format", false),
-            ("TRACE s remote=1\n", "unknown attribute \"remote\"", false),
-            ("SPANS of=7\n", "unknown verb", false),
-            ("DUMP\n", "needs a session", false),
-            ("DUMP s format=kv\n", "takes no format=", false),
-            ("PROFILE\n", "needs a session", false),
-            ("PROFILE s/s\n", "bad session name", false),
-            ("PROFILE s format=kv\n", "unknown profile format", false),
-            ("PROFILE s format=flame\n", "unknown profile format", false),
-            ("METRICS format=folded\n", "unknown metrics format", false),
-            ("PROFILE s secs=abc\n", "bad secs", false),
-            ("PROFILE s secs=61\n", "secs too large", false),
-            ("PROFILE s secs=999999999\n", "secs too large", false),
-            ("PROFILE s n=3\n", "takes no n=", false),
-            ("PROFILE s lines=1\nx\n", "takes no lines=", false),
-            (
-                "PROFILE * scope=cluster\n",
-                "unknown attribute \"scope\"",
-                false,
-            ),
-            ("SOLVE s secs=1\n", "takes no secs=", false),
-            (
-                "OPEN s instance lines=99999999999\n",
-                "exceeds the limit",
-                false,
-            ),
-        ] {
-            let err =
-                Request::read_from(&mut BufReader::new(text.as_bytes()), 1 << 20).unwrap_err();
-            assert!(
-                err.message.contains(needle),
-                "{text:?} => {err:?} (wanted {needle:?})"
-            );
-            assert_eq!(err.fatal, fatal, "{text:?}");
-        }
-        for (text, needle) in [
-            ("yes sir\n", "unknown reply status"),
-            ("ok warp\n", "unknown reply verb"),
-            ("err whatever boom\n", "unknown error code"),
-            ("busy lines=2\na\nb\n", "no payload"),
-            ("ok stats lines=5\nonly-one\n", "truncated"),
-        ] {
-            let err = Reply::read_from(&mut BufReader::new(text.as_bytes()), 1 << 20).unwrap_err();
-            assert!(err.message.contains(needle), "{text:?} => {err:?}");
-        }
     }
 
     #[test]

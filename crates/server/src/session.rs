@@ -100,6 +100,10 @@ impl Session {
             k,
         } = owned;
         let graph = Box::new(graph);
+        // Label the components now, while OPEN is reading the graph anyway:
+        // the first SOLVE's feasibility check would otherwise label them
+        // inside its span but outside every phase it reports.
+        graph.components();
         // SAFETY: `graph` is heap-allocated; the `Box` (and thus the heap
         // allocation) lives in this `Session` alongside the resolver and is
         // never dropped, overwritten, or moved out before it. Moving the

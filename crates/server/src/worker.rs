@@ -126,14 +126,8 @@ fn process(sessions: &mut HashMap<String, Session>, job: Job, core: &ServerCore)
     // thread's `server.reply` is the hand-off, named on that thread.
     let handoff_ns = job.trace.map_or(0, |_| mcfs_obs::now_ns());
 
-    let outcome = match &reply {
-        Reply::Ok { .. } => Outcome::Ok,
-        Reply::Busy { .. } => Outcome::Busy,
-        Reply::Timeout { .. } => Outcome::Timeout,
-        Reply::Err { .. } => Outcome::Err,
-    };
     core.metrics
-        .record_request(verb, outcome, Some(job.enqueued.elapsed()));
+        .record_request(verb, Outcome::of(&reply), Some(job.enqueued.elapsed()));
     let was = job.depth.fetch_sub(1, Ordering::Relaxed);
     if mcfs_obs::bus_enabled() {
         mcfs_obs::publish_scoped(
