@@ -1,7 +1,7 @@
 //! Criterion benches for the observability substrate: WMA solve wall time
 //! with tracing disabled (the default — `span` exits on one relaxed atomic
 //! load) versus force-enabled (every span on every thread records into the
-//! global ring), plus the raw cost of the disabled `span` fast path.
+//! span store), plus the raw cost of the disabled `span` fast path.
 //!
 //! The enforceable half of this guard lives in `tests/obs_overhead.rs`,
 //! which asserts the disabled-mode overhead stays under 2% of a solve on
@@ -17,7 +17,7 @@ use mcfs_gen::bikes::{docking_demand, generate_flow_field, generate_stations};
 use mcfs_gen::city::{generate_city, CitySpec, CityStyle};
 use mcfs_gen::customers::{mask_to_reachable, sample_weighted};
 use mcfs_graph::{Graph, NodeId};
-use mcfs_obs::{bus_enabled, clear_spans, set_force, span, subscribe, ScopeGuard};
+use mcfs_obs::{bus_enabled, flight, set_force, span, subscribe, ScopeGuard};
 
 /// The same deterministic bikes world the golden checkpoint was recorded
 /// from (`tests/data/bikes_small.ckpt`), rebuilt here so the bench crate
@@ -60,7 +60,7 @@ fn bench_obs(c: &mut Criterion) {
     set_force(true);
     assert_eq!(Wma::new().solve(&inst).unwrap().objective, reference);
     set_force(false);
-    clear_spans();
+    flight::clear();
 
     let mut g = c.benchmark_group("obs_tracing");
     g.sample_size(20)
@@ -75,7 +75,7 @@ fn bench_obs(c: &mut Criterion) {
         set_force(true);
         b.iter(|| black_box(Wma::new().solve(&inst).unwrap().objective));
         set_force(false);
-        clear_spans();
+        flight::clear();
     });
 
     // The disabled fast path itself, amortized over 1k calls per iteration.

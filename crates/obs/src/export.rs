@@ -17,7 +17,8 @@ use std::borrow::Cow;
 use crate::profile::ProfileSnapshot;
 use crate::trace::SpanRecord;
 
-fn escape_json(s: &str) -> String {
+/// Escape `s` for use inside a JSON string literal.
+pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

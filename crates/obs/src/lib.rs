@@ -10,18 +10,19 @@
 //!   traffic, matcher augmentations, solver iterations); embedding layers
 //!   like the server create their own [`Registry`] per instance so
 //!   instance-scoped counters never bleed between servers in one process.
-//! * [`trace`] — spans with thread-local stacks, monotonic timestamps and
-//!   a bounded ring of finished spans. Near-zero cost when no trace is
-//!   active: [`span`] is one relaxed atomic load on the disabled path.
+//! * [`trace`] — spans with thread-local stacks and monotonic timestamps.
+//!   Near-zero cost when no trace is active: [`span`] is one relaxed
+//!   atomic load on the disabled path.
 //! * [`export`] — Chrome trace-event JSON (Perfetto-loadable), JSONL, and
 //!   the positional wire line the server's `TRACE` verb carries.
 //! * [`bus`] — a bounded broadcast bus for live progress events (solver
 //!   iterations, resolve phases, queue depth). Slow subscribers lose the
 //!   oldest events (with drop accounting) instead of blocking publishers;
 //!   with no subscriber, [`publish`] is one relaxed atomic load.
-//! * [`flight`] — the always-on flight recorder: a bounded per-scope ring
-//!   of recent events and spans, dumpable as JSONL for postmortems (the
-//!   server's `DUMP` verb).
+//! * [`flight`] — the span store and flight recorder: one bounded ring per
+//!   scope that keeps every finished span and, while armed, every event;
+//!   the server's `TRACE` verb reads a request back from it and its `DUMP`
+//!   verb returns it as JSONL for postmortems.
 //! * [`profile`] — the continuous span-path sampling profiler: a sampler
 //!   thread folds every thread's open-span path into a bounded
 //!   `path → samples` table, exported as collapsed stacks or speedscope
@@ -61,13 +62,12 @@ pub use bus::{
 pub use export::{
     span_from_wire_line, span_to_wire_line, to_chrome_trace, to_folded, to_jsonl, to_speedscope,
 };
-pub use flight::{FlightEntry, FlightKind, DEFAULT_FLIGHT_CAPACITY, DEFAULT_FLIGHT_WINDOW_NS};
+pub use flight::{spans_dropped, spans_for, FlightEntry, FlightKind, DEFAULT_FLIGHT_CAPACITY};
 pub use profile::{ProfileSnapshot, ThreadProfile, DEFAULT_SAMPLE_HZ};
 pub use registry::{
     CellValue, Counter, FamilySnapshot, Gauge, Histogram, Registry, RegistrySnapshot,
 };
 pub use trace::{
-    alloc_span_id, clear_spans, current_trace, last_spans, next_trace_id, now_ns, record_manual,
-    set_force, set_ring_capacity, span, spans_dropped, spans_for, thread_id, verify_nesting, Span,
-    SpanRecord, TraceGuard, DEFAULT_RING_CAPACITY,
+    alloc_span_id, current_trace, next_trace_id, now_ns, record_manual, set_force, span, thread_id,
+    verify_nesting, Span, SpanRecord, TraceGuard,
 };

@@ -1,5 +1,6 @@
-//! The span tracing core: thread-local span stacks, monotonic timestamps,
-//! and a bounded global ring buffer of finished spans.
+//! The span tracing core: thread-local span stacks and monotonic
+//! timestamps. Finished spans go to the per-scope span store
+//! ([`crate::flight`]).
 //!
 //! # Model
 //!
@@ -8,7 +9,8 @@
 //! the guard lives, every [`span`] opened on that thread records into the
 //! trace, parented to the innermost open span (a thread-local stack gives
 //! well-nesting by construction). Dropping a span guard timestamps its end
-//! and pushes the finished [`SpanRecord`] into the ring.
+//! and moves the finished [`SpanRecord`] into the ring of the thread's
+//! current bus scope ([`crate::bus::ScopeGuard`]).
 //!
 //! # Cost when disabled
 //!
@@ -30,13 +32,9 @@
 
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
-
-/// Default bound on retained finished spans.
-pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 /// One finished span.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -69,23 +67,6 @@ static FORCE: AtomicBool = AtomicBool::new(false);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
-static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
-static SPANS_DROPPED: AtomicU64 = AtomicU64::new(0);
-
-fn dropped_counter() -> &'static crate::registry::Counter {
-    static COUNTER: OnceLock<crate::registry::Counter> = OnceLock::new();
-    COUNTER.get_or_init(|| {
-        crate::registry::Registry::global().counter(
-            "mcfs_obs_spans_dropped_total",
-            "Finished spans evicted from the global span ring before retrieval.",
-        )
-    })
-}
-
-fn ring() -> &'static Mutex<VecDeque<SpanRecord>> {
-    static RING: OnceLock<Mutex<VecDeque<SpanRecord>>> = OnceLock::new();
-    RING.get_or_init(|| Mutex::new(VecDeque::new()))
-}
 
 thread_local! {
     static CURRENT_TRACE: Cell<u64> = const { Cell::new(0) };
@@ -150,67 +131,9 @@ pub fn thread_id() -> u64 {
     })
 }
 
-fn push_record(record: SpanRecord) {
-    if crate::flight::armed() {
-        crate::flight::record_span(&record);
-    }
-    let cap = RING_CAPACITY.load(Relaxed);
-    let mut ring = ring().lock().unwrap();
-    let mut evicted = 0u64;
-    while ring.len() >= cap.max(1) {
-        ring.pop_front();
-        evicted += 1;
-    }
-    ring.push_back(record);
-    drop(ring);
-    if evicted > 0 {
-        SPANS_DROPPED.fetch_add(evicted, Relaxed);
-        dropped_counter().add(evicted);
-    }
-}
-
-/// Total spans evicted from the ring since process start. Also exported as
-/// the global-registry counter `mcfs_obs_spans_dropped_total`; a `TRACE`
-/// reply whose root span is gone from the ring reports `truncated=1`.
-pub fn spans_dropped() -> u64 {
-    SPANS_DROPPED.load(Relaxed)
-}
-
-/// Bound the ring of retained finished spans (oldest are dropped first).
-pub fn set_ring_capacity(capacity: usize) {
-    RING_CAPACITY.store(capacity.max(1), Relaxed);
-}
-
-/// Drop every retained span (test isolation).
-pub fn clear_spans() {
-    ring().lock().unwrap().clear();
-}
-
-/// All retained spans of `trace`, ordered by start time (ties: by id, which
-/// respects creation order within a thread).
-pub fn spans_for(trace: u64) -> Vec<SpanRecord> {
-    let mut spans: Vec<SpanRecord> = ring()
-        .lock()
-        .unwrap()
-        .iter()
-        .filter(|s| s.trace == trace)
-        .cloned()
-        .collect();
-    spans.sort_by_key(|s| (s.start_ns, s.id));
-    spans
-}
-
-/// The most recently finished `n` spans across all traces (oldest first).
-pub fn last_spans(n: usize) -> Vec<SpanRecord> {
-    let ring = ring().lock().unwrap();
-    ring.iter()
-        .skip(ring.len().saturating_sub(n))
-        .cloned()
-        .collect()
-}
-
-/// Record a span from explicit timestamps (cross-thread lifecycles). Pass
-/// `id: None` to allocate one; returns the span's id.
+/// Record a span from explicit timestamps (cross-thread lifecycles) under
+/// the calling thread's current bus scope. Pass `id: None` to allocate
+/// one; returns the span's id.
 pub fn record_manual(
     trace: u64,
     name: &'static str,
@@ -220,7 +143,7 @@ pub fn record_manual(
     end_ns: u64,
 ) -> u64 {
     let id = id.unwrap_or_else(alloc_span_id);
-    push_record(SpanRecord {
+    crate::flight::record_span(SpanRecord {
         trace,
         id,
         parent,
@@ -344,7 +267,7 @@ impl Drop for Span {
         };
         CURRENT_PARENT.with(|p| p.set(active.prev_parent));
         let end = now_ns();
-        push_record(SpanRecord {
+        crate::flight::record_span(SpanRecord {
             trace: active.trace,
             id: active.id,
             parent: active.prev_parent,
@@ -398,30 +321,25 @@ pub fn verify_nesting(spans: &[SpanRecord]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The ring and its capacity are process-global; tests that read or
-    /// resize them serialize here so the parallel test harness cannot
-    /// interleave an eviction into another test's assertions.
-    static RING_TESTS: Mutex<()> = Mutex::new(());
-
-    fn ring_lock() -> std::sync::MutexGuard<'static, ()> {
-        RING_TESTS.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::flight::tests::store_lock;
+    use crate::flight::{set_capacity, spans_dropped, spans_for, DEFAULT_FLIGHT_CAPACITY};
 
     #[test]
     fn spans_outside_a_trace_are_inert() {
-        let _serial = ring_lock();
-        let before = last_spans(usize::MAX).len();
+        let _serial = store_lock();
+        let scope = crate::bus::next_scope_id();
+        let guard = crate::bus::ScopeGuard::enter(scope);
         {
             let s = span("inert.scope");
             assert_eq!(s.id(), 0);
         }
-        assert_eq!(last_spans(usize::MAX).len(), before);
+        drop(guard);
+        assert!(crate::flight::dump(scope).is_empty());
     }
 
     #[test]
     fn nested_spans_record_parentage_and_enclosure() {
-        let _serial = ring_lock();
+        let _serial = store_lock();
         let guard = TraceGuard::enter(0, 0);
         let trace = guard.trace();
         {
@@ -443,7 +361,7 @@ mod tests {
 
     #[test]
     fn manual_records_compose_with_preallocated_parents() {
-        let _serial = ring_lock();
+        let _serial = store_lock();
         let trace = next_trace_id();
         let root = alloc_span_id();
         let t0 = now_ns();
@@ -458,7 +376,7 @@ mod tests {
 
     #[test]
     fn concurrent_traces_stay_disjoint() {
-        let _serial = ring_lock();
+        let _serial = store_lock();
         let handles: Vec<_> = (0..4)
             .map(|i| {
                 std::thread::spawn(move || {
@@ -484,16 +402,17 @@ mod tests {
 
     #[test]
     fn ring_capacity_bounds_retention() {
-        let _serial = ring_lock();
+        let _serial = store_lock();
         let guard = TraceGuard::enter(0, 0);
         let trace = guard.trace();
-        set_ring_capacity(8);
+        set_capacity(8);
         for _ in 0..32 {
             let _s = span("cap.tick");
         }
         drop(guard);
-        assert!(spans_for(trace).len() <= 8);
-        set_ring_capacity(DEFAULT_RING_CAPACITY);
+        let kept = spans_for(trace).len();
+        set_capacity(DEFAULT_FLIGHT_CAPACITY);
+        assert!(kept <= 8);
     }
 
     #[test]
@@ -516,19 +435,23 @@ mod tests {
 
     #[test]
     fn ring_eviction_is_accounted() {
-        let _serial = ring_lock();
-        let before = spans_dropped();
-        let counter_before = dropped_counter().get();
-        set_ring_capacity(4);
+        let _serial = store_lock();
+        let dropped = || {
+            crate::registry::Registry::global()
+                .counter("mcfs_obs_spans_dropped_total", "")
+                .get()
+        };
+        let (before, counter_before) = (spans_dropped(), dropped());
+        set_capacity(4);
         let guard = TraceGuard::enter(0, 0);
         for _ in 0..12 {
             let _s = span("drop.tick");
         }
         drop(guard);
-        set_ring_capacity(DEFAULT_RING_CAPACITY);
+        set_capacity(DEFAULT_FLIGHT_CAPACITY);
         assert!(spans_dropped() >= before + 8, "evictions counted");
         assert!(
-            dropped_counter().get() >= counter_before + 8,
+            dropped() >= counter_before + 8,
             "registry counter tracks evictions too"
         );
     }

@@ -15,9 +15,11 @@
 //! at startup (each as a warm session named after the file), so a restart
 //! resumes where the previous shutdown's snapshot drain left off.
 //!
-//! The flight recorder is armed by default — a bounded per-session ring of
-//! the last ~30 seconds of events and spans, dumpable with `DUMP <session>`.
-//! `--no-flight` disarms it.
+//! Each session keeps its newest 4,096 spans and events in one ring, which
+//! `TRACE` reads a traced request back from and `DUMP <session>` returns.
+//! Event capture into it (the flight recorder) is armed by default;
+//! `--no-flight` disarms event capture only, and traced requests still
+//! keep their spans.
 //!
 //! The continuous profiler is likewise armed by default, sampling every
 //! thread's open span path at 997 Hz into a bounded folded table; fetch it
@@ -151,10 +153,7 @@ fn main() -> ExitCode {
         // Always-on in production: the ring is bounded per session and the
         // capture hooks cost one atomic load per event while nothing else
         // subscribes, so arming it up front is the intended default.
-        mcfs_obs::flight::enable(
-            mcfs_obs::flight::DEFAULT_FLIGHT_CAPACITY,
-            mcfs_obs::flight::DEFAULT_FLIGHT_WINDOW_NS,
-        );
+        mcfs_obs::flight::enable();
     }
     if args.profile {
         // Same always-on contract as the flight recorder: the folded table

@@ -300,7 +300,7 @@ impl Client {
     /// `TRACE`: fetch the spans of the session's most recent traced
     /// request, parsed from their wire lines. `n` keeps only the most
     /// recent `n` spans. See [`Client::trace_spans_back`] for older
-    /// requests in the session's trace ring.
+    /// requests in the session's ring.
     pub fn trace_spans(
         &mut self,
         session: &str,
@@ -310,8 +310,9 @@ impl Client {
     }
 
     /// `TRACE back=<j>`: like [`Client::trace_spans`] but for the traced
-    /// request `back` steps behind the most recent one (the session keeps
-    /// a ring of [`crate::session::TRACE_RING_CAPACITY`] ids).
+    /// request `back` steps behind the most recent one, as far back as the
+    /// session's ring of its newest
+    /// [`mcfs_obs::DEFAULT_FLIGHT_CAPACITY`] spans and events reaches.
     pub fn trace_spans_back(
         &mut self,
         session: &str,
@@ -332,9 +333,9 @@ impl Client {
         spans.ok_or(ClientError::Rejected(reply))
     }
 
-    /// `DUMP`: drain the session's flight-recorder ring as JSONL lines
-    /// (oldest first). Empty when the recorder is disarmed or the ring
-    /// has aged out.
+    /// `DUMP`: fetch the session's ring as JSONL lines (oldest first): the
+    /// spans of its traced requests and, while the flight recorder is
+    /// armed, its events.
     pub fn dump(&mut self, session: &str) -> Result<Vec<String>, ClientError> {
         let reply = self.expect_ok(&Request::Dump {
             session: session.to_owned(),

@@ -31,12 +31,12 @@
 //! Any request may carry `trace=<id>` on its verb line; the server then
 //! records the request's lifecycle (`server.parse` → `server.queue` →
 //! `server.execute` → solver/matcher/oracle spans → `server.handoff` →
-//! `server.reply`) into
-//! the process-wide `mcfs-obs` span ring and echoes `trace=<id>` on the
-//! reply. The `TRACE` verb retrieves one of a session's recently traced
-//! requests (the most recent, or `back=<j>` steps behind it) as positional
-//! span lines, convertible to Chrome trace JSON via
-//! [`mcfs_obs::to_chrome_trace`].
+//! `server.reply`) into the session's bounded `mcfs-obs` ring
+//! ([`mcfs_obs::flight`]) and echoes `trace=<id>` on the reply. The `TRACE`
+//! verb reads one of the session's traced requests back from that ring
+//! (the most recent, or `back=<j>` steps behind it) as positional span
+//! lines, convertible to Chrome trace JSON via
+//! [`mcfs_obs::to_chrome_trace`]; `DUMP` returns the whole ring.
 //!
 //! ```no_run
 //! use mcfs_server::{ServerConfig, ServerHandle};
@@ -66,7 +66,8 @@ pub use http::MetricsHttpHandle;
 pub use metrics::{Metrics, Outcome};
 pub use protocol::{
     ErrorCode, EventBody, EventFrame, Frame, FrameBuf, MetricsFormat, OpenKind, ProfileFormat,
-    ProtoError, Reply, Request, TracedRequest, Verb, MAX_PROFILE_SECS, WATCH_ALL, WIRE_VERSION,
+    ProtoError, Reply, Request, TracedRequest, Verb, MAX_PROFILE_SECS, MAX_WATCH_BUFFER, WATCH_ALL,
+    WIRE_VERSION,
 };
 pub use server::{ServerConfig, ServerHandle};
 pub use session::Session;

@@ -45,9 +45,10 @@
 //! (a nonzero u64 chosen by the client): the server then records the
 //! request's lifecycle as spans under that trace id and echoes the id back
 //! as a `trace=` kv on non-`err` replies. `TRACE <session>` returns the
-//! spans of one of the session's recently traced requests (`back=<j>`
-//! steps back through the retained ring; `back=0`, the default, is the
-//! most recent), one span per payload line in the `mcfs-obs` wire shape.
+//! spans of one of the session's traced requests (`back=<j>` steps back
+//! through those the session's ring still holds; `back=0`, the default, is
+//! the most recent), one span per payload line in the `mcfs-obs` wire
+//! shape, with `truncated=1` when the ring has evicted part of it.
 //! [`TracedRequest`] is the frame-with-trace pair; [`Request`] alone
 //! ignores the attribute.
 //!
@@ -62,7 +63,8 @@
 //!
 //! # Flight recorder (wire v1.3) and profiling (wire v1.4)
 //!
-//! `DUMP <session>` drains the session's flight-recorder ring as JSONL
+//! `DUMP <session>` returns the session's ring — its traced requests'
+//! spans and, while the flight recorder is armed, its events — as JSONL
 //! payload lines. `PROFILE <session|*>` answers inline with the continuous
 //! profiler's folded span-path table: cumulative by default, or only the
 //! samples of a `secs=<n>` window.
@@ -366,7 +368,7 @@ pub const KEYS: [KeyRow; 8] = [
     KeyRow { key: Key::Format, name: "format", value: Value::Word },
     KeyRow { key: Key::N, name: "n", value: Value::any("span count") },
     KeyRow { key: Key::Back, name: "back", value: Value::any("back offset") },
-    KeyRow { key: Key::Buffer, name: "buffer", value: Value::Int("buffer size", 1, u64::MAX, "buffer must be at least 1") },
+    KeyRow { key: Key::Buffer, name: "buffer", value: Value::Int("buffer size", 1, MAX_WATCH_BUFFER as u64, "buffer must be at least 1 and at most 65536") },
     KeyRow { key: Key::Secs, name: "secs", value: Value::Int("secs", 0, MAX_PROFILE_SECS, "secs too large (max 60)") },
 ];
 
@@ -377,6 +379,10 @@ const _: () = {
         i += 1;
     }
     assert!(MAX_PROFILE_SECS == 60, "the secs= limit message names 60");
+    assert!(
+        MAX_WATCH_BUFFER == 65_536,
+        "the buffer= limit message names 65536"
+    );
 };
 
 /// What an `OPEN` payload contains.
@@ -451,8 +457,8 @@ pub enum Request {
         /// Cap on returned spans (most recent first wins); `None` = all
         /// retained spans of the selected traced request.
         n: Option<usize>,
-        /// Steps back through the session's ring of traced requests;
-        /// `None`/`Some(0)` = the most recent.
+        /// Steps back through the traced requests the session's ring
+        /// holds; `None`/`Some(0)` = the most recent.
         back: Option<usize>,
         /// Queued-request deadline, milliseconds from admission.
         deadline_ms: Option<u64>,
@@ -461,8 +467,9 @@ pub enum Request {
     Watch {
         /// Target session name, or [`WATCH_ALL`] for every session.
         session: String,
-        /// Bound on the watcher's undelivered-event buffer; `None` = the
-        /// server default ([`mcfs_obs::DEFAULT_SUBSCRIBER_CAPACITY`]).
+        /// Bound on the watcher's undelivered-event buffer, at most
+        /// [`MAX_WATCH_BUFFER`]; `None` = the server default
+        /// ([`mcfs_obs::DEFAULT_SUBSCRIBER_CAPACITY`]).
         buffer: Option<usize>,
     },
     /// Cancel a `WATCH`.
@@ -470,7 +477,7 @@ pub enum Request {
         /// The `WATCH` target to cancel.
         session: String,
     },
-    /// Drain the session's flight-recorder ring as JSONL payload lines.
+    /// Fetch the session's ring as JSONL payload lines.
     Dump {
         /// Target session name.
         session: String,
@@ -495,6 +502,11 @@ pub enum Request {
         format: ProfileFormat,
     },
 }
+
+/// Largest accepted `WATCH buffer=`: 64 times the default
+/// ([`mcfs_obs::DEFAULT_SUBSCRIBER_CAPACITY`]), so one lagging watcher
+/// cannot make the server hold an unbounded backlog of events for it.
+pub const MAX_WATCH_BUFFER: usize = 64 * mcfs_obs::DEFAULT_SUBSCRIBER_CAPACITY;
 
 /// Longest accepted `PROFILE secs=` window. The reply is synchronous on
 /// the connection, so the window is bounded to keep one client from
@@ -1077,8 +1089,8 @@ fn announced_lines(line: &str, max_payload: usize) -> usize {
 /// one generic reader of [`GRAMMAR`].
 ///
 /// The line is judged in a fixed order: the verb, its target, the
-/// positional kind, then every attribute in token order (an unknown key or
-/// a bad value is reported there, and a repeated key's last value wins).
+/// positional kind, then every attribute in token order (an unknown key, a
+/// repeated key or a bad value is reported there).
 /// Only then come the keys the verb does not take (in [`KEYS`] order), a
 /// missing `lines=`, a word outside the verb's vocabulary, and last the
 /// payload's own lines.
@@ -1125,7 +1137,11 @@ fn parse_request(
             .iter()
             .find(|key| key.name == k)
             .ok_or_else(|| ProtoError::new(1, format!("unknown attribute {k:?}")))?;
-        vals[key.key as usize] = Some(key.value.read(v, max_payload)?);
+        let val = &mut vals[key.key as usize];
+        if val.is_some() {
+            return Err(ProtoError::new(1, format!("repeated attribute {k:?}")));
+        }
+        *val = Some(key.value.read(v, max_payload)?);
     }
     for (key, value) in KEYS.iter().zip(&vals) {
         if value.is_some() && !row.takes(key.key) {

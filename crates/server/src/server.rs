@@ -28,7 +28,7 @@ use crate::protocol::{
     MetricsFormat, ProfileFormat, Reply, Request, Verb, DEFAULT_MAX_PAYLOAD_LINES, WATCH_ALL,
     WIRE_VERSION,
 };
-use crate::worker::{run_worker, Job, TraceCtx};
+use crate::worker::{run_worker, Handoff, Job, TraceCtx};
 
 /// Tunables for a server instance.
 #[derive(Clone, Debug)]
@@ -116,16 +116,16 @@ impl ServerCore {
     /// here. Traced requests (`trace` set) carry their trace id and root
     /// span id into the worker (for the `server.queue` / `server.execute`
     /// spans) and echo `trace=<id>` on every structured reply so clients
-    /// can correlate. The second value is the worker's hand-off stamp
-    /// (`mcfs_obs::now_ns()` as `server.execute` closed), `None` for
-    /// untraced requests and for replies no worker produced.
+    /// can correlate. The second value is what the worker handed back with
+    /// the reply, `None` for untraced requests and for replies no worker
+    /// produced.
     pub(crate) fn submit_traced(
         &self,
         request: Request,
         trace: Option<TraceCtx>,
-    ) -> (Reply, Option<u64>) {
-        let mut handoff_ns = None;
-        let mut reply = self.submit_inner(request, trace, &mut handoff_ns);
+    ) -> (Reply, Option<Handoff>) {
+        let mut handoff = None;
+        let mut reply = self.submit_inner(request, trace, &mut handoff);
         if let Some(ctx) = trace {
             match &mut reply {
                 Reply::Ok { kvs, .. } | Reply::Busy { kvs } | Reply::Timeout { kvs } => {
@@ -135,14 +135,14 @@ impl ServerCore {
                 Reply::Err { .. } => {}
             }
         }
-        (reply, handoff_ns)
+        (reply, handoff)
     }
 
     fn submit_inner(
         &self,
         request: Request,
         trace: Option<TraceCtx>,
-        handoff_ns: &mut Option<u64>,
+        handoff: &mut Option<Handoff>,
     ) -> Reply {
         let verb = request.verb();
         if let Request::Metrics { format } = &request {
@@ -346,7 +346,7 @@ impl ServerCore {
         }
         match reply_rx.recv() {
             Ok((reply, stamp)) => {
-                *handoff_ns = trace.map(|_| stamp);
+                *handoff = stamp;
                 reply
             }
             // Only a worker panic can drop the sender without replying.
@@ -569,8 +569,10 @@ fn handle_watch_verbs<W: Write + Send + 'static>(
 /// decoded), `server.handoff` (the worker closing `server.execute` → this
 /// thread starting the reply), `server.reply` (reply serialization), and
 /// the enclosing root `server.request`, all recorded before the reply is
-/// flushed. The queue/execute interval in between is recorded by the
-/// worker under the same root (see `worker.rs`).
+/// flushed, in the scope whose ring the worker kept its own spans in (the
+/// session's, or 0 when no worker kept them). The queue/execute interval
+/// in between is recorded by the worker under the same root (see
+/// `worker.rs`).
 pub(crate) fn handle_connection<W: Write + Send + 'static>(
     mut reader: impl BufRead,
     writer: W,
@@ -596,19 +598,12 @@ pub(crate) fn handle_connection<W: Write + Send + 'static>(
         match read_traced_frame(&mut reader, core.config.max_payload_lines, &mut frame_buf) {
             Ok(None) => break, // clean EOF
             Ok(Some((traced, parse_start_ns))) => {
-                let ctx = traced.trace.map(|trace| {
-                    let root = mcfs_obs::alloc_span_id();
-                    mcfs_obs::record_manual(
-                        trace,
-                        "server.parse",
-                        root,
-                        None,
-                        parse_start_ns,
-                        mcfs_obs::now_ns(),
-                    );
-                    TraceCtx { trace, root }
+                let ctx = traced.trace.map(|trace| TraceCtx {
+                    trace,
+                    root: mcfs_obs::alloc_span_id(),
                 });
-                let (reply, handoff_ns) = match traced.request {
+                let parse_end_ns = ctx.map_or(0, |_| mcfs_obs::now_ns());
+                let (reply, handoff) = match traced.request {
                     request @ (Request::Watch { .. } | Request::Unwatch { .. }) => {
                         let mut reply = handle_watch_verbs(&core, &writer, &mut watches, request);
                         if let (Some(ctx), Reply::Ok { kvs, .. }) = (ctx, &mut reply) {
@@ -619,8 +614,14 @@ pub(crate) fn handle_connection<W: Write + Send + 'static>(
                     request => core.submit_traced(request, ctx),
                 };
                 let reply_start_ns = ctx.map(|_| mcfs_obs::now_ns());
-                if let (Some(ctx), Some(from), Some(to)) = (ctx, handoff_ns, reply_start_ns) {
-                    mcfs_obs::record_manual(ctx.trace, "server.handoff", ctx.root, None, from, to);
+                let _scope =
+                    ctx.map(|_| mcfs_obs::ScopeGuard::enter(handoff.map_or(0, |h| h.scope)));
+                if let Some(ctx) = ctx {
+                    let (from, to) = (parse_start_ns, parse_end_ns);
+                    mcfs_obs::record_manual(ctx.trace, "server.parse", ctx.root, None, from, to);
+                }
+                if let (Some(ctx), Some(h), Some(to)) = (ctx, handoff, reply_start_ns) {
+                    mcfs_obs::record_manual(ctx.trace, "server.handoff", ctx.root, None, h.ns, to);
                 }
                 let wrote = {
                     let mut w = writer.lock().unwrap();

@@ -44,9 +44,6 @@ impl std::fmt::Display for OpenError {
     }
 }
 
-/// How many traced-request ids a session retains for `TRACE back=<j>`.
-pub const TRACE_RING_CAPACITY: usize = 8;
-
 /// One live session owned by a worker thread.
 pub struct Session {
     // Field order matters: `resolver` borrows from `graph` and must drop
@@ -61,13 +58,6 @@ pub struct Session {
     dirty: bool,
     /// Wall-clock of the session's last solve, for operators.
     pub last_solve_wall: Option<std::time::Duration>,
-    /// Ring of `(trace id, root span id)` pairs of recently traced
-    /// requests (most recent last), so a later `TRACE` can retrieve any of
-    /// the last [`TRACE_RING_CAPACITY`] waterfalls — a `WATCH`-observed
-    /// solve stays reachable even after quick follow-up requests. The root
-    /// span id lets `TRACE` detect that the global span ring has evicted
-    /// the request's root (and stamp `truncated=1`).
-    traces: std::collections::VecDeque<(u64, u64)>,
     #[allow(dead_code)] // held only to keep the resolver's borrow alive
     graph: Box<Graph>,
 }
@@ -131,7 +121,6 @@ impl Session {
             edited_since_solve: false,
             dirty: false,
             last_solve_wall: None,
-            traces: std::collections::VecDeque::new(),
             graph,
         })
     }
@@ -159,31 +148,6 @@ impl Session {
     /// The live selection budget.
     pub fn k(&self) -> usize {
         self.resolver.k()
-    }
-
-    /// Trace id of the last traced request served against this session.
-    pub fn last_trace(&self) -> Option<u64> {
-        self.trace_at(0).map(|(trace, _)| trace)
-    }
-
-    /// `(trace id, root span id)` of the traced request `back` steps
-    /// behind the most recent one (`back = 0` is the most recent); `None`
-    /// when the ring does not reach that far.
-    pub fn trace_at(&self, back: usize) -> Option<(u64, u64)> {
-        self.traces
-            .len()
-            .checked_sub(back + 1)
-            .map(|i| self.traces[i])
-    }
-
-    /// Remember a traced request (its trace id and the id of its root
-    /// `server.request` span) for later `TRACE` queries; the oldest of the
-    /// retained [`TRACE_RING_CAPACITY`] entries is evicted first.
-    pub fn set_last_trace(&mut self, trace: u64, root: u64) {
-        while self.traces.len() >= TRACE_RING_CAPACITY {
-            self.traces.pop_front();
-        }
-        self.traces.push_back((trace, root));
     }
 
     /// Apply an edit script atomically.
@@ -300,20 +264,6 @@ mod tests {
         let mut cold = Session::open_instance(owned(), Wma::new()).unwrap();
         cold.apply(&[Edit::AddCustomer { node: 3 }]).unwrap();
         assert_eq!(run_obj, cold.solve().unwrap().solution.objective);
-    }
-
-    #[test]
-    fn trace_ring_retains_the_last_eight() {
-        let mut s = Session::open_instance(owned(), Wma::new()).unwrap();
-        assert_eq!(s.last_trace(), None);
-        assert_eq!(s.trace_at(0), None);
-        for t in 1..=12u64 {
-            s.set_last_trace(t, t * 100);
-        }
-        assert_eq!(s.last_trace(), Some(12));
-        assert_eq!(s.trace_at(0), Some((12, 1200)));
-        assert_eq!(s.trace_at(7), Some((5, 500)), "ring keeps exactly 8");
-        assert_eq!(s.trace_at(8), None, "older ids were evicted");
     }
 
     #[test]

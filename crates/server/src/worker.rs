@@ -33,13 +33,20 @@ pub(crate) struct TraceCtx {
     pub root: u64,
 }
 
+/// What a worker hands back with a traced request's reply: the
+/// `mcfs_obs::now_ns()` stamp taken as `server.execute` closed (the start
+/// of the connection thread's `server.handoff` span) and the scope whose
+/// ring keeps the request's spans.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Handoff {
+    pub ns: u64,
+    pub scope: u64,
+}
+
 /// One admitted request, in flight from a connection thread to a worker.
 pub(crate) struct Job {
     pub request: Request,
-    /// The reply, with `mcfs_obs::now_ns()` taken when the worker finished
-    /// it (0 when untraced): the start of the connection thread's
-    /// `server.handoff` span.
-    pub reply_tx: Sender<(Reply, u64)>,
+    pub reply_tx: Sender<(Reply, Option<Handoff>)>,
     /// The owning session's outstanding-request counter; decremented when
     /// the job leaves the system (completed, timed out, or shed).
     pub depth: Arc<AtomicUsize>,
@@ -51,8 +58,9 @@ pub(crate) struct Job {
     pub deadline: Option<Instant>,
     /// Set when the request carried `trace=<id>` on the wire.
     pub trace: Option<TraceCtx>,
-    /// The owning session's event-bus scope (0 for sessionless work);
-    /// entered for the execution so solver events carry the session.
+    /// The owning session's event-bus scope (0 for sessionless work),
+    /// whose ring `TRACE` and `DUMP` read; entered for the execution so
+    /// solver events carry the session.
     pub scope: u64,
 }
 
@@ -69,19 +77,16 @@ pub(crate) fn run_worker(rx: Receiver<Job>, core: Arc<ServerCore>) {
 
 fn process(sessions: &mut HashMap<String, Session>, job: Job, core: &ServerCore) {
     let verb = job.request.verb();
-
     // The queue interval ends the moment the worker picks the job up,
     // whether it then runs or is aborted as expired.
-    if let Some(ctx) = job.trace {
-        mcfs_obs::record_manual(
-            ctx.trace,
-            "server.queue",
-            ctx.root,
-            None,
-            job.enqueued_ns,
-            mcfs_obs::now_ns(),
-        );
-    }
+    let dequeued_ns = job.trace.map_or(0, |_| mcfs_obs::now_ns());
+    // A TRACE must not become the request the next TRACE reports, and a
+    // CLOSE ends the session's ring, so neither records into it. Neither
+    // publishes events either, so they run outside the session's scope.
+    let scope = match verb {
+        Verb::Trace | Verb::Close => 0,
+        _ => job.scope,
+    };
 
     // A request that expired while queued is aborted, not run: the client
     // stopped waiting, so burning a solve on it only delays the queue.
@@ -106,25 +111,28 @@ fn process(sessions: &mut HashMap<String, Session>, job: Job, core: &ServerCore)
             let _guard = job
                 .trace
                 .map(|ctx| mcfs_obs::TraceGuard::enter(ctx.trace, ctx.root));
-            let _scope = mcfs_obs::ScopeGuard::enter(job.scope);
+            let _scope = mcfs_obs::ScopeGuard::enter(scope);
             let _span = mcfs_obs::span("server.execute");
-            let reply = execute(sessions, &job.request, core);
-            if let Some(ctx) = job.trace {
-                // Remember the trace on the session so a later TRACE can
-                // retrieve it. TRACE itself is exempt: introspection must
-                // not clobber the trace it reports.
-                if verb != Verb::Trace {
-                    if let Some(s) = job.request.session().and_then(|n| sessions.get_mut(n)) {
-                        s.set_last_trace(ctx.trace, ctx.root);
-                    }
-                }
-            }
-            reply
+            execute(sessions, &job, core)
         }
     };
     // `server.execute` has closed: the rest of the way to the connection
-    // thread's `server.reply` is the hand-off, named on that thread.
-    let handoff_ns = job.trace.map_or(0, |_| mcfs_obs::now_ns());
+    // thread's `server.reply` is the hand-off, named on that thread. A
+    // request that ran (an expired one replies `timeout`) keeps its spans
+    // in its session's ring while the session lives; every other request
+    // keeps them under scope 0.
+    let handoff = job.trace.map(|ctx| {
+        let ran = !matches!(reply, Reply::Timeout { .. });
+        let live = ran && sessions.contains_key(job.request.session().unwrap_or_default());
+        let handoff = Handoff {
+            ns: mcfs_obs::now_ns(),
+            scope: if live { scope } else { 0 },
+        };
+        let _scope = mcfs_obs::ScopeGuard::enter(handoff.scope);
+        let (from, to) = (job.enqueued_ns, dequeued_ns);
+        mcfs_obs::record_manual(ctx.trace, "server.queue", ctx.root, None, from, to);
+        handoff
+    });
 
     core.metrics
         .record_request(verb, Outcome::of(&reply), Some(job.enqueued.elapsed()));
@@ -137,13 +145,16 @@ fn process(sessions: &mut HashMap<String, Session>, job: Job, core: &ServerCore)
             },
         );
     }
-    // A closed session's flight-recorder ring is dead weight; drop it with
-    // the session.
-    if verb == Verb::Close && matches!(reply, Reply::Ok { .. }) {
+    // A session's ring ends with the session — a successful CLOSE or a
+    // failed OPEN — after the last event published under its scope.
+    if matches!(
+        (verb, reply.is_ok()),
+        (Verb::Close, true) | (Verb::Open, false)
+    ) {
         mcfs_obs::flight::forget(job.scope);
     }
     // A vanished client (dropped connection) is not an error for the server.
-    let _ = job.reply_tx.send((reply, handoff_ns));
+    let _ = job.reply_tx.send((reply, handoff));
 }
 
 fn err(code: ErrorCode, message: impl Into<String>) -> Reply {
@@ -153,8 +164,8 @@ fn err(code: ErrorCode, message: impl Into<String>) -> Reply {
     }
 }
 
-fn execute(sessions: &mut HashMap<String, Session>, request: &Request, core: &ServerCore) -> Reply {
-    match request {
+fn execute(sessions: &mut HashMap<String, Session>, job: &Job, core: &ServerCore) -> Reply {
+    match &job.request {
         Request::Open {
             session,
             kind,
@@ -264,13 +275,9 @@ fn execute(sessions: &mut HashMap<String, Session>, request: &Request, core: &Se
             session, n, back, ..
         } => {
             let back = back.unwrap_or(0);
-            with_session(sessions, session, |s| match s.trace_at(back) {
-                Some((trace, root)) => {
-                    let mut spans = mcfs_obs::spans_for(trace);
-                    // The global span ring is bounded; if it has evicted
-                    // this request's root span, the waterfall is partial
-                    // and the client must be told, not left guessing.
-                    let truncated = !spans.iter().any(|sp| sp.id == root);
+            let found = mcfs_obs::flight::request_spans(job.scope, "server.request", back);
+            with_session(sessions, session, |_| match found {
+                Some((trace, mut spans, truncated)) => {
                     let mut kvs = vec![
                         ("of".into(), trace.to_string()),
                         ("back".into(), back.to_string()),
@@ -283,6 +290,9 @@ fn execute(sessions: &mut HashMap<String, Session>, request: &Request, core: &Se
                         }
                     }
                     kvs.push(("spans".into(), spans.len().to_string()));
+                    // The session's ring is bounded; if it has evicted part
+                    // of this request, the waterfall is partial and the
+                    // client must be told, not left guessing.
                     if truncated {
                         kvs.push(("truncated".into(), "1".into()));
                     }
@@ -299,8 +309,7 @@ fn execute(sessions: &mut HashMap<String, Session>, request: &Request, core: &Se
             })
         }
         Request::Dump { session, .. } => with_session(sessions, session, |_s| {
-            let scope = core.scope_of(session).unwrap_or(0);
-            let payload: Vec<String> = mcfs_obs::flight::dump(scope)
+            let payload: Vec<String> = mcfs_obs::flight::dump(job.scope)
                 .iter()
                 .map(mcfs_obs::flight::entry_to_json)
                 .collect();

@@ -182,6 +182,51 @@ fn concurrent_traced_sessions_produce_disjoint_trace_trees() {
     server.shutdown();
 }
 
+/// `TRACE back=<j>` steps back through the session's traced requests, and
+/// a traced `TRACE` is not one of them: the next `TRACE` still reports the
+/// request before it.
+#[test]
+fn trace_back_skips_traced_traces() {
+    let server = ServerHandle::start(ServerConfig::default());
+    let mut client = server.connect().unwrap();
+    open_instance(&mut client, "b");
+    let solve = next_trace_id();
+    client.solve_traced("b", solve).unwrap();
+    let edit = next_trace_id();
+    client
+        .request_traced(
+            &Request::Edit {
+                session: "b".into(),
+                edits: vec![Edit::AddCustomer { node: 3 }],
+                deadline_ms: None,
+            },
+            edit,
+        )
+        .unwrap();
+    let trace_request = Request::Trace {
+        session: "b".into(),
+        n: None,
+        back: None,
+        deadline_ms: None,
+    };
+    let reply = client
+        .request_traced(&trace_request, next_trace_id())
+        .unwrap();
+    assert_eq!(reply.kv("of"), Some(edit.to_string()).as_deref());
+
+    let latest = client.trace_spans("b", None).unwrap();
+    assert!(!latest.is_empty() && latest.iter().all(|s| s.trace == edit));
+    let previous = client.trace_spans_back("b", None, Some(1)).unwrap();
+    assert!(previous.iter().all(|s| s.trace == solve));
+    verify_nesting(&previous).unwrap();
+    assert!(names(&previous).contains("resolve.solve"));
+    assert!(
+        client.trace_spans_back("b", None, Some(2)).is_err(),
+        "only two traced requests reached the session"
+    );
+    server.shutdown();
+}
+
 /// Whether `line` is exactly one JSON object: it opens with `{`, and the
 /// brace that closes that object is its last character.
 fn one_json_object(line: &str) -> bool {
@@ -215,13 +260,11 @@ fn one_json_object(line: &str) -> bool {
 
 /// `DUMP` over the wire: with the flight recorder armed, a traced SOLVE
 /// leaves its events and spans in the session's ring, and `DUMP` returns
-/// that ring as one JSON object per payload line.
+/// that ring as one JSON object per payload line — every span `TRACE`
+/// reports for the SOLVE among them, since both read the same ring.
 #[test]
 fn dump_returns_the_session_flight_ring_as_jsonl() {
-    flight::enable(
-        flight::DEFAULT_FLIGHT_CAPACITY,
-        flight::DEFAULT_FLIGHT_WINDOW_NS,
-    );
+    flight::enable();
     let server = ServerHandle::start(ServerConfig::default());
     let mut client = server.connect().unwrap();
     open_instance(&mut client, "d");
@@ -257,6 +300,17 @@ fn dump_returns_the_session_flight_ring_as_jsonl() {
         traced_spans > 0,
         "the traced SOLVE left no span in the ring"
     );
+    let traced = client.trace_spans("d", None).unwrap();
+    assert!(traced.iter().any(|s| s.name == "server.request"));
+    for span in &traced {
+        let id_field = format!("{trace_field}\"id\":{},", span.id);
+        assert!(
+            reply.payload().iter().any(|line| line.contains(&id_field)),
+            "DUMP lacks span {} ({}) that TRACE returned",
+            span.id,
+            span.name
+        );
+    }
 
     flight::disable();
     server.shutdown();

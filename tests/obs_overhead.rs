@@ -8,8 +8,8 @@
 //! bikes instance:
 //!
 //! 1. the number of `span` call sites a single WMA solve actually executes
-//!    (counted by running one solve in force-trace mode and draining the
-//!    ring), and
+//!    (counted by running one solve in force-trace mode and reading the
+//!    span store back), and
 //! 2. the measured cost of the *disabled* `span` fast path (one relaxed
 //!    atomic load), amortized over a million calls.
 //!
@@ -27,8 +27,8 @@ use std::time::Instant;
 use mcfs_repro::core::{Solver, Wma};
 use mcfs_repro::io::read_checkpoint;
 use mcfs_repro::obs::{
-    bus_enabled, clear_spans, flight, last_spans, next_scope_id, set_force, span, subscribe,
-    ScopeGuard,
+    bus_enabled, flight, next_scope_id, set_force, span, subscribe, ScopeGuard,
+    DEFAULT_FLIGHT_CAPACITY,
 };
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/bikes_small.ckpt");
@@ -69,18 +69,19 @@ fn disabled_mode_tracing_overhead_stays_under_two_percent() {
     );
 
     // Count the span call sites one solve executes, pool threads included:
-    // force mode records every span process-wide.
+    // force mode records every span process-wide, and outside a bus scope
+    // each lands in the store's unscoped ring.
     set_force(true);
-    clear_spans();
+    flight::clear();
     black_box(Wma::new().solve(&inst).unwrap());
-    let spans_per_solve = last_spans(usize::MAX).len() as u128;
+    let spans_per_solve = flight::dump(0).len() as u128;
     let enabled_ns = {
         let t0 = Instant::now();
         black_box(Wma::new().solve(&inst).unwrap());
         t0.elapsed().as_nanos()
     };
     set_force(false);
-    clear_spans();
+    flight::clear();
     assert!(
         spans_per_solve > 0,
         "a forced solve must record instrumentation spans"
@@ -94,7 +95,10 @@ fn disabled_mode_tracing_overhead_stays_under_two_percent() {
     }
     let probe_total_ns = t0.elapsed().as_nanos();
     // Sanity: the probe really took the inert path (nothing recorded).
-    assert!(last_spans(1).is_empty(), "probe spans leaked into the ring");
+    assert!(
+        flight::dump(0).is_empty(),
+        "probe spans leaked into the ring"
+    );
 
     let overhead_ns = spans_per_solve * probe_total_ns / PROBE_CALLS;
     let budget_ns = disabled_ns / 50; // 2%
@@ -220,12 +224,14 @@ fn disarmed_flight_recorder_overhead_stays_under_two_percent() {
     // scope's ring (capacity far above one solve so nothing is evicted).
     let scope = next_scope_id();
     let captures_per_solve = {
-        flight::enable(1 << 20, u64::MAX / 2);
+        flight::set_capacity(1 << 20);
+        flight::enable();
         let _guard = ScopeGuard::enter(scope);
         black_box(Wma::new().solve(&inst).unwrap());
         flight::dump(scope).len() as u128
     };
     flight::disable();
+    flight::set_capacity(DEFAULT_FLIGHT_CAPACITY);
     flight::forget(scope);
     assert!(
         captures_per_solve > 0,
@@ -290,11 +296,11 @@ fn disarmed_profiler_overhead_stays_under_two_percent() {
 
     // Span sites one solve executes (force mode records them all).
     set_force(true);
-    clear_spans();
+    flight::clear();
     black_box(Wma::new().solve(&inst).unwrap());
-    let spans_per_solve = last_spans(usize::MAX).len() as u128;
+    let spans_per_solve = flight::dump(0).len() as u128;
     set_force(false);
-    clear_spans();
+    flight::clear();
     assert!(spans_per_solve > 0);
 
     // Per-call cost of a span site with the profiler (and everything
@@ -307,7 +313,10 @@ fn disarmed_profiler_overhead_stays_under_two_percent() {
         black_box(span(black_box("obs.profile.disarmed.probe")));
     }
     let probe_total_ns = t0.elapsed().as_nanos();
-    assert!(last_spans(1).is_empty(), "probe spans leaked into the ring");
+    assert!(
+        flight::dump(0).is_empty(),
+        "probe spans leaked into the ring"
+    );
     let after = profile::snapshot();
     assert!(
         !after.merged.keys().any(|p| p.contains("profile.disarmed")),
@@ -358,11 +367,11 @@ fn armed_profiler_overhead_stays_under_five_percent() {
     );
 
     set_force(true);
-    clear_spans();
+    flight::clear();
     black_box(Wma::new().solve(&inst).unwrap());
-    let spans_per_solve = last_spans(usize::MAX).len() as u128;
+    let spans_per_solve = flight::dump(0).len() as u128;
     set_force(false);
-    clear_spans();
+    flight::clear();
     assert!(spans_per_solve > 0);
 
     // Per-call cost of a span site with the profiler armed at the default
@@ -378,8 +387,8 @@ fn armed_profiler_overhead_stays_under_five_percent() {
     let probe_total_ns = t0.elapsed().as_nanos();
     profile::disable();
     assert!(
-        last_spans(1).is_empty(),
-        "profiler-armed spans must not record into the trace ring"
+        flight::dump(0).is_empty(),
+        "profiler-armed spans must not record into the span store"
     );
 
     let overhead_ns = spans_per_solve * probe_total_ns / PROBE_CALLS;

@@ -9,7 +9,7 @@ use mcfs_repro::server::protocol::{
 };
 use mcfs_repro::server::{
     ErrorCode, MetricsFormat, OpenKind, ProfileFormat, Reply, Request, TracedRequest, Verb,
-    MAX_PROFILE_SECS,
+    MAX_PROFILE_SECS, MAX_WATCH_BUFFER,
 };
 use proptest::prelude::*;
 
@@ -440,7 +440,7 @@ proptest! {
 /// stream in step, so a `STATS s` frame after it still parses; verbs and
 /// attributes the wire dropped (OPEN's `backend` in v1.5, the sharded,
 /// federated and cross-process surface in v1.6) are unknown like any
-/// other.
+/// other. The frames exactly at a value bound parse.
 #[test]
 fn malformed_frames_report_structured_errors() {
     #[rustfmt::skip]
@@ -498,10 +498,18 @@ fn malformed_frames_report_structured_errors() {
         ("TRACE s back=no\n", 1, false, "bad back offset"),
         ("TRACE s back=x\n", 1, false, "bad back offset"),
         ("WATCH s buffer=0\n", 1, false, "buffer must be at least 1"),
+        ("WATCH s buffer=65537\n", 1, false, "buffer must be at least 1 and at most 65536"),
+        ("WATCH s buffer=18446744073709551615\n", 1, false, "at most 65536"),
         ("WATCH s buffer=x\n", 1, false, "bad buffer size"),
         ("PROFILE s secs=abc\n", 1, false, "bad secs"),
         ("PROFILE s secs=61\n", 1, false, "secs too large"),
         ("PROFILE s secs=999999999\n", 1, false, "secs too large"),
+        // A repeated attribute, judged in token order; the payload is the
+        // one its last `lines=` announces.
+        ("SOLVE s deadline_ms=1 deadline_ms=2\n", 1, false, "repeated attribute \"deadline_ms\""),
+        ("SOLVE s trace=1 deadline_ms=1 trace=1\n", 1, false, "repeated attribute \"trace\""),
+        ("OPEN s instance lines=1 lines=0\n", 1, false, "repeated attribute \"lines\""),
+        ("OPEN s instance lines=0 lines=1\nx\n", 1, false, "repeated attribute \"lines\""),
         // A count over the bound is refused before any payload line is
         // read (those lines then come back as frames of their own).
         ("OPEN s instance lines=99999999999\n", 1, false, "exceeds the limit"),
@@ -540,6 +548,27 @@ fn malformed_frames_report_structured_errors() {
         ("EDIT s lines=1\nwarp-customer 1\n", 2, false, "unknown edit"),
         ("EDIT s lines=2\nadd-customer 1\n", 3, true, "truncated"),
     ];
+    // The frames at a bound parse.
+    for (frame, request) in [
+        (
+            "WATCH s buffer=65536\n",
+            Request::Watch {
+                session: "s".into(),
+                buffer: Some(MAX_WATCH_BUFFER),
+            },
+        ),
+        (
+            "PROFILE s secs=60\n",
+            Request::Profile {
+                session: "s".into(),
+                secs: MAX_PROFILE_SECS,
+                format: ProfileFormat::Folded,
+            },
+        ),
+    ] {
+        let parsed = Request::read_from(&mut frame.as_bytes(), MAX_PAYLOAD).unwrap();
+        assert_eq!(parsed, Some(request), "{frame:?}");
+    }
     for &(frame, line, fatal, needle) in cases {
         let stream = if fatal {
             frame.to_owned()

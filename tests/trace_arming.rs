@@ -1,23 +1,25 @@
 //! Stress test for the span fast path's arming: other threads entering and
 //! dropping [`TraceGuard`]s must never disarm a thread that is inside a
-//! trace. Every span a traced thread opens has to reach the ring, however
-//! the other threads' guards interleave with its own enters and drops.
+//! trace. Every span a traced thread opens has to reach the span store,
+//! however the other threads' guards interleave with its own enters and
+//! drops.
 //!
 //! This binary holds one test, so nothing else records into (or clears)
-//! the process-wide span ring while it counts.
+//! the store's unscoped ring while it counts, and raising the store's
+//! process-wide bound touches no other test.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::Arc;
 
-use mcfs_repro::obs::{last_spans, set_ring_capacity, span, TraceGuard};
+use mcfs_repro::obs::{flight, span, FlightKind, TraceGuard};
 
 #[test]
 fn churning_guards_never_lose_a_traced_threads_spans() {
     const ROUNDS: usize = 20_000;
     const SPANS_PER_ROUND: usize = 3;
     const CHURNERS: usize = 2;
-    set_ring_capacity(2 * ROUNDS * SPANS_PER_ROUND);
+    flight::set_capacity(2 * ROUNDS * SPANS_PER_ROUND);
 
     // Churners enter and drop empty guards as fast as they can, so the
     // arming state keeps changing under the traced thread's own guards.
@@ -51,8 +53,12 @@ fn churning_guards_never_lose_a_traced_threads_spans() {
     let churned: u64 = churners.into_iter().map(|h| h.join().unwrap()).sum();
 
     let mut recorded: HashMap<u64, usize> = HashMap::new();
-    for s in last_spans(usize::MAX) {
-        *recorded.entry(s.trace).or_default() += 1;
+    // The traced thread runs outside any bus scope: its spans land in
+    // scope 0's ring.
+    for entry in flight::dump(0) {
+        if let FlightKind::Span(s) = entry.kind {
+            *recorded.entry(s.trace).or_default() += 1;
+        }
     }
     let short = traces
         .iter()
