@@ -292,7 +292,7 @@ mod tests {
     #[test]
     fn second_pick_exhibits_the_maxsum_pathology() {
         let g = path(10, 10);
-        // Customers bunched left and right. The MaxSum criterion counts
+        // Customers bunched left and right. The MaxSum score counts
         // attracted customers, not saved distance, so BRNN piles facilities
         // around the center instead of covering the flanks — the paper's
         // Figure 2 in miniature. The distance optimum (one facility per

@@ -376,39 +376,6 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-impl Solution {
-    /// Extract the walking route of every customer to its assigned
-    /// facility: one predecessor-tracking Dijkstra per *selected facility*
-    /// (not per customer), then path reconstruction.
-    ///
-    /// Routes are facility→customer node sequences; on the paper's
-    /// undirected road networks they read equally well in either direction.
-    /// Entries are `None` only if the solution assigns a customer to an
-    /// unreachable facility (which [`McfsInstance::verify`] would reject).
-    pub fn routes(&self, inst: &McfsInstance) -> Vec<Option<(Vec<NodeId>, u64)>> {
-        let mut out: Vec<Option<(Vec<NodeId>, u64)>> = vec![None; self.assignment.len()];
-        for (pos, &j) in self.facilities.iter().enumerate() {
-            let hub = inst.facilities()[j as usize].node;
-            let members: Vec<usize> = self
-                .assignment
-                .iter()
-                .enumerate()
-                .filter(|&(_, &a)| a as usize == pos)
-                .map(|(i, _)| i)
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            let targets: Vec<NodeId> = members.iter().map(|&i| inst.customers()[i]).collect();
-            let routes = mcfs_graph::routes_from_hub(inst.graph(), hub, &targets);
-            for (slot, route) in members.into_iter().zip(routes) {
-                out[slot] = route;
-            }
-        }
-        out
-    }
-}
-
 impl McfsInstance<'_> {
     /// Verify a solution end-to-end: selection size, index sanity, capacity
     /// constraints, reachability, and the reported objective, recomputed
@@ -695,34 +662,6 @@ mod tests {
             inst.verify(&sol),
             Err(VerifyError::BadFacilityIndex { .. })
         ));
-    }
-
-    #[test]
-    fn solution_routes_walk_the_network() {
-        let g = path_graph(5);
-        let inst = McfsInstance::builder(&g)
-            .customers([0, 4, 2])
-            .facility(2, 3)
-            .k(1)
-            .build()
-            .unwrap();
-        let sol = Solution {
-            facilities: vec![0],
-            assignment: vec![0, 0, 0],
-            objective: 40,
-        };
-        inst.verify(&sol).unwrap();
-        let routes = sol.routes(&inst);
-        assert_eq!(routes.len(), 3);
-        let (r0, d0) = routes[0].clone().unwrap();
-        assert_eq!(r0, vec![2, 1, 0], "facility -> customer 0");
-        assert_eq!(d0, 20);
-        let (r2, d2) = routes[2].clone().unwrap();
-        assert_eq!(r2, vec![2], "customer on the facility node");
-        assert_eq!(d2, 0);
-        // The routes' lengths sum to the objective.
-        let total: u64 = routes.iter().map(|r| r.as_ref().unwrap().1).sum();
-        assert_eq!(total, sol.objective);
     }
 
     #[test]

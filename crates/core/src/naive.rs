@@ -35,8 +35,6 @@ use crate::{SolveError, Solver};
 pub struct WmaNaive {
     /// Seed for the per-iteration customer shuffles.
     pub seed: u64,
-    /// Hard cap on main-loop iterations (`None` = the natural `m · ℓ`).
-    pub max_iterations: Option<usize>,
     /// Row-fill worker threads (`0` = auto); which rows are filled follows
     /// from the instance, not from this count, see [`crate::parallel`].
     pub threads: usize,
@@ -48,7 +46,6 @@ impl Default for WmaNaive {
     fn default() -> Self {
         Self {
             seed: 0x5EED,
-            max_iterations: None,
             threads: 0,
             oracle: None,
         }
@@ -131,9 +128,8 @@ impl Solver for WmaNaive {
         let mut last_selected = vec![0u64; l];
         let mut order: Vec<usize> = (0..m).collect();
 
-        let iter_cap = self
-            .max_iterations
-            .unwrap_or_else(|| m.saturating_mul(l).max(16));
+        // The natural `m · ℓ` bound on demand raises, as in WMA.
+        let iter_cap = m.saturating_mul(l).max(16);
         let mut selection: Vec<u32> = Vec::new();
         let mut all_covered = false;
         let mut final_sigma: Vec<Vec<u32>> = vec![Vec::new(); l];

@@ -54,7 +54,7 @@ fn iterations_counter() -> &'static mcfs_obs::Counter {
 /// the demand of all customers by 1 in each iteration. We have found that it
 /// is much more effective to increase the demand by 1 only for those
 /// customers that were not covered in the last iteration." Both are exposed
-/// so the ablation benches can quantify the difference.
+/// so `repro ablation` can quantify the difference.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum DemandPolicy {
     /// Raise only uncovered customers (the paper's choice).
@@ -78,14 +78,10 @@ pub enum TieBreak {
 
 /// The Wide Matching Algorithm.
 ///
-/// The knobs exist for experimentation, ablation and safety; the defaults
+/// The knobs exist for experimentation and ablation; the defaults
 /// reproduce the paper's algorithm faithfully.
 #[derive(Clone, Debug, Default)]
 pub struct Wma {
-    /// Hard cap on main-loop iterations (the paper's loop is bounded by
-    /// `m · ℓ` demand raises; this guards against pathological inputs).
-    /// `None` = the natural `m · ℓ` bound.
-    pub max_iterations: Option<usize>,
     /// Record per-iteration statistics (Figure 12b).
     pub collect_stats: bool,
     /// Exploration-vector policy (Section IV-F ablation).
@@ -235,9 +231,9 @@ impl Wma {
         let mut last_selected = vec![0u64; l];
         let mut stats = RunStats::default();
 
-        let iter_cap = self
-            .max_iterations
-            .unwrap_or_else(|| m.saturating_mul(l).max(16));
+        // The paper's loop is bounded by `m · ℓ` demand raises; the cap
+        // guards against pathological inputs.
+        let iter_cap = m.saturating_mul(l).max(16);
         let mut selection: Vec<u32> = Vec::new();
         let mut all_covered = false;
 

@@ -132,7 +132,7 @@ struct FacilityState {
 /// The paper's Section V compares its Theorem-1 bound against the earlier
 /// SIA bound of U et al. (Equations 11–12) and argues the former is tighter,
 /// i.e. certifies optimality after fewer edge materializations. Both rules
-/// are admissible (they never stop too early); the ablation benches count
+/// are admissible (they never stop too early); `repro ablation` counts
 /// `edges_added` under each.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum PruningRule {

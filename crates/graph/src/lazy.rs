@@ -25,15 +25,12 @@ use crate::{Dist, Graph, NodeId, INF};
 /// large networks when exploration stays local.
 #[derive(Clone, Debug)]
 pub struct LazyDijkstra {
-    source: NodeId,
     /// Tentative distances for touched nodes.
     dist: FxHashMap<NodeId, Dist>,
     /// Frontier; may contain stale entries (lazy deletion).
     heap: BinaryHeap<Reverse<(Dist, NodeId)>>,
     /// Distance of the last settled node — settles are monotone.
     last_settled: Dist,
-    /// Total settled so far.
-    settled_count: usize,
 }
 
 impl LazyDijkstra {
@@ -44,32 +41,10 @@ impl LazyDijkstra {
         let mut dist = FxHashMap::default();
         dist.insert(source, 0);
         Self {
-            source,
             dist,
             heap,
             last_settled: 0,
-            settled_count: 0,
         }
-    }
-
-    /// The search's source node.
-    #[inline]
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
-    /// Number of nodes settled so far.
-    #[inline]
-    pub fn settled_count(&self) -> usize {
-        self.settled_count
-    }
-
-    /// Distance of the most recently settled node (0 before any settle).
-    /// Every future settle is at least this far away — the monotonicity that
-    /// the Theorem-1 pruning threshold exploits.
-    #[inline]
-    pub fn frontier_dist(&self) -> Dist {
-        self.last_settled
     }
 
     /// Settle and return the next-nearest unsettled node, or `None` when the
@@ -82,7 +57,6 @@ impl LazyDijkstra {
             }
             debug_assert!(d >= self.last_settled, "settles must be monotone");
             self.last_settled = d;
-            self.settled_count += 1;
             // Mark settled by pinning the final distance, then relax.
             self.dist.insert(v, d);
             for (u, w) in g.neighbors(v) {
@@ -96,54 +70,6 @@ impl LazyDijkstra {
             return Some((v, d));
         }
         None
-    }
-
-    /// Lower bound on the distance of the *next* settle without performing
-    /// it; `None` when exhausted. (Peeks past stale heap entries.)
-    pub fn peek_next_dist(&mut self) -> Option<Dist> {
-        while let Some(&Reverse((d, v))) = self.heap.peek() {
-            match self.dist.get(&v) {
-                Some(&best) if d > best => {
-                    self.heap.pop();
-                }
-                _ => return Some(d),
-            }
-        }
-        None
-    }
-}
-
-/// Adapter over [`LazyDijkstra`] that yields only nodes satisfying a
-/// predicate — e.g. only candidate-facility nodes. This is the exact shape of
-/// stream `FindPair` consumes.
-#[derive(Clone, Debug)]
-pub struct FilteredLazyDijkstra<P> {
-    inner: LazyDijkstra,
-    pred: P,
-}
-
-impl<P: Fn(NodeId) -> bool> FilteredLazyDijkstra<P> {
-    /// Lazy search from `source` yielding only nodes where `pred` holds.
-    pub fn new(source: NodeId, pred: P) -> Self {
-        Self {
-            inner: LazyDijkstra::new(source),
-            pred,
-        }
-    }
-
-    /// Next matching node in nondecreasing distance order.
-    pub fn next_match(&mut self, g: &Graph) -> Option<(NodeId, Dist)> {
-        while let Some((v, d)) = self.inner.next_settled(g) {
-            if (self.pred)(v) {
-                return Some((v, d));
-            }
-        }
-        None
-    }
-
-    /// See [`LazyDijkstra::frontier_dist`].
-    pub fn frontier_dist(&self) -> Dist {
-        self.inner.frontier_dist()
     }
 }
 
@@ -217,7 +143,6 @@ mod tests {
             seen += 1;
         }
         assert_eq!(seen, 5); // node 5 never settled
-        assert_eq!(lazy.settled_count(), 5);
         assert!(lazy.next_settled(&g).is_none(), "exhausted stays exhausted");
     }
 
@@ -226,53 +151,13 @@ mod tests {
         let g = chain(10, 2);
         let mut lazy = LazyDijkstra::new(0);
         let mut all = Vec::new();
-        // Interleave settles with peeks.
         for _ in 0..4 {
             all.push(lazy.next_settled(&g).unwrap());
         }
-        assert_eq!(lazy.peek_next_dist(), Some(8));
         while let Some(x) = lazy.next_settled(&g) {
             all.push(x);
         }
         let want: Vec<(NodeId, Dist)> = (0..10).map(|i| (i as NodeId, 2 * i as Dist)).collect();
         assert_eq!(all, want);
-    }
-
-    #[test]
-    fn frontier_dist_tracks_last_settle() {
-        let g = chain(4, 5);
-        let mut lazy = LazyDijkstra::new(0);
-        assert_eq!(lazy.frontier_dist(), 0);
-        lazy.next_settled(&g);
-        assert_eq!(lazy.frontier_dist(), 0); // source itself
-        lazy.next_settled(&g);
-        assert_eq!(lazy.frontier_dist(), 5);
-    }
-
-    #[test]
-    fn filtered_stream_skips_non_matching() {
-        let g = chain(8, 1);
-        // Facilities are even nodes.
-        let mut s = FilteredLazyDijkstra::new(1, |v| v % 2 == 0);
-        assert_eq!(s.next_match(&g), Some((0, 1)));
-        assert_eq!(s.next_match(&g), Some((2, 1)));
-        assert_eq!(s.next_match(&g), Some((4, 3)));
-        assert_eq!(s.next_match(&g), Some((6, 5)));
-        assert_eq!(s.next_match(&g), None);
-    }
-
-    #[test]
-    fn peek_handles_stale_entries() {
-        // Triangle where a node is first pushed with a worse distance.
-        let mut b = GraphBuilder::new(3);
-        b.add_edge(0, 1, 10);
-        b.add_edge(0, 2, 1);
-        b.add_edge(2, 1, 2);
-        let g = b.build();
-        let mut lazy = LazyDijkstra::new(0);
-        lazy.next_settled(&g); // settle 0, pushes 1@10 and 2@1
-        lazy.next_settled(&g); // settle 2, pushes 1@3 (1@10 now stale)
-        assert_eq!(lazy.peek_next_dist(), Some(3));
-        assert_eq!(lazy.next_settled(&g), Some((1, 3)));
     }
 }

@@ -51,7 +51,6 @@ pub mod hilbert;
 pub mod lazy;
 pub mod oracle;
 pub mod par;
-pub mod paths;
 
 pub use arena::{fill_row, Row};
 pub use components::{connected_components, ComponentInfo};
@@ -65,7 +64,6 @@ pub use hilbert::{hilbert_d2xy, hilbert_xy2d};
 pub use lazy::LazyDijkstra;
 pub use oracle::{DistanceOracle, OracleRunGuard, OracleStats};
 pub use par::{available_threads, par_map_indexed};
-pub use paths::{dijkstra_with_parents, route_from_parents, routes_from_hub, shortest_route};
 
 /// Shortest-path distance type. `u64` accommodates sums over million-node
 /// networks of meter-valued edges without overflow.

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! mcfs-loadgen [--profile ci|acceptance] [--mix NAME] [--connections N]
-//!              [--sessions N] [--requests N] [--rate HZ] [--seed N]
+//!              [--sessions N] [--requests N] [--seed N]
 //!              [--tcp ADDR | --in-process] [--workers N] [--queue-limit N]
 //!              [--nodes N] [--customers N] [--stations N] [--k N]
 //!              [--watch-buffer N] [--chaos] [--out PATH]
@@ -34,7 +34,7 @@ struct Args {
 
 fn usage() -> String {
     "usage: mcfs-loadgen [--profile ci|acceptance] [--mix solve-heavy|edit-heavy|watch-heavy|mixed]\n\
-     \x20                 [--connections N] [--sessions N] [--requests N] [--rate HZ] [--seed N]\n\
+     \x20                 [--connections N] [--sessions N] [--requests N] [--seed N]\n\
      \x20                 [--tcp ADDR | --in-process] [--workers N] [--queue-limit N]\n\
      \x20                 [--nodes N] [--customers N] [--stations N] [--k N] [--watch-buffer N]\n\
      \x20                 [--chaos] [--out PATH] [--gate-min-throughput RPS]\n\
@@ -89,11 +89,6 @@ fn parse_args() -> Result<Args, String> {
                 profile.requests_per_connection = need(&mut i, &argv, "--requests")?
                     .parse()
                     .map_err(|e| format!("bad --requests: {e}"))?;
-            }
-            "--rate" => {
-                profile.arrival_rate_hz = need(&mut i, &argv, "--rate")?
-                    .parse()
-                    .map_err(|e| format!("bad --rate: {e}"))?;
             }
             "--seed" => {
                 let seed: u64 = need(&mut i, &argv, "--seed")?

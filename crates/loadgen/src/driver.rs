@@ -19,7 +19,7 @@ use mcfs_server::{Client, EventBody, Outcome, ServerHandle};
 use rand::{Rng, SeedableRng};
 
 use crate::histogram::Log2Hist;
-use crate::profile::{poisson_wait_secs, LoadProfile, OpKind};
+use crate::profile::{LoadProfile, OpKind};
 
 /// Where the driver connects.
 pub enum Target<'a> {
@@ -342,10 +342,6 @@ pub fn run(profile: &LoadProfile, target: &Target<'_>) -> Result<RunOutput, Stri
                     conn.open_owned(&world.text)?;
                     barrier.wait();
                     for _ in 0..profile.requests_per_connection {
-                        if profile.arrival_rate_hz > 0.0 {
-                            let dt = poisson_wait_secs(&mut conn.rng, profile.arrival_rate_hz);
-                            std::thread::sleep(Duration::from_secs_f64(dt.min(1.0)));
-                        }
                         let op = profile.mix.pick(&mut conn.rng);
                         conn.run_op(op, world.anchor, world.base_customers)?;
                     }

@@ -14,9 +14,9 @@
 //!   headroom, and named load profiles (`ci`, `acceptance`).
 //! - [`histogram`] — a client-side log2 histogram using exactly the
 //!   server's bucket function, so percentiles reconcile within a bucket.
-//! - [`driver`] — the closed/open-loop (Poisson) workload driver:
-//!   per-connection threads, session ownership, barrier-timed
-//!   steady-state throughput.
+//! - [`driver`] — the closed-loop workload driver (each connection sends
+//!   its next request when the previous reply arrives): per-connection
+//!   threads, session ownership, barrier-timed steady-state throughput.
 //! - [`chaos`] — raw-socket fault injection: mid-`SOLVE` kills,
 //!   truncated frames, slow-reader watchers, deadline storms, plus a
 //!   post-chaos health check.

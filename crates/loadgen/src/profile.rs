@@ -5,7 +5,7 @@
 //! [`WorldSpec`] deterministically generates the instance every session
 //! opens (always with enough capacity headroom that the edit operations
 //! the driver issues can never make a session infeasible); a
-//! [`LoadProfile`] bundles both with the concurrency and arrival knobs.
+//! [`LoadProfile`] bundles both with the concurrency knobs.
 
 use mcfs::Facility;
 use rand::{Rng, RngCore};
@@ -189,9 +189,6 @@ pub struct LoadProfile {
     pub sessions: usize,
     /// Operations each connection draws after setup.
     pub requests_per_connection: usize,
-    /// Per-connection Poisson arrival rate in Hz; `0.0` = closed loop
-    /// (issue the next request immediately after the previous reply).
-    pub arrival_rate_hz: f64,
     /// Master seed; connection `i` derives its stream from `seed + i`.
     pub seed: u64,
     /// `buffer=` passed on `WATCH` operations.
@@ -210,7 +207,6 @@ impl LoadProfile {
             connections: 6,
             sessions: 10,
             requests_per_connection: 25,
-            arrival_rate_hz: 0.0,
             seed,
             watch_buffer: 256,
             session_prefix: "lg".into(),
@@ -232,7 +228,6 @@ impl LoadProfile {
             connections: 12,
             sessions: 48,
             requests_per_connection: 40,
-            arrival_rate_hz: 0.0,
             seed,
             watch_buffer: 256,
             session_prefix: "lg".into(),
@@ -248,7 +243,6 @@ impl LoadProfile {
             connections: 64,
             sessions: 256,
             requests_per_connection: 50,
-            arrival_rate_hz: 0.0,
             seed,
             watch_buffer: 256,
             session_prefix: "lg".into(),
@@ -263,11 +257,4 @@ impl LoadProfile {
             .map(|i| format!("{}-{i:04}", self.session_prefix))
             .collect()
     }
-}
-
-/// Exponential inter-arrival draw for a Poisson process at `rate_hz`.
-pub fn poisson_wait_secs(rng: &mut impl RngCore, rate_hz: f64) -> f64 {
-    let u: f64 = rng.random();
-    // u is in [0, 1); 1-u is in (0, 1], so the log is finite.
-    -(1.0 - u).ln() / rate_hz
 }

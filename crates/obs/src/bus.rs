@@ -23,8 +23,8 @@
 //! [`publish`] — and the [`bus_enabled`] pre-check emission sites use to
 //! skip building the event at all — is one relaxed [`AtomicBool`] load
 //! while the subscriber list is empty, mirroring the disabled-tracing
-//! discipline of [`crate::trace::span`]. The `obs_tracing` bench group and
-//! `tests/obs_overhead.rs` keep this path honest.
+//! discipline of [`crate::trace::span`]. `tests/obs_overhead.rs` keeps this
+//! path honest.
 
 use std::cell::Cell;
 use std::collections::VecDeque;

@@ -1,7 +1,7 @@
 //! Span and profile exporters: Chrome trace-event JSON (loadable in
-//! `about://tracing` and Perfetto), JSONL for log shipping, the one-line
-//! wire shape the `TRACE` verb carries, and the profiler's collapsed-stack
-//! ("folded") and speedscope renderings.
+//! `about://tracing` and Perfetto), the one-line wire shape the `TRACE`
+//! verb carries, and the profiler's collapsed-stack ("folded") and
+//! speedscope renderings.
 //!
 //! The wire line is deliberately positional —
 //!
@@ -61,25 +61,6 @@ pub fn to_chrome_trace(spans: &[SpanRecord]) -> String {
         ));
     }
     out.push_str("]}");
-    out
-}
-
-/// Render spans as JSONL: one flat JSON object per line.
-pub fn to_jsonl(spans: &[SpanRecord]) -> String {
-    let mut out = String::new();
-    for s in spans {
-        out.push_str(&format!(
-            "{{\"trace\":{},\"id\":{},\"parent\":{},\"thread\":{},\
-             \"start_ns\":{},\"dur_ns\":{},\"name\":\"{}\"}}\n",
-            s.trace,
-            s.id,
-            s.parent,
-            s.thread,
-            s.start_ns,
-            s.dur_ns,
-            escape_json(&s.name)
-        ));
-    }
     out
 }
 
@@ -213,15 +194,6 @@ mod tests {
         assert!(json.contains("\"ts\":1.500"));
         assert!(json.contains("\"dur\":2000.250"));
         assert!(json.contains("\"parent\":10"));
-    }
-
-    #[test]
-    fn jsonl_is_one_object_per_line() {
-        let text = to_jsonl(&sample());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"trace\":3,\"id\":10,"));
-        assert!(lines[1].contains("\"name\":\"resolve.solve\""));
     }
 
     #[test]

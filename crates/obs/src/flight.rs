@@ -16,8 +16,8 @@
 //!
 //! Nothing is written anywhere until someone asks: [`dump`] snapshots one
 //! scope's ring, [`spans_for`] gathers one trace from every ring, and
-//! [`to_jsonl`] renders a dump as one self-describing JSON object per
-//! line — the payload of the server's `DUMP` verb.
+//! [`entry_to_json`] renders an entry as one self-describing JSON object —
+//! a line of the server's `DUMP` payload.
 //!
 //! [`Event`]: crate::bus::Event
 //!
@@ -257,16 +257,6 @@ pub fn entry_to_json(entry: &FlightEntry) -> String {
     }
 }
 
-/// Render a dump as JSONL: one JSON object per line, oldest first.
-pub fn to_jsonl(entries: &[FlightEntry]) -> String {
-    let mut out = String::new();
-    for entry in entries {
-        out.push_str(&entry_to_json(entry));
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -408,10 +398,9 @@ pub(crate) mod tests {
         let guard = ScopeGuard::enter(scope);
         record_span(lone_span());
         drop(guard);
-        let text = to_jsonl(&dump(scope));
+        let lines: Vec<String> = dump(scope).iter().map(entry_to_json).collect();
         disable();
         forget(scope);
-        let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"type\":\"event\""));
         assert!(lines[0].contains("\"depth\":\"7\""));

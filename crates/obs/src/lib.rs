@@ -13,8 +13,8 @@
 //! * [`trace`] — spans with thread-local stacks and monotonic timestamps.
 //!   Near-zero cost when no trace is active: [`span`] is one relaxed
 //!   atomic load on the disabled path.
-//! * [`export`] — Chrome trace-event JSON (Perfetto-loadable), JSONL, and
-//!   the positional wire line the server's `TRACE` verb carries.
+//! * [`export`] — Chrome trace-event JSON (Perfetto-loadable) and the
+//!   positional wire line the server's `TRACE` verb carries.
 //! * [`bus`] — a bounded broadcast bus for live progress events (solver
 //!   iterations, resolve phases, queue depth). Slow subscribers lose the
 //!   oldest events (with drop accounting) instead of blocking publishers;
@@ -60,7 +60,7 @@ pub use bus::{
     DEFAULT_SUBSCRIBER_CAPACITY,
 };
 pub use export::{
-    span_from_wire_line, span_to_wire_line, to_chrome_trace, to_folded, to_jsonl, to_speedscope,
+    span_from_wire_line, span_to_wire_line, to_chrome_trace, to_folded, to_speedscope,
 };
 pub use flight::{spans_dropped, spans_for, FlightEntry, FlightKind, DEFAULT_FLIGHT_CAPACITY};
 pub use profile::{ProfileSnapshot, ThreadProfile, DEFAULT_SAMPLE_HZ};

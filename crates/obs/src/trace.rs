@@ -19,8 +19,7 @@
 //! on). When it is zero —
 //! the overwhelmingly common case for untraced traffic — the call returns
 //! an inert guard without reading the clock, allocating, or touching a
-//! thread-local. The bench group `obs_tracing` and the overhead test keep
-//! this path honest.
+//! thread-local. `tests/obs_overhead.rs` keeps this path honest.
 //!
 //! # Cross-thread spans
 //!
@@ -88,7 +87,7 @@ pub(crate) fn arm(on: bool) {
 }
 
 /// Trace every span regardless of [`TraceGuard`]s — spans opened outside a
-/// trace get a freshly minted trace id each. Meant for benches and tests.
+/// trace get a freshly minted trace id each. Meant for tests.
 pub fn set_force(on: bool) {
     if FORCE.swap(on, Relaxed) != on {
         arm(on);

@@ -109,7 +109,7 @@ pub const WATCH_ALL: &str = "*";
 /// Longest accepted session name, in bytes.
 pub const MAX_SESSION_NAME: usize = 64;
 
-/// Default bound on `lines=<n>` payload sizes. A frame promising more lines
+/// Bound on `lines=<n>` payload sizes. A frame promising more lines
 /// than this is rejected before anything is buffered, so a one-line header
 /// cannot commit the server to an unbounded allocation.
 pub const DEFAULT_MAX_PAYLOAD_LINES: usize = 1 << 20;

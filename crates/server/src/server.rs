@@ -42,8 +42,6 @@ pub struct ServerConfig {
     /// files. `None` disables file snapshots (`SNAPSHOT` still returns the
     /// checkpoint text inline).
     pub snapshot_dir: Option<PathBuf>,
-    /// Bound on `lines=<n>` payloads accepted from clients.
-    pub max_payload_lines: usize,
     /// Solver template cloned into every session. Leave the oracle unset —
     /// each session's graph gets its own.
     pub solver: Wma,
@@ -55,7 +53,6 @@ impl Default for ServerConfig {
             workers: 2,
             queue_limit: 8,
             snapshot_dir: None,
-            max_payload_lines: DEFAULT_MAX_PAYLOAD_LINES,
             // Sessions already run on parallel workers; keep each solve
             // single-threaded so concurrent sessions do not oversubscribe.
             solver: Wma::new().threads(1),
@@ -595,7 +592,7 @@ pub(crate) fn handle_connection<W: Write + Send + 'static>(
     // parsed request's own allocations (asserted by `tests/obs_overhead.rs`).
     let mut frame_buf = FrameBuf::new();
     loop {
-        match read_traced_frame(&mut reader, core.config.max_payload_lines, &mut frame_buf) {
+        match read_traced_frame(&mut reader, DEFAULT_MAX_PAYLOAD_LINES, &mut frame_buf) {
             Ok(None) => break, // clean EOF
             Ok(Some((traced, parse_start_ns))) => {
                 let ctx = traced.trace.map(|trace| TraceCtx {

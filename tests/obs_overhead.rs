@@ -14,9 +14,8 @@
 //!    atomic load), amortized over a million calls.
 //!
 //! Their product is the total disabled-mode tracing cost of a solve, and it
-//! must stay under 2% of the solve's own median wall time. The companion
-//! `obs_tracing` bench group (`crates/bench/benches/obs.rs`) reports the
-//! raw disabled-vs-enabled wall times for human eyes.
+//! must stay under 2% of the solve's own median wall time. The guard also
+//! checks that the force-traced solve returns the untraced solution.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,7 +72,7 @@ fn disabled_mode_tracing_overhead_stays_under_two_percent() {
     // each lands in the store's unscoped ring.
     set_force(true);
     flight::clear();
-    black_box(Wma::new().solve(&inst).unwrap());
+    let traced = black_box(Wma::new().solve(&inst).unwrap());
     let spans_per_solve = flight::dump(0).len() as u128;
     let enabled_ns = {
         let t0 = Instant::now();
@@ -85,6 +84,11 @@ fn disabled_mode_tracing_overhead_stays_under_two_percent() {
     assert!(
         spans_per_solve > 0,
         "a forced solve must record instrumentation spans"
+    );
+    assert_eq!(
+        traced,
+        Wma::new().solve(&inst).unwrap(),
+        "a force-traced solve must return the untraced solution"
     );
 
     // Cost of one disabled `span` call, amortized over a million.

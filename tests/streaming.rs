@@ -22,7 +22,7 @@ use mcfs_repro::server::{
 use proptest::prelude::*;
 
 /// The deterministic bikes world the golden checkpoint was recorded from
-/// (same parameters as `benches/obs.rs`).
+/// (same parameters as `tests/golden.rs`).
 fn bikes_world() -> (Graph, Vec<NodeId>, Vec<Facility>, usize) {
     let spec = CitySpec {
         name: "golden-bikes",
